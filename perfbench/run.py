@@ -1,6 +1,6 @@
 """dbmf benchmark: one command, seeded inputs, checked outputs.
 
-    python3 perfbench/run.py --workload acc-pp-mm --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload acc-pp-mm --seed 1 --seconds 15 --trace 0
 
 Run from the repository root.  The run generates the workload's inputs from
 the seed (numpy only), then makes measured calls of the workload's method,
