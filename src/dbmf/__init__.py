@@ -15,7 +15,7 @@ from .evaluate import (MetricReport, align_latent_dimensions, rmse,
                        rmse_by_frequency, subset_mean_correlations, wts)
 from .pipeline import (CostModel, FactorizationResult, RunConfig, build_plan,
                        cost_model_eval, run_ep, run_full, run_pp)
-from .sampler import (GibbsConfig, HyperState, NormalWishartPrior, RowPriorSet,
+from .sampler import (GibbsConfig, NormalWishartPrior, RowPriorSet,
                       SampleChain, SidePrior, chain_posterior_mean,
                       gibbs_run, gmm_component_assign, log_likelihood, predict,
                       sample_hyper_normal_wishart, sample_row_conditional)

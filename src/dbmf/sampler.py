@@ -12,6 +12,16 @@ Within a sweep all rows of one side are conditionally independent given the
 other side, so the implementation updates a full side with batched linear
 algebra; ``sample_row_conditional`` is the single-row reference form of the
 same conditional.
+
+A side update needs, per row, the sufficient statistics sum_d w_d w_d' and
+sum_d y_d w_d over that row's observed partners.  ``gibbs_run`` builds, once
+per block and per side, a CSR pair over (rows x partners): an indicator
+matrix with data 1 and a value matrix with data y, each row's partners in
+ascending order.  Each side update is then two sparse products: the
+indicator times the per-partner upper-triangle outer products, mirrored into
+full K x K matrices, and the value matrix times the partner rows.  The fixed
+partner order fixes the summation order, so the statistics do not depend on
+the order of the input entries.
 """
 
 from __future__ import annotations
@@ -19,9 +29,11 @@ from __future__ import annotations
 import json
 import logging
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .approx import GmmPosterior, PosteriorSet
 from .data import SparseMatrix
@@ -46,6 +58,7 @@ class NormalWishartPrior:
     beta0: float
     w0: np.ndarray
     nu0: float
+    w0_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mu0 = np.asarray(self.mu0, dtype=np.float64)
@@ -61,6 +74,7 @@ class NormalWishartPrior:
             np.linalg.cholesky(self.w0)
         except np.linalg.LinAlgError as exc:
             raise ValidationError("w0 must be symmetric positive definite") from exc
+        self.w0_inv = np.linalg.inv(self.w0)
 
     @property
     def k(self) -> int:
@@ -69,16 +83,6 @@ class NormalWishartPrior:
     @classmethod
     def default(cls, n_factors: int) -> "NormalWishartPrior":
         return cls(np.zeros(n_factors), 2.0, np.eye(n_factors), float(n_factors))
-
-
-@dataclass
-class HyperState:
-    """Current shared Gaussian prior parameters for both sides."""
-
-    mu_x: np.ndarray
-    lambda_x: np.ndarray
-    mu_w: np.ndarray
-    lambda_w: np.ndarray
 
 
 @dataclass
@@ -162,11 +166,6 @@ class SampleChain:
     def n_samples(self) -> int:
         return self.x_samples.shape[0]
 
-    def hyper_state(self, index: int) -> HyperState:
-        """Shared prior parameters retained at one chain position."""
-        return HyperState(self.mu_x[index], self.lambda_x[index],
-                          self.mu_w[index], self.lambda_w[index])
-
     def save(self, path) -> None:
         try:
             with open(path, "wb") as fh:
@@ -230,14 +229,29 @@ def sample_row_conditional(y_vals: np.ndarray, partner_rows: np.ndarray, tau: fl
     return mean + np.linalg.solve(chol.T, rng.standard_normal(prior_mean.size))
 
 
+@lru_cache(maxsize=None)
+def _triangles(k: int):
+    """Read-only index constants of K x K matrices: the upper triangle
+    (diagonal included) as (row, col) arrays, the flattened map from each
+    entry to its upper-triangle slot, the diagonal and the strict lower
+    triangle."""
+    upper, diag, lower = np.triu_indices(k), np.diag_indices(k), np.tril_indices(k, -1)
+    slot = np.empty((k, k), dtype=np.intp)
+    slot[upper] = slot[upper[::-1]] = np.arange(upper[0].size)
+    for arr in (*upper, slot, *diag, *lower):
+        arr.flags.writeable = False
+    return upper, slot.ravel(), diag, lower
+
+
 def _wishart_draw(rng: np.random.Generator, scale: np.ndarray, df: float) -> np.ndarray:
     """Wishart(scale, df) draw via the Bartlett decomposition (df > K - 1)."""
     k = scale.shape[0]
+    _, _, diag, lower = _triangles(k)
     chol = np.linalg.cholesky(scale)
     bart = np.zeros((k, k))
-    bart[np.diag_indices(k)] = np.sqrt(rng.chisquare(df - np.arange(k)))
+    bart[diag] = np.sqrt(rng.chisquare(df - np.arange(k)))
     if k > 1:
-        bart[np.tril_indices(k, -1)] = rng.standard_normal(k * (k - 1) // 2)
+        bart[lower] = rng.standard_normal(k * (k - 1) // 2)
     factor = chol @ bart
     return factor @ factor.T
 
@@ -262,7 +276,7 @@ def sample_hyper_normal_wishart(rows: np.ndarray, prior: NormalWishartPrior,
     beta_star = prior.beta0 + n
     mu_star = (prior.beta0 * prior.mu0 + n * xbar) / beta_star
     diff = prior.mu0 - xbar
-    winv_star = (np.linalg.inv(prior.w0) + n * scatter
+    winv_star = (prior.w0_inv + n * scatter
                  + (prior.beta0 * n / beta_star) * np.outer(diff, diff))
     winv_star = 0.5 * (winv_star + winv_star.T)
     try:
@@ -304,44 +318,32 @@ def log_likelihood(matrix: SparseMatrix, x: np.ndarray, w: np.ndarray,
 # Batched side updates
 # ---------------------------------------------------------------------------
 
-def _sorted_axis(matrix: SparseMatrix, axis: str):
-    """Entries sorted by one axis: that axis's index per entry, the other
-    axis's index, and the values."""
-    if axis == "row":
-        order = np.lexsort((matrix.cols, matrix.rows))
-        major, minor = matrix.rows[order], matrix.cols[order]
-    else:
-        order = np.lexsort((matrix.rows, matrix.cols))
-        major, minor = matrix.cols[order], matrix.rows[order]
-    return major, minor, matrix.vals[order]
+def _side_matrices(matrix: SparseMatrix):
+    """Per side, the (indicator, value) CSR pair over (rows x partners):
+    first the X side (rows x columns), then the W side (columns x rows).
+    Each row's partners are in ascending order."""
+    val_x = sparse.csr_array((matrix.vals, (matrix.rows, matrix.cols)),
+                             shape=(matrix.n_rows, matrix.n_cols))
+    val_w = val_x.T.tocsr()
+    pairs = []
+    for val in (val_x, val_w):
+        val.sort_indices()
+        ind = sparse.csr_array((np.ones(val.nnz), val.indices, val.indptr),
+                               shape=val.shape)
+        pairs.append((ind, val))
+    return pairs
 
 
-# Entries processed per chunk in a side update; bounds the transient
-# gathered-partner buffer.
-SIDE_CHUNK_ENTRIES = 1 << 22
+def _side_stats(ind, val, partner):
+    """Per-row sums of partner outer products and of value-weighted partners.
 
-
-def _suff_stats(partner, major, minor, vals, n):
-    """Per-row sums of partner outer products (exploiting symmetry) and of
-    value-weighted partners, accumulated per upper-triangle component with
-    bincount; rows without entries get exact zeros."""
-    k = partner.shape[1]
-    triu_r, triu_c = np.triu_indices(k)
-    suff = np.zeros((n, k, k))
-    lin = np.zeros((n, k))
-    for lo in range(0, max(major.size, 1), SIDE_CHUNK_ENTRIES):
-        sl = slice(lo, lo + SIDE_CHUNK_ENTRIES)
-        maj = major[sl]
-        gathered = partner[minor[sl]]
-        for a, b in zip(triu_r, triu_c):
-            suff[:, a, b] += np.bincount(maj, weights=gathered[:, a] * gathered[:, b],
-                                         minlength=n)
-        for a in range(k):
-            lin[:, a] += np.bincount(maj, weights=gathered[:, a] * vals[sl],
-                                     minlength=n)
-    lower = np.swapaxes(suff, 1, 2).copy()
-    lower[:, np.arange(k), np.arange(k)] = 0.0
-    return suff + lower, lin
+    The indicator matrix sums the upper triangles of the per-partner outer
+    products, which are then mirrored; rows without entries get exact zeros.
+    """
+    n, k = ind.shape[0], partner.shape[1]
+    (upper_r, upper_c), slot, _, _ = _triangles(k)
+    packed = ind @ (partner[:, upper_r] * partner[:, upper_c])
+    return packed[:, slot].reshape(n, k, k), val @ partner
 
 
 def _batched_chol(precisions: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
@@ -356,15 +358,15 @@ def _batched_chol(precisions: np.ndarray, context: str) -> tuple[np.ndarray, np.
         return chols, precisions
 
 
-def _sample_side(rng, partner, major, minor, vals, n, tau, prior_precs, prior_b,
-                 context):
+def _sample_side(rng, partner, ind, val, tau, prior_precs, prior_b, context):
     """Resample every row of one side from its Gaussian full conditional.
 
+    ``ind`` and ``val`` are the side's CSR pair from ``_side_matrices``.
     ``prior_precs`` broadcasts over rows when the prior is shared;
     ``prior_b`` is the per-row (or shared) prior_precision @ prior_mean term.
     """
-    k = partner.shape[1]
-    suff, lin = _suff_stats(partner, major, minor, vals, n)
+    n, k = ind.shape[0], partner.shape[1]
+    suff, lin = _side_stats(ind, val, partner)
     precisions = prior_precs + tau * suff
     b = prior_b + tau * lin
     chols, precisions = _batched_chol(precisions, context)
@@ -468,8 +470,7 @@ def gibbs_run(subset: SparseMatrix, priors: RowPriorSet,
         raise ValidationError("normal-Wishart prior dimension != n_factors")
     rng = np.random.default_rng(config.seed)
 
-    x_major, x_minor, x_vals = _sorted_axis(subset, "row")
-    w_major, w_minor, w_vals = _sorted_axis(subset, "col")
+    (x_ind, x_val), (w_ind, w_val) = _side_matrices(subset)
 
     x_state = _SideState(priors.x, subset.n_rows, "X")
     w_state = _SideState(priors.w, subset.n_cols, "W")
@@ -496,11 +497,9 @@ def gibbs_run(subset: SparseMatrix, priors: RowPriorSet,
             if w_state.mode == SHARED:
                 mu_w, lambda_w = sample_hyper_normal_wishart(w, nw_prior, rng)
             precs, b = x_state.prior_terms(x, mu_x, lambda_x)
-            x = _sample_side(rng, w, x_major, x_minor, x_vals, subset.n_rows,
-                             config.tau, precs, b, "X side")
+            x = _sample_side(rng, w, x_ind, x_val, config.tau, precs, b, "X side")
             precs, b = w_state.prior_terms(w, mu_w, lambda_w)
-            w = _sample_side(rng, x, w_major, w_minor, w_vals, subset.n_cols,
-                             config.tau, precs, b, "W side")
+            w = _sample_side(rng, x, w_ind, w_val, config.tau, precs, b, "W side")
         except NumericalError as exc:
             raise NumericalError(f"sweep {sweep}: {exc}") from exc
         if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:

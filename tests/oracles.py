@@ -196,6 +196,41 @@ def mp_ep_aggregate(means, precisions, prior_mean, prior_prec, dps=60):
 
 
 # ---------------------------------------------------------------------------
+# Sampler sufficient statistics by per-component bincount
+# ---------------------------------------------------------------------------
+
+def sorted_axis(matrix, axis: str):
+    """Entries sorted by one axis ("row" or "col"), ties by the other: that
+    axis's index per entry, the other axis's index, and the values."""
+    if axis == "row":
+        order = np.lexsort((matrix.cols, matrix.rows))
+        major, minor = matrix.rows[order], matrix.cols[order]
+    else:
+        order = np.lexsort((matrix.rows, matrix.cols))
+        major, minor = matrix.cols[order], matrix.rows[order]
+    return major, minor, matrix.vals[order]
+
+
+def bincount_suff_stats(partner, major, minor, vals, n):
+    """Per-row sums of partner outer products and of value-weighted
+    partners, one bincount pass per upper-triangle component and per
+    linear component, mirrored into full matrices; rows without entries get
+    exact zeros.  Over ``sorted_axis`` entries it sums in ascending-partner
+    order."""
+    k = partner.shape[1]
+    gathered = partner[minor]
+    suff = np.zeros((n, k, k))
+    lin = np.zeros((n, k))
+    for a, b in zip(*np.triu_indices(k)):
+        suff[:, a, b] = np.bincount(major, weights=gathered[:, a] * gathered[:, b],
+                                    minlength=n)
+        suff[:, b, a] = suff[:, a, b]
+    for a in range(k):
+        lin[:, a] = np.bincount(major, weights=gathered[:, a] * vals, minlength=n)
+    return suff, lin
+
+
+# ---------------------------------------------------------------------------
 # Exhaustive latent-dimension alignment
 # ---------------------------------------------------------------------------
 

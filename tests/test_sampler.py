@@ -3,7 +3,7 @@ import pytest
 
 from dbmf import approx, data, sampler
 from dbmf.errors import ArtifactError, NumericalError, ValidationError
-from oracles import grid_row_posterior
+from oracles import bincount_suff_stats, grid_row_posterior, sorted_axis
 
 
 def tiny_matrix(rng, n_rows=4, n_cols=3, tau=2.0):
@@ -273,11 +273,13 @@ class TestBatchedSideAgainstReference:
         prior_mean = rng.standard_normal(2)
         prior_prec = np.array([[2.0, 0.3], [0.3, 1.2]])
 
-        major, minor, vals = sampler._sorted_axis(mat, "row")
+        ind, val = sampler._side_matrices(mat)[0]
         rng_batched = np.random.default_rng(99)
         batched = sampler._sample_side(
-            rng_batched, partner, major, minor, vals, 6, 1.5,
+            rng_batched, partner, ind, val, 1.5,
             prior_prec, prior_prec @ prior_mean, "test")
+
+        major, minor, vals = sorted_axis(mat, "row")
 
         rng_ref = np.random.default_rng(99)
         for n in range(6):
@@ -285,6 +287,52 @@ class TestBatchedSideAgainstReference:
             ref = sampler.sample_row_conditional(vals[mask], partner[minor[mask]],
                                                  1.5, prior_mean, prior_prec, rng_ref)
             np.testing.assert_allclose(batched[n], ref, rtol=1e-9, atol=1e-11)
+
+
+class TestSideStatistics:
+    @staticmethod
+    def block(rng, n_rows, n_cols, density):
+        """Random block whose last row and last column have no entries, with
+        one entry valued exactly zero."""
+        dense = rng.random((n_rows, n_cols)) < density
+        dense[-1, :] = dense[:, -1] = False
+        rows, cols = np.nonzero(dense)
+        vals = rng.standard_normal(rows.size)
+        vals[0] = 0.0
+        order = rng.permutation(rows.size)
+        return data.SparseMatrix(n_rows, n_cols, rows[order], cols[order], vals[order])
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_csr_stats_bitwise_equal_bincount_oracle(self, k):
+        rng = np.random.default_rng(40 + k)
+        for n_rows, n_cols, density in ((9, 7, 0.5), (60, 45, 0.2), (200, 120, 0.1)):
+            mat = self.block(rng, n_rows, n_cols, density)
+            sides = sampler._side_matrices(mat)
+            for (ind, val), axis, n, n_partners in zip(
+                    sides, ("row", "col"), (n_rows, n_cols), (n_cols, n_rows)):
+                partner = rng.standard_normal((n_partners, k))
+                suff, lin = sampler._side_stats(ind, val, partner)
+                ref_suff, ref_lin = bincount_suff_stats(
+                    partner, *sorted_axis(mat, axis), n)
+                assert np.array_equal(suff, ref_suff)
+                assert np.array_equal(lin, ref_lin)
+                # the empty row/column has exactly zero statistics, so its
+                # conditional is its prior
+                assert not suff[-1].any() and not lin[-1].any()
+
+    def test_chain_independent_of_entry_order(self):
+        mat, _ = data.simulate(30, 20, 2, 1.0, seed=41)
+        perm = np.random.default_rng(42).permutation(mat.m)
+        shuffled = data.SparseMatrix(mat.n_rows, mat.n_cols, mat.rows[perm],
+                                     mat.cols[perm], mat.vals[perm])
+        before = shuffled.vals.copy()
+        cfg = sampler.GibbsConfig(2, 1.0, n_iters=30, burn_in=10, thin=2, seed=43)
+        prior = sampler.NormalWishartPrior.default(2)
+        a = sampler.gibbs_run(mat, sampler.RowPriorSet.shared(), prior, cfg)
+        b = sampler.gibbs_run(shuffled, sampler.RowPriorSet.shared(), prior, cfg)
+        for name in ("x_samples", "w_samples", "mu_x", "lambda_x", "mu_w", "lambda_w"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(shuffled.vals, before)
 
 
 class TestChainHelpers:
