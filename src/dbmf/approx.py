@@ -326,9 +326,6 @@ class PosteriorSet:
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return GmmPosterior(self.weights[lo:hi], self.means[lo:hi], self.precisions[lo:hi])
 
-    def rows(self):
-        return [self.row(i) for i in range(self.n_rows)]
-
     def pooled(self) -> "PosteriorSet":
         """Collapse mixtures to single Gaussians (moment-preserving)."""
         if self.kind == "gaussian":

@@ -6,8 +6,11 @@ explicit integer seed, so repeated calls are bitwise reproducible.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,10 @@ logger = logging.getLogger(__name__)
 STRUCTURED_WEIGHT_HIGH = 0.9
 STRUCTURED_WEIGHT_LOW = 0.005
 
+# One plain-format line, as parsed by the whole-file pass ``_parse_plain_text``.
+_PLAIN_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
+_INT64 = np.iinfo(np.int64)
+
 
 @dataclass
 class SparseMatrix:
@@ -28,7 +35,10 @@ class SparseMatrix:
 
     Entries are stored as three parallel arrays (row index, column index,
     value).  Every (row, col) pair appears at most once; indices are
-    0-based and in range.
+    0-based and in range.  Every construction checks this, derived
+    matrices (splits, blocks) included: the check is a bounds test plus one
+    sort of the flattened keys, and a violation raises ``ValidationError``.
+    File syntax is checked before, by ``load_triplets``.
     """
 
     n_rows: int
@@ -56,8 +66,8 @@ class SparseMatrix:
                 raise ValidationError("row index out of range")
             if self.cols.min() < 0 or self.cols.max() >= self.n_cols:
                 raise ValidationError("column index out of range")
-            keys = self.rows * self.n_cols + self.cols
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(self.rows * self.n_cols + self.cols)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValidationError("duplicate (row, col) entries")
 
     @property
@@ -191,7 +201,7 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
     """Read a sparse matrix from disk.
 
     ``plain``: one ``row col value`` per line (whitespace or commas),
-    0-based indices, ``#`` comment lines and blank lines ignored.
+    0-based indices, whole-line ``#`` comments and blank lines ignored.
     Dimensions are inferred as max index + 1.
 
     ``movielens-dat``: ``user::item::rating::timestamp`` with 1-based ids;
@@ -206,30 +216,95 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
 
 
 def _load_plain(path) -> SparseMatrix:
-    rows, cols, vals = [], [], []
     with _open_data(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 3:
-                raise TripletParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
-            try:
-                r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise TripletParseError(path, lineno, str(exc)) from exc
-            if r < 0 or c < 0:
-                raise TripletParseError(path, lineno, "negative index")
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-    n_rows = max(rows) + 1 if rows else 0
-    n_cols = max(cols) + 1 if cols else 0
-    mat = SparseMatrix(n_rows, n_cols, np.array(rows, dtype=np.int64),
-                       np.array(cols, dtype=np.int64), np.array(vals))
+        text = fh.read()
+    parsed = _parse_plain_text(text)
+    if parsed is None:
+        # Text mode has already mapped CRLF and CR line ends to "\n".
+        parsed = _parse_plain_lines(path, text.split("\n"))
+    rows, cols, vals = parsed
+    n_rows = int(rows.max()) + 1 if rows.size else 0
+    n_cols = int(cols.max()) + 1 if cols.size else 0
+    mat = SparseMatrix(n_rows, n_cols, rows, cols, vals)
     logger.info("loaded %s: %d x %d with %d entries", path, mat.n_rows, mat.n_cols, mat.m)
     return mat
+
+
+def _parse_plain_text(text: str):
+    """The whole text of a plain-format file parsed in one numpy call into
+    ``(rows, cols, vals)``.
+
+    Returns ``None`` whenever the text is not certain to be valid, so that
+    ``_parse_plain_lines`` decides and names the bad line.  Anything
+    accepted here is accepted by the line loop with bitwise-equal arrays.
+    ``np.loadtxt`` strips a trailing ``# note``, a line error in the loop,
+    so every ``#`` must start its line; and a file with commas in its data
+    lines is split on commas only, because mapping them to blanks would
+    turn a comma-only line, also a line error, into a skipped one.
+    """
+    if _outside_comment_lines(text, "#"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # An empty or comment-only file is valid and has no entries.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(io.StringIO(text), dtype=_PLAIN_DTYPE, comments="#", ndmin=1,
+                               delimiter="," if _outside_comment_lines(text, ",") else None)
+    except ValueError:
+        return None
+    rows, cols, vals = (np.ascontiguousarray(table[name]) for name in _PLAIN_DTYPE.names)
+    if np.any(rows < 0) or np.any(cols < 0):
+        return None
+    return rows, cols, vals
+
+
+def _outside_comment_lines(text: str, char: str) -> bool:
+    """True when ``char`` occurs on a line whose first non-blank is not ``#``."""
+    pos = text.find(char)
+    while pos != -1:
+        start = text.rfind("\n", 0, pos) + 1
+        if not text[start:pos + 1].lstrip().startswith("#"):
+            return True
+        end = text.find("\n", pos)
+        if end == -1:
+            return False
+        pos = text.find(char, end)
+    return False
+
+
+def _parse_plain_lines(path, lines: Iterable[str]):
+    """The plain format, one line at a time: its reference definition.
+
+    One ``row col value`` per line, separated by whitespace or commas;
+    blank lines and lines whose first non-blank is ``#`` are skipped.
+    Raises ``TripletParseError`` naming the first bad line.
+    """
+    rows, cols, vals = [], [], []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        parts = text.replace(",", " ").split()
+        if len(parts) != 3:
+            raise TripletParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
+        try:
+            r, c, v = _int64(parts[0]), _int64(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise TripletParseError(path, lineno, str(exc)) from exc
+        if r < 0 or c < 0:
+            raise TripletParseError(path, lineno, "negative index")
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=np.float64))
+
+
+def _int64(field: str) -> int:
+    value = int(field)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"integer {field} is outside the int64 range")
+    return value
 
 
 def _load_movielens(path) -> SparseMatrix:
@@ -243,8 +318,8 @@ def _load_movielens(path) -> SparseMatrix:
             if len(parts) != 4:
                 raise TripletParseError(path, lineno, f"expected 4 '::' fields, got {len(parts)}")
             try:
-                users.append(int(parts[0]))
-                items.append(int(parts[1]))
+                users.append(_int64(parts[0]))
+                items.append(_int64(parts[1]))
                 ratings.append(float(parts[2]))
             except ValueError as exc:
                 raise TripletParseError(path, lineno, str(exc)) from exc

@@ -31,8 +31,7 @@ from .aggregate import AggregationInput, ep_parametric_aggregate, pp_aggregate_r
 from .approx import PosteriorSet, RowPosterior, fit_rows, load_posterior_file, save_posterior_file
 from .data import PartitionPlan, SparseMatrix, order_matrix, partition
 from .errors import ArtifactError, PipelineError, ValidationError
-from .sampler import (GibbsConfig, NormalWishartPrior, RowPriorSet, SampleChain,
-                      SidePrior, gibbs_run)
+from .sampler import GibbsConfig, NormalWishartPrior, RowPriorSet, SidePrior, gibbs_run
 
 logger = logging.getLogger(__name__)
 
@@ -608,8 +607,3 @@ def run_ep(train: SparseMatrix, config: RunConfig,
     agg_seconds = time.perf_counter() - agg_start
     return _finish("ep", run_dir, plan, config, stage_timings, agg_seconds,
                    x_parts, w_parts, events)
-
-
-def load_chain(run_dir, i: int = 0, j: int = 0) -> SampleChain:
-    """Load a persisted block chain (runs with ``save_chains`` enabled)."""
-    return SampleChain.load(chain_path(run_dir, i, j))

@@ -141,6 +141,13 @@ class TestRun:
         assert code == 4
         capsys.readouterr()
 
+    def test_index_beyond_int64_is_validation_error(self, tmp_path, capsys):
+        train = tmp_path / "train.txt"
+        train.write_text("0 0 1.0\n9223372036854775808 1 2.0\n")
+        code = run_cli(["run", "--train", str(train), "--factors", "1", "--tau", "1.0"])
+        assert code == 2
+        assert "train.txt:2:" in capsys.readouterr().err
+
 
 class TestEvaluateAndCost:
     @pytest.fixture()

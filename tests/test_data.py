@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dbmf import data
+from dbmf import data, sampler
 from dbmf.errors import ArtifactError, TripletParseError, ValidationError
+from oracles import bincount_suff_stats, sorted_axis
 
 
 def make_matrix(n_rows, n_cols, rows, cols, vals):
@@ -10,10 +11,58 @@ def make_matrix(n_rows, n_cols, rows, cols, vals):
                              np.array(vals, dtype=np.float64))
 
 
+def repeated_cell(first, second):
+    """All 120 cells of a 12 x 10 matrix in shuffled order, except that the
+    cell at position ``first`` also takes position ``second``."""
+    flat = np.random.default_rng(5).permutation(120)
+    flat[second] = flat[first]
+    return 12, 10, flat // 10, flat % 10
+
+
+def line_loop(path):
+    """The reference for the plain loader: the format's line loop run over
+    the lines of the open file."""
+    with open(path, encoding="utf-8") as fh:
+        return data._parse_plain_lines(path, fh)
+
+
+# (file bytes, line of the expected TripletParseError or None, whether the
+# whole-file parse takes the file without the line loop)
+PLAIN_CASES = [
+    pytest.param(b"# 2 x 2, 2 entries\n0 1 2.5\n1 0 -1\n", None, True, id="header-comment"),
+    pytest.param(b"  # indented\n0 0 1\n\t# tab\n", None, True, id="indented-comments"),
+    pytest.param(b"0,1,2.5\n1, 0 ,-1\n", None, True, id="commas"),
+    pytest.param(b"# a, b\n0 1 2.5\n", None, True, id="comma-in-comment"),
+    pytest.param(b"0 1 2.5\n\n   \n\t\n1 0 -1\n", None, True, id="blank-lines"),
+    pytest.param(b"0 1 2.5\r\n1 0 -1\r\n", None, True, id="crlf"),
+    pytest.param(b"+0 +1 +2.5\n", None, True, id="leading-plus"),
+    pytest.param(b"1_0 0 1.0\n0 2 1_5.0\n", None, False, id="underscore-digits"),
+    pytest.param(b"0 0 nan\n0 1 -nan\n1 0 inf\n1 1 -inf\n2 0 1e400\n", None, True,
+                 id="nan-inf-overflow"),
+    pytest.param("0\u00a01 2\x0c\n".encode(), None, True, id="unicode-whitespace"),
+    pytest.param(b"0 0 1.0\n0 1 2.5 # note\n", 2, False, id="trailing-comment"),
+    pytest.param(b"0 0 1.0\n1 -1 2.0\n2 2 3.0\n", 2, False, id="negative-index"),
+    pytest.param(b"0 0 1.0\n\n0 1\n", 3, False, id="two-fields"),
+    pytest.param(b"0 0 1.0 7\n", 1, False, id="four-fields"),
+    pytest.param(b"0,0,1.0\n,\n", 2, False, id="comma-only-line"),
+    pytest.param(b"0 0 1.0\n9223372036854775808 1 2.0\n", 2, False, id="index-beyond-int64"),
+    pytest.param(b"0, 1 2.5\n", None, False, id="mixed-separators"),
+    pytest.param(b"", None, True, id="empty-file"),
+    pytest.param(b"# nothing\n\n", None, True, id="comments-only"),
+    pytest.param(b"3 2 1.5", None, True, id="one-line"),
+]
+
+
 class TestSparseMatrix:
     def test_duplicate_entries_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            make_matrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])
+        for n_rows, n_cols, rows, cols in ((2, 2, [0, 0], [1, 1]),
+                                           repeated_cell(3, 97),    # far apart, unsorted
+                                           repeated_cell(0, 119)):  # first and last
+            with pytest.raises(ValidationError, match="duplicate"):
+                make_matrix(n_rows, n_cols, rows, cols, np.ones(len(rows)))
+        # one entry and no entries: nothing can repeat
+        for rows, cols in (([1], [0]), ([], [])):
+            assert make_matrix(2, 2, rows, cols, np.ones(len(rows))).m == len(rows)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,6 +135,83 @@ class TestLoadTriplets:
         # user 3 -> row 1, item 10 -> col 1
         dense = m.to_dense(fill=0.0)
         assert dense[1, 1] == 4 and dense[0, 1] == 5 and dense[1, 0] == 3
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("content, error_line, whole_file", PLAIN_CASES)
+    def test_plain_loader_matches_line_loop(self, tmp_path, monkeypatch, content, error_line,
+                                            whole_file):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content)
+        text = path.read_text(encoding="utf-8")
+        assert (data._parse_plain_text(text) is not None) == whole_file
+        if error_line is not None:
+            with pytest.raises(TripletParseError) as expected:
+                line_loop(path)
+            with pytest.raises(TripletParseError) as err:
+                data.load_triplets(path)
+            assert type(err.value) is type(expected.value)
+            assert err.value.line_number == expected.value.line_number == error_line
+            return
+        rows, cols, vals = line_loop(path)
+        if whole_file:
+            # the loader takes these files without the line loop
+            monkeypatch.delattr(data, "_parse_plain_lines")
+        loaded = data.load_triplets(path)
+        for got, want in ((loaded.rows, rows), (loaded.cols, cols), (loaded.vals, vals)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert loaded.n_rows == (rows.max() + 1 if rows.size else 0)
+        assert loaded.n_cols == (cols.max() + 1 if cols.size else 0)
+
+    def test_whole_file_parse_accepts_only_what_line_loop_accepts(self):
+        # Seeded random texts built from the tokens the two parsers could
+        # read differently; each one the whole-file parse takes, the line
+        # loop must take with bitwise-equal arrays.
+        rng = np.random.default_rng(8)
+        fields = ["0", "12", "-3", "+4", "-0", "007", "1_0", "99999999999999999999",
+                  "1.5", "2e3", ".5", "nan", "-nan", "inf", "1e400", "1_0.5"]
+        separators = [" ", "\t", ",", ", ", " , ", "\u00a0"]
+        noise = ["", "", "", " ", ",", "#", "# a, b", "\x0c", "\x1c", "\x85", "\x00", "\u0661"]
+        accepted = 0
+        for _ in range(1500):
+            lines = []
+            for _ in range(rng.integers(0, 5)):
+                line = str(rng.choice(separators)).join(
+                    rng.choice(fields, size=rng.choice([2, 3, 3, 3, 4])))
+                lines.append(str(rng.choice(noise)) + line + str(rng.choice(noise)))
+            text = "\n".join(lines)
+            parsed = data._parse_plain_text(text)
+            if parsed is None:
+                continue
+            accepted += 1
+            for got, want in zip(parsed, data._parse_plain_lines("random", lines)):
+                assert got.tobytes() == want.tobytes(), repr(text)
+        assert accepted > 100
+
+    def test_loaded_file_side_stats_bitwise_equal_oracle(self, tmp_path):
+        full, _ = data.simulate(40, 30, 2, 1.0, seed=6)
+        mat, _ = data.split_random(full, 0.6, seed=7)
+        path = tmp_path / "train.txt"
+        data.save_triplets(mat, path)
+        loaded = data.load_triplets(path)
+        for name in ("rows", "cols", "vals"):
+            assert getattr(loaded, name).tobytes() == getattr(mat, name).tobytes()
+        rng = np.random.default_rng(9)
+        sides = sampler._side_matrices(loaded)
+        for (ind, val), axis, n, n_partners in zip(
+                sides, ("row", "col"), (loaded.n_rows, loaded.n_cols),
+                (loaded.n_cols, loaded.n_rows)):
+            partner = rng.standard_normal((n_partners, 5))
+            suff, lin = sampler._side_stats(ind, val, partner)
+            ref_suff, ref_lin = bincount_suff_stats(partner, *sorted_axis(loaded, axis), n)
+            assert np.array_equal(suff, ref_suff)
+            assert np.array_equal(lin, ref_lin)
+
+    def test_movielens_id_beyond_int64(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::2::5::978300760\n1::18446744073709551616::4::978300761\n")
+        with pytest.raises(TripletParseError) as err:
+            data.load_triplets(path, fmt="movielens-dat")
+        assert err.value.line_number == 2
 
     def test_movielens_bad_line(self, tmp_path):
         path = tmp_path / "ratings.dat"
