@@ -1,8 +1,9 @@
 """Distributed Bayesian matrix factorization with staged, limited-communication
 MCMC over a grid-partitioned sparse matrix."""
 
-from .aggregate import (AggregationInput, ep_parametric_aggregate,
-                        eigenvalue_correction, gaussian_product, pp_aggregate_row)
+from .aggregate import (AggregationInput, ep_aggregate, ep_parametric_aggregate,
+                        eigenvalue_correction, gaussian_product, pp_aggregate_row,
+                        staged_aggregate)
 from .approx import (Clustering, GmmPosterior, PosteriorSet, RowPosterior,
                      fit_dominant_mode, fit_gmm, fit_moment_matching,
                      lambda_means, pool_gmm)
@@ -16,8 +17,7 @@ from .evaluate import (MetricReport, align_latent_dimensions, rmse,
 from .pipeline import (CostModel, FactorizationResult, RunConfig, build_plan,
                        cost_model_eval, run_ep, run_full, run_pp)
 from .sampler import (GibbsConfig, NormalWishartPrior, RowPriorSet,
-                      SampleChain, SidePrior, chain_posterior_mean,
-                      gibbs_run, gmm_component_assign, log_likelihood, predict,
-                      sample_hyper_normal_wishart, sample_row_conditional)
+                      SampleChain, SidePrior, gibbs_run, log_likelihood, predict,
+                      sample_hyper_normal_wishart)
 
 __version__ = "0.1.0"

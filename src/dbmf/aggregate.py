@@ -1,10 +1,12 @@
 """Combining per-row Gaussian subset posteriors into full-data marginals.
 
-Two combination rules live here.  The staged-pipeline rule removes the
+Each rule is one batched function over the rows of a block, to which every
+subset contributes means ``(R, K)`` and precisions ``(R, K, K)``; a single
+subset comes back unchanged.  The staged-pipeline rule removes the
 multiply-counted propagated posterior before summing precisions, repairing
 indefinite differences by eigenvalue correction.  The independent-subsets
 rule multiplies all subset Gaussians and divides away the multiply-counted
-prior.
+prior.  The per-row functions are one-row calls into them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import RowPosterior
+from .approx import RowPosterior, _symmetrize, non_spd_rows
 from .errors import NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -23,13 +25,10 @@ logger = logging.getLogger(__name__)
 # repairing an indefinite matrix inside aggregation.
 EV_EPS_SCALE = 1e-6
 
-
-def is_spd(mat: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+# One subset's (means (R, K), precisions (R, K, K)), and one repair:
+# (row, where, diagonal shift).
+Stack = tuple[np.ndarray, np.ndarray]
+Event = tuple[int, str, float]
 
 
 @dataclass
@@ -45,10 +44,6 @@ class AggregationInput:
         if any(p.k != k for p in self.others):
             raise ValidationError("aggregation inputs must share dimension K")
 
-    @property
-    def n_subsets(self) -> int:
-        return 1 + len(self.others)
-
 
 @dataclass
 class CorrectionEvent:
@@ -58,20 +53,130 @@ class CorrectionEvent:
     shift: float
 
 
-def gaussian_product(posteriors: list[RowPosterior]) -> RowPosterior:
-    """Product of Gaussian densities: precisions add, means are
-    precision-weighted."""
+def _repair(mats: np.ndarray, eps: np.ndarray, where: str,
+            events: list[Event]) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalue repair of a symmetric stack: the indices of the matrices
+    without a Cholesky factor, and those matrices with ``|lambda_min| +
+    eps`` added to their diagonals.  Appends one event per repair."""
+    bad = non_spd_rows(mats)
+    if not bad.size:
+        return bad, mats[bad]
+    lam_min = np.linalg.eigvalsh(mats[bad])[:, 0]
+    repaired = mats[bad] + (np.abs(lam_min) + eps[bad])[:, None, None] * np.eye(mats.shape[-1])
+    shifts = repaired[:, 0, 0] - mats[bad, 0, 0]
+    events.extend(zip(bad.tolist(), [where] * bad.size, shifts.tolist()))
+    return bad, repaired
+
+
+def _row_eps(precisions: np.ndarray, eps_scale: float) -> np.ndarray:
+    k = precisions.shape[-1]
+    return eps_scale * np.maximum(np.trace(precisions, axis1=-2, axis2=-1) / k,
+                                  np.finfo(float).tiny)
+
+
+def _matvec(precisions: np.ndarray, means: np.ndarray) -> np.ndarray:
+    return (precisions @ means[..., None])[..., 0]
+
+
+def _solve(precision: np.ndarray, weighted: np.ndarray, eps: np.ndarray, where: str,
+           events: list[Event]) -> tuple[np.ndarray, np.ndarray, list[Event]]:
+    """Symmetrize and repair the combined precisions, then solve for the
+    means; events come back ordered by row."""
+    precision = _symmetrize(precision)
+    bad, repaired = _repair(precision, eps, where, events)
+    precision[bad] = repaired
+    if bad.size:
+        logger.warning("%d aggregated precisions eigenvalue-corrected", bad.size)
+    means = np.linalg.solve(precision, weighted[..., None])[..., 0]
+    if not np.all(np.isfinite(means)):
+        raise NumericalError("aggregation produced non-finite mean")
+    events.sort(key=lambda ev: ev[0])
+    return means, precision, events
+
+
+def staged_aggregate(stage1: Stack, others: list[Stack], eps_scale: float = EV_EPS_SCALE
+                     ) -> tuple[np.ndarray, np.ndarray, list[Event]]:
+    """The staged rule over a block's rows.
+
+    For every later-stage subset j, the first-stage precision is subtracted;
+    an indefinite difference is eigenvalue-corrected ("subset j") before the
+    first-stage precision is added back.  Then, with J subsets in all,
+
+        precision* = (2 - J) L1 + sum_j Lj*
+        mean*      = inv(precision*) ((2 - J) L1 m1 + sum_j Lj* mj)
+
+    and a still indefinite precision* is corrected once more ("final").  A
+    row's repair constant is ``eps_scale`` times its mean first-stage
+    precision diagonal.  Returns means, precisions and repair events.
+    """
+    means1, precs1 = stage1
+    if not others:
+        return means1, precs1, []
+    n_subsets = 1 + len(others)
+    eps = _row_eps(precs1, eps_scale)
+    events: list[Event] = []
+    precision = (2.0 - n_subsets) * precs1
+    weighted = (2.0 - n_subsets) * _matvec(precs1, means1)
+    for j, (means_j, precs_j) in enumerate(others, start=2):
+        bad, repaired = _repair(_symmetrize(precs_j - precs1), eps, f"subset {j}", events)
+        if bad.size:
+            precs_j = precs_j.copy()
+            precs_j[bad] = repaired + precs1[bad]
+        precision += precs_j
+        weighted += _matvec(precs_j, means_j)
+    return _solve(precision, weighted, eps, "final", events)
+
+
+def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray],
+                 eps_scale: float = EV_EPS_SCALE) -> tuple[np.ndarray, np.ndarray, list[Event]]:
+    """The independent-subsets rule over a block's rows: the product of the
+    J subset Gaussians with J-1 copies of the shared prior ``(mean (K,),
+    precision (K, K))`` divided away,
+
+        precision* = sum_j Lj - (J - 1) L_prior
+        mean*      = inv(precision*) (sum_j Lj mj - (J - 1) L_prior m_prior)
+
+    An indefinite precision* is eigenvalue-corrected ("ep final"), with the
+    repair constant scaled by the first subset's precision.
+    """
+    means0, precs0 = subsets[0]
+    if len(subsets) == 1:
+        return means0, precs0, []
+    prior_mean, prior_precision = prior
+    copies = len(subsets) - 1.0
+    precision = -copies * prior_precision + precs0
+    weighted = -copies * (prior_precision @ prior_mean) + _matvec(precs0, means0)
+    for means_j, precs_j in subsets[1:]:
+        precision += precs_j
+        weighted += _matvec(precs_j, means_j)
+    return _solve(precision, weighted, _row_eps(precs0, eps_scale), "ep final", [])
+
+
+def _one_row(posterior: RowPosterior) -> Stack:
+    return posterior.mean[None], posterior.precision[None]
+
+
+def _row_result(means, precisions, row_events, events=None) -> RowPosterior:
+    if events is not None:
+        events.extend(CorrectionEvent(where, shift) for _, where, shift in row_events)
+    return RowPosterior(means[0], precisions[0])
+
+
+def _check_k(posteriors: list[RowPosterior]) -> int:
     if not posteriors:
         raise ValidationError("need at least one posterior")
     k = posteriors[0].k
     if any(p.k != k for p in posteriors):
         raise ValidationError("posteriors must share dimension K")
-    precision = np.zeros((k, k))
-    weighted = np.zeros(k)
-    for p in posteriors:
-        precision += p.precision
-        weighted += p.precision @ p.mean
-    return RowPosterior(np.linalg.solve(precision, weighted), precision)
+    return k
+
+
+def gaussian_product(posteriors: list[RowPosterior]) -> RowPosterior:
+    """Product of Gaussian densities: precisions add, means are
+    precision-weighted (``ep_aggregate`` with nothing divided away)."""
+    k = _check_k(posteriors)
+    return _row_result(*ep_aggregate([_one_row(p) for p in posteriors],
+                                     (np.zeros(k), np.zeros((k, k)))))
 
 
 def eigenvalue_correction(mat: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -88,96 +193,27 @@ def eigenvalue_correction(mat: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         raise ValidationError("matrix is not symmetric")
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    if is_spd(mat):
-        return mat
-    lam_min = float(np.linalg.eigvalsh(mat)[0])
-    return mat + (abs(lam_min) + eps) * np.eye(mat.shape[0])
+    bad, repaired = _repair(mat[None], np.array([eps]), "", [])
+    return repaired[0] if bad.size else mat
 
 
 def pp_aggregate_row(agg_input: AggregationInput, eps_scale: float = EV_EPS_SCALE,
                      events: list[CorrectionEvent] | None = None) -> RowPosterior:
-    """Aggregate one row's staged subset posteriors.
-
-    For every later-stage posterior j, the first-stage precision is
-    subtracted; an indefinite difference is eigenvalue-corrected before the
-    first-stage precision is added back.  Then
-
-        precision* = (2 - J) L1 + sum_j Lj*
-        mean*      = inv(precision*) ((2 - J) L1 m1 + sum_j Lj* mj)
-
-    with J the total number of subsets.  If the final precision is still
-    indefinite it is eigenvalue-corrected once more (logged).
-    """
-    stage1 = agg_input.stage1
-    k = stage1.k
-    n_subsets = agg_input.n_subsets
-    if n_subsets == 1:
-        return stage1
-    eps = eps_scale * max(float(np.trace(stage1.precision)) / k, np.finfo(float).tiny)
-
-    precision = (2.0 - n_subsets) * stage1.precision
-    weighted = (2.0 - n_subsets) * (stage1.precision @ stage1.mean)
-    for j, other in enumerate(agg_input.others, start=2):
-        diff = other.precision - stage1.precision
-        if is_spd(diff):
-            prec_j = other.precision
-        else:
-            corrected = eigenvalue_correction(0.5 * (diff + diff.T), eps)
-            shift = float(corrected[0, 0] - diff[0, 0])
-            prec_j = corrected + stage1.precision
-            if events is not None:
-                events.append(CorrectionEvent(f"subset {j}", shift))
-            logger.debug("eigenvalue-corrected subset %d difference (shift %.3e)", j, shift)
-        precision += prec_j
-        weighted += prec_j @ other.mean
-
-    precision = 0.5 * (precision + precision.T)
-    if not is_spd(precision):
-        corrected = eigenvalue_correction(precision, eps)
-        shift = float(corrected[0, 0] - precision[0, 0])
-        precision = corrected
-        if events is not None:
-            events.append(CorrectionEvent("final", shift))
-        logger.warning("aggregated precision eigenvalue-corrected (shift %.3e)", shift)
-    result_mean = np.linalg.solve(precision, weighted)
-    if not np.all(np.isfinite(result_mean)):
-        raise NumericalError("aggregation produced non-finite mean")
-    return RowPosterior(result_mean, precision)
+    """One row of ``staged_aggregate``; a single subset is returned as is."""
+    if not agg_input.others:
+        return agg_input.stage1
+    return _row_result(*staged_aggregate(_one_row(agg_input.stage1),
+                                         [_one_row(p) for p in agg_input.others],
+                                         eps_scale), events)
 
 
 def ep_parametric_aggregate(subset_posteriors: list[RowPosterior], prior: RowPosterior,
                             n_subsets: int, eps_scale: float = EV_EPS_SCALE,
                             events: list[CorrectionEvent] | None = None) -> RowPosterior:
-    """Multiply independent subset posteriors, dividing away the J-1
-    multiply-counted copies of the prior.
-
-        precision* = sum_j Lj - (J - 1) L_prior
-        mean*      = inv(precision*) (sum_j Lj mj - (J - 1) L_prior m_prior)
-    """
-    if not subset_posteriors:
-        raise ValidationError("need at least one subset posterior")
+    """One row of ``ep_aggregate``."""
+    if _check_k(subset_posteriors) != prior.k:
+        raise ValidationError("posteriors and prior must share dimension K")
     if n_subsets != len(subset_posteriors):
         raise ValidationError("n_subsets must equal the number of subset posteriors")
-    k = subset_posteriors[0].k
-    if prior.k != k or any(p.k != k for p in subset_posteriors):
-        raise ValidationError("posteriors and prior must share dimension K")
-
-    precision = -(n_subsets - 1.0) * prior.precision
-    weighted = -(n_subsets - 1.0) * (prior.precision @ prior.mean)
-    for p in subset_posteriors:
-        precision += p.precision
-        weighted += p.precision @ p.mean
-    precision = 0.5 * (precision + precision.T)
-    if not is_spd(precision):
-        eps = eps_scale * max(float(np.trace(subset_posteriors[0].precision)) / k,
-                              np.finfo(float).tiny)
-        corrected = eigenvalue_correction(precision, eps)
-        shift = float(corrected[0, 0] - precision[0, 0])
-        precision = corrected
-        if events is not None:
-            events.append(CorrectionEvent("ep final", shift))
-        logger.debug("independent-subset aggregate eigenvalue-corrected (shift %.3e)", shift)
-    result_mean = np.linalg.solve(precision, weighted)
-    if not np.all(np.isfinite(result_mean)):
-        raise NumericalError("aggregation produced non-finite mean")
-    return RowPosterior(result_mean, precision)
+    return _row_result(*ep_aggregate([_one_row(p) for p in subset_posteriors],
+                                     (prior.mean, prior.precision), eps_scale), events)

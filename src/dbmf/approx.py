@@ -30,11 +30,21 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
-def _check_spd(mat: np.ndarray, what: str) -> None:
+def is_spd(mat: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"{what} is not positive definite") from exc
+        return True
+    except np.linalg.LinAlgError:
+        return False
+
+
+def non_spd_rows(mats: np.ndarray) -> np.ndarray:
+    """Indices of the matrices in a stack ``(R, K, K)`` that have no
+    Cholesky factor.  One stacked factorization settles the usual all-SPD
+    case; only when it fails is each matrix tried on its own."""
+    if is_spd(mats):
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero([not is_spd(mat) for mat in mats])
 
 
 @dataclass
@@ -47,19 +57,14 @@ class RowPosterior:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.precision = _symmetrize(np.asarray(self.precision, dtype=np.float64))
-        k = self.mean.size
-        if self.precision.shape != (k, k):
-            raise ValidationError("precision shape does not match mean")
-        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.precision)):
-            raise ValidationError("non-finite posterior parameters")
-        _check_spd(self.precision, "row posterior precision")
+        problem = _contract_violation(
+            PosteriorSet("gaussian", self.mean[None], self.precision[None]), self.mean.size)
+        if problem:
+            raise ValidationError(f"row posterior: {problem}")
 
     @property
     def k(self) -> int:
         return self.mean.size
-
-    def covariance(self) -> np.ndarray:
-        return np.linalg.inv(self.precision)
 
 
 @dataclass
@@ -74,14 +79,11 @@ class GmmPosterior:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.means = np.asarray(self.means, dtype=np.float64)
         self.precisions = _symmetrize(np.asarray(self.precisions, dtype=np.float64))
-        c = self.weights.size
-        if c < 1:
-            raise ValidationError("mixture needs at least one component")
-        if self.means.shape[0] != c or self.precisions.shape[0] != c:
-            raise ValidationError("component count mismatch")
-        if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValidationError("weights must be positive and sum to 1")
-        _check_spd(self.precisions, "mixture component precision")
+        problem = _contract_violation(
+            PosteriorSet("gmm", self.means, self.precisions, weights=self.weights,
+                         offsets=np.array([0, self.weights.size])), self.means.shape[-1])
+        if problem:
+            raise ValidationError(f"mixture posterior: {problem}")
 
     @property
     def n_components(self) -> int:
@@ -112,8 +114,7 @@ class Clustering:
 # lambda-means clustering
 # ---------------------------------------------------------------------------
 
-def lambda_means(samples: np.ndarray, lam: float, max_iters: int = 100,
-                 seed: int | None = None) -> Clustering:
+def lambda_means(samples: np.ndarray, lam: float, max_iters: int = 100) -> Clustering:
     """Cluster samples, spawning a new center for any point farther than
     ``lam`` (Euclidean) from every existing center.
 
@@ -124,9 +125,8 @@ def lambda_means(samples: np.ndarray, lam: float, max_iters: int = 100,
     merged into it (the spawn rule never creates such a pair, and keeping
     centers separated by more than ``lam`` makes the final cluster count
     nonincreasing in ``lam``).  The procedure is deterministic given the
-    input order (``seed`` is accepted for interface symmetry but unused).
+    input order.
     """
-    del seed
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] < 1:
         raise ValidationError("need at least one sample")
@@ -222,8 +222,7 @@ def fit_moment_matching(samples: np.ndarray) -> RowPosterior:
     return _fit_gaussian(samples)
 
 
-def fit_dominant_mode(samples: np.ndarray, lam: float,
-                      seed: int | None = None) -> RowPosterior:
+def fit_dominant_mode(samples: np.ndarray, lam: float) -> RowPosterior:
     """Moment matching restricted to the largest lambda-means cluster.
 
     Size ties pick the lowest cluster index.  If the winning cluster is too
@@ -234,7 +233,7 @@ def fit_dominant_mode(samples: np.ndarray, lam: float,
     n, k = samples.shape
     if n < k + 2:
         raise ValidationError(f"need at least K+2={k + 2} samples, got {n}")
-    clustering = lambda_means(samples, lam, seed=seed)
+    clustering = lambda_means(samples, lam)
     sizes = clustering.sizes()
     best = int(np.argmax(sizes))
     if sizes[best] < k + 2:
@@ -244,8 +243,7 @@ def fit_dominant_mode(samples: np.ndarray, lam: float,
     return _fit_gaussian(samples[clustering.assignments == best])
 
 
-def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3,
-            seed: int | None = None) -> GmmPosterior:
+def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3) -> GmmPosterior:
     """Mixture over the ``top_n`` largest lambda-means clusters.
 
     Clusters smaller than K+2 are dropped before weight renormalization;
@@ -258,7 +256,7 @@ def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3,
         raise ValidationError(f"need at least K+2={k + 2} samples, got {n}")
     if top_n < 1:
         raise ValidationError("top_n must be >= 1")
-    clustering = lambda_means(samples, lam, seed=seed)
+    clustering = lambda_means(samples, lam)
     sizes = clustering.sizes()
     # Largest first, ties by lower cluster index.
     order = np.lexsort((np.arange(sizes.size), -sizes))[:top_n]
@@ -276,12 +274,9 @@ def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3,
 
 def pool_gmm(gmm: GmmPosterior) -> RowPosterior:
     """Single Gaussian with the mixture's exact first two moments."""
-    mean = gmm.weights @ gmm.means
-    covs = np.linalg.inv(gmm.precisions)
-    diffs = gmm.means - mean
-    cov = np.einsum("c,ckl->kl", gmm.weights, covs)
-    cov = cov + np.einsum("c,ck,cl->kl", gmm.weights, diffs, diffs)
-    return RowPosterior(mean, np.linalg.inv(_symmetrize(cov)))
+    pooled = PosteriorSet("gmm", gmm.means, gmm.precisions, weights=gmm.weights,
+                          offsets=np.array([0, gmm.n_components])).pooled()
+    return RowPosterior(pooled.means[0], pooled.precisions[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +315,25 @@ class PosteriorSet:
     def k(self) -> int:
         return self.means.shape[-1]
 
-    def row(self, i: int):
-        if self.kind == "gaussian":
-            return RowPosterior(self.means[i], self.precisions[i])
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return GmmPosterior(self.weights[lo:hi], self.means[lo:hi], self.precisions[lo:hi])
+    def component_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each mixture component, its row and its position in that row."""
+        counts = np.diff(self.offsets)
+        rows = np.repeat(np.arange(counts.size), counts)
+        return rows, np.arange(rows.size) - self.offsets[rows]
 
     def pooled(self) -> "PosteriorSet":
-        """Collapse mixtures to single Gaussians (moment-preserving)."""
+        """Collapse mixtures to single Gaussians with each row's exact
+        mixture mean and covariance."""
         if self.kind == "gaussian":
             return self
-        pooled = [pool_gmm(self.row(i)) for i in range(self.n_rows)]
-        return PosteriorSet("gaussian",
-                            np.array([p.mean for p in pooled]),
-                            np.array([p.precision for p in pooled]))
+        starts = self.offsets[:-1]
+        weights = self.weights[:, None]
+        mean = np.add.reduceat(weights * self.means, starts)
+        diffs = self.means - mean[self.component_index()[0]]
+        weights = weights[..., None]
+        cov = np.add.reduceat(weights * np.linalg.inv(self.precisions), starts)
+        cov = cov + np.add.reduceat(weights * diffs[:, :, None] * diffs[:, None, :], starts)
+        return PosteriorSet("gaussian", mean, _symmetrize(np.linalg.inv(_symmetrize(cov))))
 
     @classmethod
     def from_gaussian_rows(cls, rows: list[RowPosterior]) -> "PosteriorSet":
@@ -348,6 +348,38 @@ class PosteriorSet:
                    np.concatenate([r.precisions for r in rows]),
                    weights=np.concatenate([r.weights for r in rows]),
                    offsets=np.concatenate(([0], np.cumsum(counts))))
+
+
+def _contract_violation(pset: PosteriorSet, k: int) -> str | None:
+    """The first way a set breaks the posterior contract, naming the row, or
+    None.  The contract: K-dimensional finite means, finite precisions with
+    a Cholesky factor and, for mixtures, positive weights summing to 1 (to
+    1e-9) per row and offsets strictly increasing from 0 to the component
+    count.  ``RowPosterior``, ``GmmPosterior`` and ``load_posterior_file``
+    enforce it; each check runs once over the whole stack."""
+    n = pset.means.shape[0]
+    if pset.means.ndim != 2 or pset.means.shape[1] != k or pset.precisions.shape != (n, k, k):
+        return f"means and precisions do not hold the same K={k} components"
+    rows = np.arange(n)
+    checks = [(np.isfinite(pset.means).all(axis=1), "non-finite mean"),
+              (np.isfinite(pset.precisions).all(axis=(1, 2)), "non-finite precision")]
+    if pset.kind == "gmm":
+        offsets = pset.offsets
+        if (offsets.ndim != 1 or offsets.dtype.kind not in "iu" or offsets[:1].tolist() != [0]
+                or offsets[-1] != n or pset.weights.shape != (n,)):
+            return f"offsets do not run from 0 to the {n} components of the weights"
+        steps_ok = np.diff(offsets) > 0
+        if not steps_ok.all():
+            return f"row {np.argmin(steps_ok)}: offsets not strictly increasing"
+        rows = pset.component_index()[0]
+        sums = np.add.reduceat(pset.weights, offsets[:-1])
+        checks += [(np.isfinite(pset.weights) & (pset.weights > 0), "weight not positive"),
+                   (np.abs(sums - 1.0)[rows] <= 1e-9, "weights do not sum to 1")]
+    for ok, what in checks:
+        if not ok.all():
+            return f"row {rows[np.argmin(ok)]}: {what}"
+    bad = non_spd_rows(pset.precisions)
+    return f"row {rows[bad[0]]}: precision not positive definite" if bad.size else None
 
 
 def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
@@ -429,7 +461,8 @@ def save_posterior_file(path, posteriors: PosteriorSet, side: str,
 
 
 def load_posterior_file(path) -> tuple[dict, PosteriorSet]:
-    """Load a posterior file; raises ArtifactError on missing/corrupt input."""
+    """Load a posterior file; raises ArtifactError on missing or corrupt
+    input, and on arrays that break the posterior contract."""
     try:
         with np.load(path) as npz:
             header = json.loads(str(npz["header"]))
@@ -444,4 +477,7 @@ def load_posterior_file(path) -> tuple[dict, PosteriorSet]:
         raise ArtifactError(f"posterior file not found: {path}") from exc
     except (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError) as exc:
         raise ArtifactError(f"corrupt posterior file {path}: {exc}") from exc
+    problem = _contract_violation(pset, k)
+    if problem:
+        raise ArtifactError(f"invalid posterior file {path}: {problem}")
     return header, pset

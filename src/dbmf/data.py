@@ -208,11 +208,27 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
     ids are compacted to dense 0-based indices (sorted id order) and the
     id maps are attached as ``row_ids`` / ``col_ids``.
     """
-    if fmt == "plain":
-        return _load_plain(path)
-    if fmt == "movielens-dat":
-        return _load_movielens(path)
-    raise ValidationError(f"unknown triplet format: {fmt!r}")
+    loaders = {"plain": _load_plain, "movielens-dat": _load_movielens}
+    if fmt not in loaders:
+        raise ValidationError(f"unknown triplet format: {fmt!r}")
+    try:
+        return loaders[fmt](path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path) from exc
+
+
+def _not_utf8(path) -> TripletParseError:
+    """The error naming the line of the first byte of ``path`` that is not
+    UTF-8; lines end at LF, CRLF or CR, as in text mode."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return TripletParseError(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 text")
+    return TripletParseError(path, 1, "file is not UTF-8 text")
 
 
 def _load_plain(path) -> SparseMatrix:

@@ -202,7 +202,11 @@ class MetricReport:
     wts: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, default=_json_default)
+        """The report as JSON; an open bin edge is written as "inf"."""
+        doc = asdict(self)
+        for b in doc["bins"]:
+            b.update({edge: str(b[edge]) for edge in ("low", "high") if math.isinf(b[edge])})
+        return json.dumps(doc, indent=2, default=_json_default)
 
     def format_table(self) -> str:
         lines = [f"{'RMSE':<24}{self.rmse:.6f}"]
@@ -231,8 +235,6 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .aggregate import AggregationInput, ep_parametric_aggregate, pp_aggregate_row
+from .aggregate import ep_aggregate, staged_aggregate
 from .approx import PosteriorSet, RowPosterior, fit_rows, load_posterior_file, save_posterior_file
 from .data import PartitionPlan, SparseMatrix, order_matrix, partition
 from .errors import ArtifactError, PipelineError, ValidationError
@@ -421,61 +421,40 @@ def _task_for(key, blocks, plan, config, nw, run_dir, x_prior_file, w_prior_file
                       save_chain=config.save_chains)
 
 
-def _aggregate_rows_pp(first: PosteriorSet, others: list[PosteriorSet],
-                       events: list, label: str) -> tuple[np.ndarray, np.ndarray]:
-    first = first.pooled()
-    others = [p.pooled() for p in others]
-    n, k = first.means.shape
-    means = np.empty((n, k))
-    precs = np.empty((n, k, k))
-    for row in range(n):
-        row_events = []
-        agg = pp_aggregate_row(AggregationInput(first.row(row),
-                                                [p.row(row) for p in others]),
-                               events=row_events)
-        means[row], precs[row] = agg.mean, agg.precision
-        events.extend({"row": f"{label}{row}", "where": ev.where, "shift": ev.shift}
-                      for ev in row_events)
-    return means, precs
+def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
+    """Combine by ``rule`` the pooled posteriors of each row block of X and
+    each column block of W, from every block along it in grid order.
+    Returns X's and W's (means, precisions) in original index order and the
+    repair events, each labelled with the side, the row or column block and
+    the row within it."""
+    events = []
+
+    def side(name, lines, perm):
+        parts = []
+        for index, keys in enumerate(lines):
+            stacks = []
+            for i, j in keys:
+                pset = load_posteriors(run_dir, stage_of(i, j), i, j, name).pooled()
+                stacks.append((pset.means, pset.precisions))
+            means, precs, line_events = rule(stacks)
+            parts.append((means, precs))
+            events.extend({"row": f"{name}:{index}:{row}", "where": where, "shift": shift}
+                          for row, where, shift in line_events)
+        placed = []
+        for arrays in zip(*parts):
+            stacked = np.concatenate(arrays)
+            placed.append(np.empty_like(stacked))
+            placed[-1][perm] = stacked
+        return placed
+
+    r, c = plan.n_row_blocks, plan.n_col_blocks
+    x = side("x", [[(i, j) for j in range(c)] for i in range(r)], plan.row_perm)
+    w = side("w", [[(i, j) for i in range(r)] for j in range(c)], plan.col_perm)
+    return x, w, events
 
 
-def _aggregate_rows_ep(psets: list[PosteriorSet], prior: RowPosterior,
-                       events: list, label: str) -> tuple[np.ndarray, np.ndarray]:
-    psets = [p.pooled() for p in psets]
-    n, k = psets[0].means.shape
-    means = np.empty((n, k))
-    precs = np.empty((n, k, k))
-    for row in range(n):
-        row_events = []
-        agg = ep_parametric_aggregate([p.row(row) for p in psets], prior,
-                                      len(psets), events=row_events)
-        means[row], precs[row] = agg.mean, agg.precision
-        events.extend({"row": f"{label}{row}", "where": ev.where, "shift": ev.shift}
-                      for ev in row_events)
-    return means, precs
-
-
-def _assemble(plan, x_parts, w_parts):
-    """Stack per-block aggregates and map back to original indices."""
-    x_mean_p = np.concatenate([m for m, _ in x_parts])
-    x_prec_p = np.concatenate([p for _, p in x_parts])
-    w_mean_p = np.concatenate([m for m, _ in w_parts])
-    w_prec_p = np.concatenate([p for _, p in w_parts])
-    n, d, k = plan.n_rows, plan.n_cols, x_mean_p.shape[1]
-    x_mean = np.empty((n, k))
-    x_prec = np.empty((n, k, k))
-    w_mean = np.empty((d, k))
-    w_prec = np.empty((d, k, k))
-    x_mean[plan.row_perm] = x_mean_p
-    x_prec[plan.row_perm] = x_prec_p
-    w_mean[plan.col_perm] = w_mean_p
-    w_prec[plan.col_perm] = w_prec_p
-    return x_mean, x_prec, w_mean, w_prec
-
-
-def _finish(method, run_dir, plan, config, stage_timings, agg_seconds,
-            x_parts, w_parts, events):
-    x_mean, x_prec, w_mean, w_prec = _assemble(plan, x_parts, w_parts)
+def _finish(method, run_dir, plan, config, stage_timings, agg_seconds, x, w, events):
+    (x_mean, x_prec), (w_mean, w_prec) = x, w
     save_posterior_file(os.path.join(run_dir, "aggregate", "x.npz"),
                         PosteriorSet("gaussian", x_mean, x_prec), "x", 0, plan.n_rows)
     save_posterior_file(os.path.join(run_dir, "aggregate", "w.npz"),
@@ -539,22 +518,10 @@ def run_pp(train: SparseMatrix, config: RunConfig,
         stage_timings["3"] = _stage_summary(_execute_stage(stage3, config.workers))
 
     agg_start = time.perf_counter()
-    events = []
-    x_parts = []
-    for i in range(r):
-        first = load_posteriors(run_dir, stage_of(i, 0), i, 0, "x")
-        others = [load_posteriors(run_dir, stage_of(i, j), i, j, "x")
-                  for j in range(1, c)]
-        x_parts.append(_aggregate_rows_pp(first, others, events, f"x:{i}:"))
-    w_parts = []
-    for j in range(c):
-        first = load_posteriors(run_dir, stage_of(0, j), 0, j, "w")
-        others = [load_posteriors(run_dir, stage_of(i, j), i, j, "w")
-                  for i in range(1, r)]
-        w_parts.append(_aggregate_rows_pp(first, others, events, f"w:{j}:"))
+    x, w, events = _aggregate(run_dir, plan,
+                              lambda stacks: staged_aggregate(stacks[0], stacks[1:]))
     agg_seconds = time.perf_counter() - agg_start
-    return _finish(method, run_dir, plan, config, stage_timings, agg_seconds,
-                   x_parts, w_parts, events)
+    return _finish(method, run_dir, plan, config, stage_timings, agg_seconds, x, w, events)
 
 
 def run_full(train: SparseMatrix, config: RunConfig, run_dir=None) -> FactorizationResult:
@@ -587,23 +554,7 @@ def run_ep(train: SparseMatrix, config: RunConfig,
     stage_timings = {"ep": _stage_summary(_execute_stage(tasks, config.workers))}
 
     agg_start = time.perf_counter()
-    events = []
-    x_parts = []
-    for i in range(r):
-        psets = [load_posteriors(run_dir, stage_of(i, j), i, j, "x") for j in range(c)]
-        if c == 1:
-            pooled = psets[0].pooled()
-            x_parts.append((pooled.means.copy(), pooled.precisions.copy()))
-        else:
-            x_parts.append(_aggregate_rows_ep(psets, division_prior, events, f"x:{i}:"))
-    w_parts = []
-    for j in range(c):
-        psets = [load_posteriors(run_dir, stage_of(i, j), i, j, "w") for i in range(r)]
-        if r == 1:
-            pooled = psets[0].pooled()
-            w_parts.append((pooled.means.copy(), pooled.precisions.copy()))
-        else:
-            w_parts.append(_aggregate_rows_ep(psets, division_prior, events, f"w:{j}:"))
+    prior = (division_prior.mean, division_prior.precision)
+    x, w, events = _aggregate(run_dir, plan, lambda stacks: ep_aggregate(stacks, prior))
     agg_seconds = time.perf_counter() - agg_start
-    return _finish("ep", run_dir, plan, config, stage_timings, agg_seconds,
-                   x_parts, w_parts, events)
+    return _finish("ep", run_dir, plan, config, stage_timings, agg_seconds, x, w, events)

@@ -10,8 +10,7 @@ when that side's prior is not handed in.
 
 Within a sweep all rows of one side are conditionally independent given the
 other side, so the implementation updates a full side with batched linear
-algebra; ``sample_row_conditional`` is the single-row reference form of the
-same conditional.
+algebra.
 
 A side update needs, per row, the sufficient statistics sum_d w_d w_d' and
 sum_d y_d w_d over that row's observed partners.  ``gibbs_run`` builds, once
@@ -35,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 
-from .approx import GmmPosterior, PosteriorSet
+from .approx import PosteriorSet
 from .data import SparseMatrix
 from .errors import ArtifactError, NumericalError, ValidationError
 
@@ -208,27 +207,6 @@ def _chol_with_jitter(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.nda
             raise NumericalError(f"Cholesky failed after jitter ({context})") from exc
 
 
-def sample_row_conditional(y_vals: np.ndarray, partner_rows: np.ndarray, tau: float,
-                           prior_mean: np.ndarray, prior_precision: np.ndarray,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Draw one row from its Gaussian full conditional.
-
-    With observed values y against partner rows w_d, the conditional is
-    Normal(mu*, inv(L*)) with L* = prior_precision + tau * sum_d w_d w_d'
-    and mu* = inv(L*) (prior_precision @ prior_mean + tau * sum_d y_d w_d).
-    With no observations this is a draw from the prior itself.
-    """
-    y_vals = np.asarray(y_vals, dtype=np.float64)
-    partner_rows = np.atleast_2d(np.asarray(partner_rows, dtype=np.float64))
-    if y_vals.size == 0:
-        partner_rows = partner_rows.reshape(0, prior_mean.size)
-    precision = prior_precision + tau * partner_rows.T @ partner_rows
-    b = prior_precision @ prior_mean + tau * partner_rows.T @ y_vals
-    chol, precision = _chol_with_jitter(precision, "row conditional")
-    mean = np.linalg.solve(precision, b)
-    return mean + np.linalg.solve(chol.T, rng.standard_normal(prior_mean.size))
-
-
 @lru_cache(maxsize=None)
 def _triangles(k: int):
     """Read-only index constants of K x K matrices: the upper triangle
@@ -291,18 +269,6 @@ def sample_hyper_normal_wishart(rows: np.ndarray, prior: NormalWishartPrior,
     chol, _ = _chol_with_jitter(beta_star * lam, "hyper mean draw")
     mu = mu_star + np.linalg.solve(chol.T, rng.standard_normal(prior.k))
     return mu, lam
-
-
-def gmm_component_assign(row_value: np.ndarray, gmm: GmmPosterior) -> int:
-    """Index of the mixture component with the highest responsibility
-    (weight times Gaussian density) for the current row value; ties go to
-    the lowest index."""
-    x = np.asarray(row_value, dtype=np.float64)
-    diffs = x[None, :] - gmm.means
-    quad = np.einsum("ck,ckl,cl->c", diffs, gmm.precisions, diffs)
-    _, logdet = np.linalg.slogdet(gmm.precisions)
-    score = np.log(gmm.weights) + 0.5 * logdet - 0.5 * quad
-    return int(np.argmax(score))
 
 
 def log_likelihood(matrix: SparseMatrix, x: np.ndarray, w: np.ndarray,
@@ -379,19 +345,16 @@ class _GmmPriorArrays:
     """Padded per-row mixture arrays enabling batched component selection."""
 
     def __init__(self, pset: PosteriorSet):
-        counts = np.diff(pset.offsets)
-        n, cmax, k = counts.size, int(counts.max()), pset.k
+        rows, slots = pset.component_index()
+        n, cmax, k = pset.n_rows, int(slots.max()) + 1, pset.k
         self.log_weights = np.full((n, cmax), -np.inf)
         self.means = np.zeros((n, cmax, k))
         self.precisions = np.tile(np.eye(k), (n, cmax, 1, 1))
         self.weights = np.zeros((n, cmax))
-        for i in range(n):
-            lo, hi = pset.offsets[i], pset.offsets[i + 1]
-            c = hi - lo
-            self.weights[i, :c] = pset.weights[lo:hi]
-            self.log_weights[i, :c] = np.log(pset.weights[lo:hi])
-            self.means[i, :c] = pset.means[lo:hi]
-            self.precisions[i, :c] = pset.precisions[lo:hi]
+        self.weights[rows, slots] = pset.weights
+        self.log_weights[rows, slots] = np.log(pset.weights)
+        self.means[rows, slots] = pset.means
+        self.precisions[rows, slots] = pset.precisions
         _, self.logdet = np.linalg.slogdet(self.precisions)
         self.logdet[np.isinf(self.log_weights)] = 0.0
 
@@ -510,13 +473,6 @@ def gibbs_run(subset: SparseMatrix, priors: RowPriorSet,
             kept += 1
     return SampleChain(kept_x, kept_w, kept_mu_x, kept_lambda_x,
                        kept_mu_w, kept_lambda_w, replace(config))
-
-
-def chain_posterior_mean(chain: SampleChain) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise average of the retained factor samples."""
-    if chain.n_samples == 0:
-        raise ValidationError("empty chain")
-    return chain.x_samples.mean(axis=0), chain.w_samples.mean(axis=0)
 
 
 def predict(x_mean: np.ndarray, w_mean: np.ndarray, rows: np.ndarray,

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
+from dbmf.errors import ValidationError
+from dbmf.sampler import _chol_with_jitter
+
 LOG2PI = math.log(2.0 * math.pi)
 
 
@@ -193,6 +196,50 @@ def mp_ep_aggregate(means, precisions, prior_mean, prior_prec, dps=60):
         mu = mpmath.lu_solve(total, rhs)
         return (np.array([float(mu[i]) for i in range(k)]),
                 np.array([[float(total[i, j]) for j in range(k)] for i in range(k)]))
+
+
+# ---------------------------------------------------------------------------
+# Single-row reference forms of the batched sampler
+# ---------------------------------------------------------------------------
+
+def sample_row_conditional(y_vals: np.ndarray, partner_rows: np.ndarray, tau: float,
+                           prior_mean: np.ndarray, prior_precision: np.ndarray,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Draw one row from its Gaussian full conditional.
+
+    With observed values y against partner rows w_d, the conditional is
+    Normal(mu*, inv(L*)) with L* = prior_precision + tau * sum_d w_d w_d'
+    and mu* = inv(L*) (prior_precision @ prior_mean + tau * sum_d y_d w_d).
+    With no observations this is a draw from the prior itself.
+    """
+    y_vals = np.asarray(y_vals, dtype=np.float64)
+    partner_rows = np.atleast_2d(np.asarray(partner_rows, dtype=np.float64))
+    if y_vals.size == 0:
+        partner_rows = partner_rows.reshape(0, prior_mean.size)
+    precision = prior_precision + tau * partner_rows.T @ partner_rows
+    b = prior_precision @ prior_mean + tau * partner_rows.T @ y_vals
+    chol, precision = _chol_with_jitter(precision, "row conditional")
+    mean = np.linalg.solve(precision, b)
+    return mean + np.linalg.solve(chol.T, rng.standard_normal(prior_mean.size))
+
+
+def gmm_component_assign(row_value: np.ndarray, gmm) -> int:
+    """Index of the mixture component with the highest responsibility
+    (weight times Gaussian density) for the current row value; ties go to
+    the lowest index."""
+    x = np.asarray(row_value, dtype=np.float64)
+    diffs = x[None, :] - gmm.means
+    quad = np.einsum("ck,ckl,cl->c", diffs, gmm.precisions, diffs)
+    _, logdet = np.linalg.slogdet(gmm.precisions)
+    score = np.log(gmm.weights) + 0.5 * logdet - 0.5 * quad
+    return int(np.argmax(score))
+
+
+def chain_posterior_mean(chain) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise average of the retained factor samples."""
+    if chain.n_samples == 0:
+        raise ValidationError("empty chain")
+    return chain.x_samples.mean(axis=0), chain.w_samples.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,99 @@ class TestProductOracleBattery:
                                              [p.precision for p in posts])
             assert np.linalg.norm(out.mean - mean) <= 1e-10 * max(np.linalg.norm(mean), 1e-30)
             assert np.linalg.norm(out.precision - prec) <= 1e-10 * np.linalg.norm(prec)
+
+
+def _shifted(mat, eps):
+    """Reference eigenvalue repair of one matrix (numpy eigvalsh)."""
+    return mat + (abs(np.linalg.eigvalsh(mat)[0]) + eps) * np.eye(mat.shape[0])
+
+
+def _with_eigenvalues(rng, values):
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    mat = q @ np.diag(values) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+class TestBatchedRules:
+    """Whole-block rules, checked row by row against the extended-precision
+    oracles, with the eigenvalue repairs applied to the oracle inputs."""
+
+    def test_staged_block_with_indefinite_differences_and_total(self):
+        rng = np.random.default_rng(17)
+        n_rows, k = 30, 3
+        means1 = 2 * rng.standard_normal((n_rows, k))
+        precs1 = np.array([random_spd(rng, k) for _ in range(n_rows)])
+        # Row kinds: 0 all differences SPD, 1 subset 2 indefinite, 2 both
+        # indefinite, 3 indefinite stage-1 precision so the total is too.
+        kinds = np.arange(n_rows) % 4
+        precs1[kinds == 3] = [_with_eigenvalues(rng, [-3.0, 4.0, 5.0])
+                              for _ in range(np.sum(kinds == 3))]
+        others = []
+        for j in (2, 3):
+            diffs = np.array([
+                _with_eigenvalues(rng, [-0.5, 1.0, 2.0]) if (kind == 1 and j == 2) or kind == 2
+                else _with_eigenvalues(rng, [0.2, 0.5, 1.0]) for kind in kinds])
+            others.append((rng.standard_normal((n_rows, k)), precs1 + diffs))
+
+        means, precs, events = aggregate.staged_aggregate((means1, precs1), others)
+
+        expected_events = []
+        for row in range(n_rows):
+            eps = aggregate.EV_EPS_SCALE * max(np.trace(precs1[row]) / k, np.finfo(float).tiny)
+            corrected = []
+            for j, (m_j, p_j) in enumerate(others, start=2):
+                diff = p_j[row] - precs1[row]
+                if np.linalg.eigvalsh(diff)[0] < 0:
+                    expected_events.append((row, f"subset {j}"))
+                    corrected.append(precs1[row] + _shifted(diff, eps))
+                else:
+                    corrected.append(p_j[row])
+            mean, prec = mp_staged_aggregate(means1[row], precs1[row],
+                                             [m[row] for m, _ in others], corrected)
+            if np.linalg.eigvalsh(prec)[0] < 0:
+                expected_events.append((row, "final"))
+                rhs = -precs1[row] @ means1[row] + sum(
+                    p @ m[row] for p, (m, _) in zip(corrected, others))
+                prec = _shifted(prec, eps)
+                mean = np.linalg.solve(prec, rhs)
+            assert np.linalg.norm(means[row] - mean) <= 1e-9 * np.linalg.norm(mean)
+            assert np.linalg.norm(precs[row] - prec) <= 1e-10 * np.linalg.norm(prec)
+        assert [(row, where) for row, where, _ in events] == expected_events
+        assert {where for _, where, _ in events} == {"subset 2", "subset 3", "final"}
+        assert all(shift > 0 for _, _, shift in events)
+        np.linalg.cholesky(precs)
+
+    def test_ep_block_with_indefinite_total(self):
+        rng = np.random.default_rng(18)
+        n_rows, k, n_subsets = 24, 3, 3
+        prior = (np.zeros(k), np.eye(k))
+        weak = np.arange(n_rows) % 3 == 0
+        subsets = []
+        for _ in range(n_subsets):
+            precs = np.array([0.3 * np.eye(k) if w else random_spd(rng, k) + n_subsets * np.eye(k)
+                              for w in weak])
+            subsets.append((rng.standard_normal((n_rows, k)), precs))
+
+        means, precs, events = aggregate.ep_aggregate(subsets, prior)
+
+        for row in range(n_rows):
+            mean, prec = mp_ep_aggregate([m[row] for m, _ in subsets],
+                                         [p[row] for _, p in subsets],
+                                         *prior)
+            if weak[row]:
+                eps = aggregate.EV_EPS_SCALE * np.trace(subsets[0][1][row]) / k
+                rhs = sum(p[row] @ m[row] for m, p in subsets)
+                prec = _shifted(prec, eps)
+                mean = np.linalg.solve(prec, rhs)
+            assert np.linalg.norm(means[row] - mean) <= 1e-9 * np.linalg.norm(mean)
+            assert np.linalg.norm(precs[row] - prec) <= 1e-10 * np.linalg.norm(prec)
+        assert [(row, where) for row, where, _ in events] == \
+            [(row, "ep final") for row in np.flatnonzero(weak)]
+
+    def test_single_subset_returned_unchanged(self):
+        rng = np.random.default_rng(19)
+        stack = (rng.standard_normal((5, 2)), np.array([random_spd(rng, 2) for _ in range(5)]))
+        prior = (np.zeros(2), np.eye(2))
+        for means, precs, events in (aggregate.staged_aggregate(stack, []),
+                                     aggregate.ep_aggregate([stack], prior)):
+            assert means is stack[0] and precs is stack[1] and events == []

@@ -292,14 +292,58 @@ class TestPosteriorFiles:
 
     def test_pooled_set(self):
         rng = np.random.default_rng(11)
-        rows = [approx.GmmPosterior(np.array([0.6, 0.4]),
-                                    rng.standard_normal((2, 2)),
-                                    np.array([random_spd(rng, 2) for _ in range(2)]))
-                for _ in range(3)]
+        rows = []
+        for c in (2, 1, 3, 2, 1):
+            rows.append(approx.GmmPosterior(rng.dirichlet(np.ones(c)),
+                                            3 * rng.standard_normal((c, 3)),
+                                            np.array([random_spd(rng, 3) for _ in range(c)])))
         pset = approx.PosteriorSet.from_gmm_rows(rows)
         pooled = pset.pooled()
         assert pooled.kind == "gaussian"
-        for i in range(3):
-            expect = approx.pool_gmm(rows[i])
-            np.testing.assert_allclose(pooled.means[i], expect.mean)
-            np.testing.assert_allclose(pooled.precisions[i], expect.precision)
+        assert np.array_equal(pooled.precisions, np.swapaxes(pooled.precisions, 1, 2))
+        for i, row in enumerate(rows):
+            mean, cov = mixture_moments(row.weights, row.means, np.linalg.inv(row.precisions))
+            np.testing.assert_allclose(pooled.means[i], mean, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.inv(pooled.precisions[i]), cov,
+                                       rtol=1e-8, atol=1e-12)
+
+    @staticmethod
+    def _gmm_arrays(rng):
+        """Three rows with 2, 1 and 2 components."""
+        return dict(means=rng.standard_normal((5, 2)),
+                    precisions=np.array([random_spd(rng, 2) for _ in range(5)]),
+                    weights=np.array([0.5, 0.5, 1.0, 0.25, 0.75]),
+                    offsets=np.array([0, 2, 3, 5]))
+
+    @pytest.mark.parametrize("kind, field, index, value, message", [
+        ("gaussian", "means", (2, 1), np.nan, "row 2: non-finite mean"),
+        ("gaussian", "precisions", (1, 0, 0), np.inf, "row 1: non-finite precision"),
+        ("gaussian", "precisions", (3, 1, 1), -50.0, "row 3: precision not positive definite"),
+        ("gmm", "means", (3, 0), np.nan, "row 2: non-finite mean"),
+        ("gmm", "precisions", (4, 0, 0), -50.0, "row 2: precision not positive definite"),
+        ("gmm", "weights", (1,), 0.0, "row 0: weight not positive"),
+        ("gmm", "weights", (1,), np.nan, "row 0: weight not positive"),
+        ("gmm", "weights", (4,), 0.7, "row 2: weights do not sum to 1"),
+        ("gmm", "offsets", (1,), 3, "row 1: offsets not strictly increasing"),
+        ("gmm", "offsets", (0,), 1, "offsets do not run from 0 to the 5 components"),
+        ("gmm", "offsets", (3,), 4, "offsets do not run from 0 to the 5 components"),
+    ])
+    def test_invalid_posteriors_rejected_at_load(self, tmp_path, kind, field, index, value,
+                                                 message):
+        rng = np.random.default_rng(12)
+        arrays = self._gmm_arrays(rng)
+        if kind == "gaussian":
+            arrays = {"means": arrays["means"], "precisions": arrays["precisions"]}
+        path = tmp_path / "post.npz"
+        approx.save_posterior_file(path, approx.PosteriorSet(kind, **arrays), "x", 0, 5)
+        approx.load_posterior_file(path)  # the untouched file is valid
+        arrays[field] = arrays[field].copy()
+        arrays[field][index] = value
+        if field == "precisions":  # keep the stored upper triangle symmetric
+            arrays[field][index[0]] = np.triu(arrays[field][index[0]]) + \
+                np.triu(arrays[field][index[0]], 1).T
+        approx.save_posterior_file(path, approx.PosteriorSet(kind, **arrays), "x", 0, 5)
+        with pytest.raises(ArtifactError) as info:
+            approx.load_posterior_file(path)
+        assert str(path) in str(info.value)
+        assert message in str(info.value)

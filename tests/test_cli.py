@@ -149,6 +149,14 @@ class TestRun:
         assert "train.txt:2:" in capsys.readouterr().err
 
 
+    def test_non_utf8_train_file_is_validation_error(self, tmp_path, capsys):
+        train = tmp_path / "train.txt"
+        train.write_bytes(b"0 0 1.0\n# caf\xe9\n1 1 2.0\n")
+        code = run_cli(["run", "--train", str(train), "--factors", "1", "--tau", "1.0"])
+        assert code == 2
+        assert "train.txt:2:" in capsys.readouterr().err
+
+
 class TestEvaluateAndCost:
     @pytest.fixture()
     def finished_run(self, sim_dir, tmp_path, capsys):

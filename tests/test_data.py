@@ -162,6 +162,21 @@ class TestLoadTriplets:
         assert loaded.n_rows == (rows.max() + 1 if rows.size else 0)
         assert loaded.n_cols == (cols.max() + 1 if cols.size else 0)
 
+    @pytest.mark.parametrize("fmt, content, error_line", [
+        ("plain", b"0 0 1.0\n# caf\xe9\n1 1 2.0\n", 2),
+        ("plain", b"0 0 1.0\r\n1 1 2.0\r\n\xff 2 3.0\r\n", 3),
+        ("plain", b"0 0 1.0\r1 1 2.0\r\r2 2 \xc3(\r", 4),
+        ("plain", b"\xe9", 1),
+        ("movielens-dat", b"".join(b"%d::1::3::0\n" % u for u in range(1, 2001))
+         + b"2001::\xe9::3::0\n", 2001),
+    ])
+    def test_non_utf8_file_names_line(self, tmp_path, fmt, content, error_line):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content)
+        with pytest.raises(TripletParseError, match="not UTF-8") as err:
+            data.load_triplets(path, fmt)
+        assert err.value.line_number == error_line and str(path) in str(err.value)
+
     def test_whole_file_parse_accepts_only_what_line_loop_accepts(self):
         # Seeded random texts built from the tokens the two parsers could
         # read differently; each one the whole-file parse takes, the line

@@ -221,8 +221,12 @@ class TestMetricReport:
                 evaluate.FrequencyBin(10, math.inf, None, 0)]
         pair = evaluate.PairCorrelation("x", (0, 0), (0, 1), 0.87, [0.9, 0.8])
         report = evaluate.MetricReport(0.95, bins, [pair], 3.2)
-        doc = json.loads(report.to_json())
+        def reject(name):
+            raise ValueError(f"not valid JSON: {name}")
+
+        doc = json.loads(report.to_json(), parse_constant=reject)
         assert doc["rmse"] == 0.95
+        assert doc["bins"][1]["high"] == "inf" and doc["bins"][0]["high"] == 10
         assert doc["wts"] == 3.2
         table = report.format_table()
         assert "RMSE" in table and "0.950000" in table

@@ -315,6 +315,22 @@ class TestPersistence:
         with pytest.raises(PipelineError, match=r"stage 2 block \(1,0\)"):
             pipeline.load_posteriors(tmp_path, 2, 1, 0, "x")
 
+    @pytest.mark.parametrize("field, index, value, problem", [
+        ("means", (3, 0), np.nan, "row 3: non-finite mean"),
+        ("precisions", (3, 0, 0), -100.0, "row 3: precision not positive definite"),
+    ])
+    def test_invalid_stage_two_file_names_stage_and_block(self, small_data, tmp_path,
+                                                          field, index, value, problem):
+        train, _ = small_data
+        run_dir = tmp_path / "bad"
+        pipeline.run_pp(train, quick_config(), run_dir=run_dir)
+        pset = pipeline.load_posteriors(run_dir, 2, 1, 0, "x")
+        getattr(pset, field)[index] = value
+        pipeline.persist_posteriors(run_dir, 2, 1, 0, "x", pset, (0, pset.n_rows))
+        with pytest.raises(PipelineError, match=r"stage 2 block \(1,0\) x-posteriors") as info:
+            pipeline.load_posteriors(run_dir, 2, 1, 0, "x")
+        assert problem in str(info.value) and info.value.exit_code == 4
+
     def test_corrupt_run_config(self, tmp_path):
         with pytest.raises(ArtifactError):
             pipeline.read_run_config(tmp_path)

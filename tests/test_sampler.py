@@ -3,7 +3,8 @@ import pytest
 
 from dbmf import approx, data, sampler
 from dbmf.errors import ArtifactError, NumericalError, ValidationError
-from oracles import bincount_suff_stats, grid_row_posterior, sorted_axis
+from oracles import (bincount_suff_stats, chain_posterior_mean, gmm_component_assign,
+                     grid_row_posterior, sample_row_conditional, sorted_axis)
 
 
 def tiny_matrix(rng, n_rows=4, n_cols=3, tau=2.0):
@@ -16,7 +17,7 @@ class TestRowConditional:
         rng = np.random.default_rng(0)
         prior_mean = np.array([2.0])
         prior_prec = np.array([[4.0]])
-        draws = np.array([sampler.sample_row_conditional(
+        draws = np.array([sample_row_conditional(
             np.empty(0), np.empty((0, 1)), 1.0, prior_mean, prior_prec, rng)[0]
             for _ in range(20000)])
         assert abs(draws.mean() - 2.0) < 4 * 0.5 / np.sqrt(20000)
@@ -26,7 +27,7 @@ class TestRowConditional:
         # one observation y=2 with partner w=1, tau=1, prior N(0,1):
         # posterior is N(1, 1/2)
         rng = np.random.default_rng(1)
-        draws = np.array([sampler.sample_row_conditional(
+        draws = np.array([sample_row_conditional(
             np.array([2.0]), np.array([[1.0]]), 1.0,
             np.zeros(1), np.eye(1), rng)[0] for _ in range(100000)])
         se_mean = np.sqrt(0.5 / 100000)
@@ -53,7 +54,7 @@ class TestRowConditional:
         np.testing.assert_allclose(analytic_mean, grid_mean, atol=1e-3)
         np.testing.assert_allclose(np.linalg.inv(analytic_prec), grid_cov, atol=1e-3)
 
-        draws = np.array([sampler.sample_row_conditional(
+        draws = np.array([sample_row_conditional(
             y, partners, tau, prior_mean, prior_prec, rng) for _ in range(50000)])
         se = np.sqrt(np.diag(np.linalg.inv(analytic_prec)) / 50000)
         assert np.all(np.abs(draws.mean(axis=0) - analytic_mean) < 4 * se)
@@ -63,16 +64,16 @@ class TestRowConditional:
     def test_jitter_recovers_singular_prior(self):
         rng = np.random.default_rng(3)
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])  # PSD, not PD
-        draw = sampler.sample_row_conditional(np.empty(0), np.empty((0, 2)), 1.0,
-                                              np.zeros(2), singular, rng)
+        draw = sample_row_conditional(np.empty(0), np.empty((0, 2)), 1.0,
+                                      np.zeros(2), singular, rng)
         assert np.all(np.isfinite(draw))
 
     def test_hopeless_precision_raises(self):
         rng = np.random.default_rng(4)
         indefinite = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(NumericalError):
-            sampler.sample_row_conditional(np.empty(0), np.empty((0, 2)), 1.0,
-                                           np.zeros(2), indefinite, rng)
+            sample_row_conditional(np.empty(0), np.empty((0, 2)), 1.0,
+                                   np.zeros(2), indefinite, rng)
 
 
 class TestNormalWishart:
@@ -143,14 +144,14 @@ class TestGmmAssign:
     def test_single_component(self):
         gmm = approx.GmmPosterior(np.array([1.0]), np.zeros((1, 2)),
                                   np.eye(2)[None])
-        assert sampler.gmm_component_assign(np.array([5.0, 5.0]), gmm) == 0
+        assert gmm_component_assign(np.array([5.0, 5.0]), gmm) == 0
 
     def test_nearest_of_symmetric_pair(self):
         gmm = approx.GmmPosterior(np.array([0.5, 0.5]),
                                   np.array([[-1.0], [1.0]]),
                                   np.array([[[1.0]], [[1.0]]]))
-        assert sampler.gmm_component_assign(np.array([0.9]), gmm) == 1
-        assert sampler.gmm_component_assign(np.array([-0.9]), gmm) == 0
+        assert gmm_component_assign(np.array([0.9]), gmm) == 1
+        assert gmm_component_assign(np.array([-0.9]), gmm) == 0
 
     def test_matches_direct_density_evaluation(self):
         rng = np.random.default_rng(8)
@@ -169,7 +170,25 @@ class TestGmmAssign:
                 return weights[comp] * np.sqrt(det) * np.exp(-0.5 * d @ precs[comp] @ d)
 
             expected = int(np.argmax([density(c_) for c_ in range(c)]))
-            assert sampler.gmm_component_assign(x, gmm) == expected
+            assert gmm_component_assign(x, gmm) == expected
+
+    def test_batched_selection_matches_single_row(self):
+        # Padded per-row mixtures of 1-3 components pick, row by row, the
+        # component the single-row reference picks.
+        rng = np.random.default_rng(9)
+        rows = []
+        for c in rng.integers(1, 4, size=40):
+            a = rng.standard_normal((c, 3, 3))
+            rows.append(approx.GmmPosterior(rng.dirichlet(np.ones(c)),
+                                            2 * rng.standard_normal((c, 3)),
+                                            a @ np.swapaxes(a, 1, 2) + np.eye(3)))
+        arrays = sampler._GmmPriorArrays(approx.PosteriorSet.from_gmm_rows(rows))
+        values = 2 * rng.standard_normal((40, 3))
+        means, precs = arrays.select(values)
+        for i, gmm in enumerate(rows):
+            chosen = gmm_component_assign(values[i], gmm)
+            assert np.array_equal(means[i], gmm.means[chosen])
+            assert np.array_equal(precs[i], gmm.precisions[chosen])
 
 
 class TestGibbsRun:
@@ -284,8 +303,8 @@ class TestBatchedSideAgainstReference:
         rng_ref = np.random.default_rng(99)
         for n in range(6):
             mask = major == n
-            ref = sampler.sample_row_conditional(vals[mask], partner[minor[mask]],
-                                                 1.5, prior_mean, prior_prec, rng_ref)
+            ref = sample_row_conditional(vals[mask], partner[minor[mask]],
+                                         1.5, prior_mean, prior_prec, rng_ref)
             np.testing.assert_allclose(batched[n], ref, rtol=1e-9, atol=1e-11)
 
 
@@ -349,19 +368,19 @@ class TestChainHelpers:
 
     def test_single_sample_mean(self):
         chain = self._chain(1)
-        x_mean, w_mean = sampler.chain_posterior_mean(chain)
+        x_mean, w_mean = chain_posterior_mean(chain)
         assert np.array_equal(x_mean, chain.x_samples[0])
         assert np.array_equal(w_mean, chain.w_samples[0])
 
     def test_two_sample_mean(self):
         chain = self._chain(2)
-        x_mean, _ = sampler.chain_posterior_mean(chain)
+        x_mean, _ = chain_posterior_mean(chain)
         np.testing.assert_allclose(
             x_mean, (chain.x_samples[0] + chain.x_samples[1]) / 2)
 
     def test_mean_matches_two_pass_oracle(self):
         chain = self._chain(200, seed=21)
-        x_mean, _ = sampler.chain_posterior_mean(chain)
+        x_mean, _ = chain_posterior_mean(chain)
         two_pass = np.zeros_like(x_mean)
         for s in range(200):
             two_pass += chain.x_samples[s]
