@@ -114,7 +114,10 @@ def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
                    "ep-parametric": "mm"}[method]
     lam = merged.get("lambda", "median-pairwise")
     if isinstance(lam, str) and lam != "median-pairwise":
-        lam = float(lam)
+        try:
+            lam = float(lam)
+        except ValueError as exc:
+            raise ValidationError(f"--lambda is 'median-pairwise' or a number, got {lam!r}") from exc
     return pipeline.RunConfig(
         n_factors=int(merged["factors"]),
         tau=float(merged["tau"]),

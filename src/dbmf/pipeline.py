@@ -63,8 +63,12 @@ class RunConfig:
     nw_nu0: float | None = None
 
     def __post_init__(self):
-        GibbsConfig(self.n_factors, self.tau, self.n_iters, self.burn_in,
-                    self.thin, 0)  # reuse sweep-count validation
+        n_samples = GibbsConfig(self.n_factors, self.tau, self.n_iters, self.burn_in,
+                                self.thin, 0).n_samples  # reuse sweep-count validation
+        if n_samples < self.n_factors + 2:
+            raise ValidationError(
+                f"the chain keeps {n_samples} samples ((n_iters - burn_in) / thin); the "
+                f"posterior fits need at least n_factors + 2 = {self.n_factors + 2}")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
         if self.approximation not in ("mm", "dm", "gmm"):

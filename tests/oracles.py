@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.spatial.distance import pdist
 
+from dbmf.approx import COV_RIDGE, Clustering, GmmPosterior, PosteriorSet, RowPosterior
+from dbmf.approx import fit_rows as approx_fit_rows
 from dbmf.errors import ValidationError
 from dbmf.sampler import _chol_with_jitter
 
@@ -275,6 +278,156 @@ def bincount_suff_stats(partner, major, minor, vals, n):
     for a in range(k):
         lin[:, a] = np.bincount(major, weights=gathered[:, a] * vals, minlength=n)
     return suff, lin
+
+
+# ---------------------------------------------------------------------------
+# Per-row lambda-means and cluster fits (the batched code in ``approx`` must
+# reproduce these bit for bit)
+# ---------------------------------------------------------------------------
+
+def lambda_means(samples: np.ndarray, lam: float, max_iters: int = 100):
+    """Lambda-means on one cloud, one sample and one iteration at a time.
+
+    Alternates assignment (spawning a center at any point farther than
+    ``lam`` from every center, in input order) and center recomputation;
+    empty clusters are dropped and a recomputed center within ``lam`` of an
+    earlier one is folded into its nearest earlier center.  Stops when an
+    iteration spawns nothing, merges nothing and keeps every assignment, or
+    after ``max_iters`` iterations."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    centers = [samples.mean(axis=0)]
+    assignments = np.zeros(samples.shape[0], dtype=np.int64)
+    iterations, converged = 0, False
+    for iterations in range(1, max_iters + 1):
+        spawned = False
+        new_assignments = np.empty_like(assignments)
+        center_arr = np.array(centers)
+        for idx, point in enumerate(samples):
+            dists = np.linalg.norm(center_arr - point, axis=1)
+            best = int(np.argmin(dists))
+            if dists[best] > lam:
+                centers.append(point.copy())
+                center_arr = np.array(centers)
+                best = len(centers) - 1
+                spawned = True
+            new_assignments[idx] = best
+        sizes = np.bincount(new_assignments, minlength=len(centers))
+        keep = np.flatnonzero(sizes > 0)
+        remap = np.full(len(centers), -1, dtype=np.int64)
+        remap[keep] = np.arange(keep.size)
+        new_assignments = remap[new_assignments]
+        centers = [samples[new_assignments == c].mean(axis=0) for c in range(keep.size)]
+        merged_any = False
+        merging = True
+        while merging and len(centers) > 1:
+            merging = False
+            center_arr = np.array(centers)
+            for later in range(1, len(centers)):
+                dists = np.linalg.norm(center_arr[:later] - center_arr[later], axis=1)
+                target = int(np.argmin(dists))
+                if dists[target] <= lam:
+                    new_assignments[new_assignments == later] = target
+                    new_assignments[new_assignments > later] -= 1
+                    centers = [samples[new_assignments == c].mean(axis=0)
+                               for c in range(len(centers) - 1)]
+                    merging = merged_any = True
+                    break
+        converged = (not spawned and not merged_any
+                     and np.array_equal(new_assignments, assignments))
+        assignments = new_assignments
+        if converged:
+            break
+    return Clustering(assignments, np.array(centers), float(lam), iterations, converged)
+
+
+def median_pairwise_lambda(samples: np.ndarray, seed: int = 0, subsample: int = 100) -> float:
+    """Median ``pdist`` distance of a seeded subsample; 1.0 when not positive."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    n = samples.shape[0]
+    if n > subsample:
+        samples = samples[np.random.default_rng(seed).choice(n, size=subsample, replace=False)]
+    if samples.shape[0] < 2:
+        return 1.0
+    med = float(np.median(pdist(samples)))
+    return med if med > 0 else 1.0
+
+
+def fit_gaussian(samples: np.ndarray) -> RowPosterior:
+    """Population mean and ridge-regularized covariance of one cloud."""
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    cov = centered.T @ centered / samples.shape[0]
+    mean_diag = float(np.trace(cov)) / cov.shape[0]
+    ridge = COV_RIDGE * mean_diag if mean_diag > 0 else COV_RIDGE
+    return RowPosterior(mean, np.linalg.inv(cov + ridge * np.eye(cov.shape[0])))
+
+
+def fit_dominant_mode(samples: np.ndarray, lam: float) -> RowPosterior:
+    """Gaussian on the largest cluster (ties to the lowest index), or on the
+    whole cloud when that cluster has fewer than K+2 samples."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    clustering = lambda_means(samples, lam)
+    sizes = clustering.sizes()
+    best = int(np.argmax(sizes))
+    if sizes[best] < samples.shape[1] + 2:
+        return fit_gaussian(samples)
+    return fit_gaussian(samples[clustering.assignments == best])
+
+
+def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3) -> GmmPosterior:
+    """Mixture over the ``top_n`` largest clusters of at least K+2 samples
+    (largest first, ties to the lower index), weighted by size; the whole
+    cloud as one component when none qualifies."""
+    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    clustering = lambda_means(samples, lam)
+    sizes = clustering.sizes()
+    order = np.lexsort((np.arange(sizes.size), -sizes))[:top_n]
+    kept = [c for c in order if sizes[c] >= samples.shape[1] + 2]
+    if not kept:
+        fit = fit_gaussian(samples)
+        return GmmPosterior(np.array([1.0]), fit.mean[None, :], fit.precision[None, :, :])
+    fits = [fit_gaussian(samples[clustering.assignments == c]) for c in kept]
+    weights = sizes[kept].astype(np.float64)
+    weights /= weights.sum()
+    return GmmPosterior(weights, np.array([f.mean for f in fits]),
+                        np.array([f.precision for f in fits]))
+
+
+def gaussian_set(rows: list[RowPosterior]) -> PosteriorSet:
+    """Stack one-row Gaussian posteriors into a set."""
+    return PosteriorSet("gaussian", np.array([r.mean for r in rows]),
+                        np.array([r.precision for r in rows]))
+
+
+def gmm_set(rows: list[GmmPosterior]) -> PosteriorSet:
+    """Stack one-row mixtures into a set with ragged ``offsets``."""
+    counts = np.array([r.n_components for r in rows], dtype=np.int64)
+    return PosteriorSet("gmm",
+                        np.concatenate([r.means for r in rows]),
+                        np.concatenate([r.precisions for r in rows]),
+                        weights=np.concatenate([r.weights for r in rows]),
+                        offsets=np.concatenate(([0], np.cumsum(counts))))
+
+
+def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
+             top_n: int = 3, seed: int = 0) -> PosteriorSet:
+    """``approx.fit_rows`` with the dm and gmm fits made row by row; each
+    row's lambda subsample is seeded from ``SeedSequence(seed, (row,))``."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if kind == "mm":
+        return approx_fit_rows(samples, kind, lam_policy, top_n, seed)
+
+    def row_lambda(i):
+        if lam_policy == "median-pairwise":
+            row_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+            sub_seed = int(row_seed.generate_state(1, dtype=np.uint64)[0])
+            return median_pairwise_lambda(samples[:, i, :], seed=sub_seed)
+        return float(lam_policy)
+
+    rows = range(samples.shape[1])
+    if kind == "dm":
+        return gaussian_set([fit_dominant_mode(samples[:, i, :], row_lambda(i)) for i in rows])
+    return gmm_set([fit_gmm(samples[:, i, :], row_lambda(i), top_n=top_n) for i in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 
+import oracles
 from dbmf import approx
 from dbmf.errors import ArtifactError, ValidationError
-from oracles import mixture_moments
+from oracles import gmm_set, mixture_moments
 
 
 def random_spd(rng, k, scale=1.0):
@@ -46,6 +49,38 @@ class TestLambdaMeans:
     def test_validation(self):
         with pytest.raises(ValidationError):
             approx.lambda_means(np.ones((3, 1)), lam=0.0)
+
+    def test_cycling_cloud_stops_with_the_capped_result(self):
+        # A unimodal cloud under its median pairwise distance: the loop
+        # revisits an earlier state, and the cluster count at the cap
+        # depends on the cap's parity.
+        samples = np.random.default_rng(1).standard_normal((30, 2))
+        lam = approx.median_pairwise_lambda(samples)
+        counts = set()
+        for max_iters in (99, 100, 101):
+            got = approx.lambda_means(samples, lam, max_iters=max_iters)
+            want = oracles.lambda_means(samples, lam, max_iters=max_iters)
+            assert np.array_equal(got.assignments, want.assignments)
+            assert got.centers.tobytes() == want.centers.tobytes()
+            assert not got.converged and not want.converged
+            assert got.iterations < want.iterations == max_iters
+            counts.add(got.n_clusters)
+        assert len(counts) == 2
+
+    def test_converged_result_independent_of_max_iters(self):
+        rng = np.random.default_rng(0)
+        samples = np.concatenate([0.1 * rng.standard_normal((30, 2)) + c for c in (-10, 0, 10)])
+        base = approx.lambda_means(samples, lam=2.0)
+        assert base.converged and base.n_clusters == 3
+        want = oracles.lambda_means(samples, lam=2.0)
+        assert (want.iterations, want.converged) == (base.iterations, True)
+        for max_iters in range(base.iterations, base.iterations + 4):
+            got = approx.lambda_means(samples, lam=2.0, max_iters=max_iters)
+            assert (got.iterations, got.converged) == (base.iterations, True)
+            assert np.array_equal(got.assignments, base.assignments)
+            assert got.centers.tobytes() == base.centers.tobytes()
+        capped = approx.lambda_means(samples, lam=2.0, max_iters=base.iterations - 1)
+        assert not capped.converged
 
 
 class TestMomentMatching:
@@ -244,6 +279,107 @@ class TestFitRows:
         with pytest.raises(ValidationError):
             approx.fit_rows(np.zeros((10, 2, 1)), "nope")
 
+    @pytest.mark.parametrize("kind", ["mm", "dm", "gmm"])
+    @pytest.mark.parametrize("args, message", [
+        (dict(samples=np.zeros((6, 2, 5))), "7 samples, got 6"),
+        (dict(lam_policy="foo"), "lam_policy"),
+        (dict(lam_policy="2.0"), "lam_policy"),
+        (dict(lam_policy=0.0), "lam_policy"),
+        (dict(lam_policy=-1.0), "lam_policy"),
+        (dict(lam_policy=float("nan")), "lam_policy"),
+        (dict(lam_policy=None), "lam_policy"),
+        (dict(top_n=0), "top_n"),
+    ])
+    def test_arguments_checked_before_row_work(self, monkeypatch, kind, args, message):
+        def no_row_work(*_):
+            raise AssertionError("rows fitted before the arguments were checked")
+        monkeypatch.setattr(approx, "_fit_clusters", no_row_work)
+        monkeypatch.setattr(approx, "_pairwise_lambdas", no_row_work)
+        call = {"samples": np.ones((10, 3, 2)), "kind": kind, **args}
+        with pytest.raises(ValidationError, match=message):
+            approx.fit_rows(**call)
+
+    def test_one_warning_per_call_for_dominant_mode_fallbacks(self, caplog):
+        rng = np.random.default_rng(8)
+        samples = 5 * rng.standard_normal((12, 6, 2))
+        samples[:, 4:] = 1.0  # one cluster of all 12 samples: no fallback
+        with caplog.at_level(logging.WARNING, logger="dbmf.approx"):
+            approx.fit_rows(samples, "dm", lam_policy=1e-6)
+        assert len(caplog.records) == 1
+        assert caplog.records[0].getMessage().startswith("4 of 6 rows")
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dbmf.approx"):
+            approx.fit_rows(samples, "gmm", lam_policy=1e-6)
+            approx.fit_rows(samples[:, 4:], "dm", lam_policy=1e-6)
+        assert not caplog.records
+
+
+def _clouds(rng, n_samples, k):
+    """Rows of different shapes ``(S, 6, K)``: unimodal, two and three
+    clumps, heavy tails, all samples identical, and a scattered cloud whose
+    clusters under a small lambda are all below K+2 samples."""
+    s = n_samples
+    rows = [rng.standard_normal((s, k)),
+            0.3 * rng.standard_normal((s, k)) + np.where(np.arange(s) < s // 3, 4.0, 0.0)[:, None],
+            0.2 * rng.standard_normal((s, k)) + rng.choice([-3.0, 0.0, 6.0], size=(s, 1)),
+            rng.standard_t(2, size=(s, k)),
+            np.full((s, k), 0.7),
+            20 * rng.standard_normal((s, k))]
+    return np.stack(rows, axis=1)
+
+
+class TestBatchedAgainstOracle:
+    """fit_rows and lambda_means equal the per-row loops of ``oracles`` bit
+    for bit."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        for field in ("means", "precisions", "weights", "offsets"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None) == (b is None), field
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, field
+                assert a.tobytes() == b.tobytes(), field
+
+    @pytest.mark.parametrize("n_samples", [12, 40, 200])
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_fit_rows_bitwise(self, n_samples, k):
+        rng = np.random.default_rng(100 * n_samples + k)
+        samples = _clouds(rng, n_samples, k)
+        if n_samples == 200:
+            samples = samples[:, [2, 4, 5]]  # the oracle needs seconds per cycling row
+        for policy in ("median-pairwise", float(rng.uniform(0.5, 3.0)), 1e-3):
+            self._assert_same(approx.fit_rows(samples, "dm", policy, seed=3),
+                              oracles.fit_rows(samples, "dm", policy, seed=3))
+            for top_n in (1, 3):
+                self._assert_same(approx.fit_rows(samples, "gmm", policy, top_n, seed=3),
+                                  oracles.fit_rows(samples, "gmm", policy, top_n, seed=3))
+
+    def test_median_pairwise_lambda_bitwise(self):
+        rng = np.random.default_rng(9)
+        for k in (1, 2, 5, 10):
+            for n in (12, 40, 150):  # 150 > the 100-sample subsample
+                for seed in range(5):
+                    cloud = rng.uniform(0.1, 10) * rng.standard_normal((n, k))
+                    assert (approx.median_pairwise_lambda(cloud, seed)
+                            == oracles.median_pairwise_lambda(cloud, seed))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_lambda_means_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        samples = _clouds(rng, 40, k)
+        for row in range(samples.shape[1]):
+            lam = oracles.median_pairwise_lambda(samples[:, row], seed=row)
+            assert approx.median_pairwise_lambda(samples[:, row], seed=row) == lam
+            for max_iters in (0, 1, 7, 8, 100):
+                got = approx.lambda_means(samples[:, row], lam, max_iters)
+                want = oracles.lambda_means(samples[:, row], lam, max_iters)
+                assert np.array_equal(got.assignments, want.assignments)
+                assert got.centers.tobytes() == want.centers.tobytes()
+                assert got.converged == want.converged
+                if want.converged:
+                    assert got.iterations == want.iterations
+
 
 class TestPosteriorFiles:
     def test_gaussian_round_trip_bit_identical(self, tmp_path):
@@ -267,7 +403,7 @@ class TestPosteriorFiles:
                 rng.dirichlet(np.ones(c)),
                 rng.standard_normal((c, 2)),
                 np.array([random_spd(rng, 2) for _ in range(c)])))
-        pset = approx.PosteriorSet.from_gmm_rows(rows)
+        pset = gmm_set(rows)
         path = tmp_path / "gmm.npz"
         approx.save_posterior_file(path, pset, "w", 5, 8)
         _, loaded = approx.load_posterior_file(path)
@@ -297,7 +433,7 @@ class TestPosteriorFiles:
             rows.append(approx.GmmPosterior(rng.dirichlet(np.ones(c)),
                                             3 * rng.standard_normal((c, 3)),
                                             np.array([random_spd(rng, 3) for _ in range(c)])))
-        pset = approx.PosteriorSet.from_gmm_rows(rows)
+        pset = gmm_set(rows)
         pooled = pset.pooled()
         assert pooled.kind == "gaussian"
         assert np.array_equal(pooled.precisions, np.swapaxes(pooled.precisions, 1, 2))

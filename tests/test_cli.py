@@ -135,6 +135,17 @@ class TestRun:
         assert code == 2
         assert "1x1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--factors", "5", "--iters", "206", "--burn-in", "200", "--thin", "1"],
+         "keeps 6 samples"),
+        (["--factors", "2", "--lambda", "foo"], "--lambda"),
+    ])
+    def test_unusable_fit_settings_are_validation_errors(self, sim_dir, capsys, flags, message):
+        code = run_cli(["run", "--train", str(sim_dir / "train.txt"), "--tau", "1.0",
+                        "--method", "pp-gmm", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_train_file_is_io_error(self, tmp_path, capsys):
         code = run_cli(["run", "--train", str(tmp_path / "none.txt"),
                         "--factors", "1", "--tau", "1.0"])

@@ -1,8 +1,10 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
+import oracles
 from dbmf import data, evaluate, pipeline
 from dbmf.approx import load_posterior_file
 from dbmf.errors import ArtifactError, PipelineError, ValidationError
@@ -38,6 +40,12 @@ class TestRunConfig:
             quick_config(lambda_policy=-1.0)
         with pytest.raises(ValidationError):
             quick_config(seed=-1)
+
+    def test_chain_too_short_for_the_fits_rejected(self):
+        # (206 - 200) / 1 = 6 retained samples, one short of K+2 = 7
+        with pytest.raises(ValidationError, match="keeps 6 samples"):
+            quick_config(n_factors=5, n_iters=206, burn_in=200, thin=1)
+        quick_config(n_factors=5, n_iters=207, burn_in=200, thin=1)
 
     def test_round_trip_dict(self):
         cfg = quick_config()
@@ -209,6 +217,28 @@ class TestStagedPipeline:
                                thin=1, top_n=2)
             res = pipeline.run_pp(train, cfg, run_dir=tmp_path / f"kind-{kind}")
             assert np.all(np.isfinite(res.x_mean))
+
+    def test_gmm_stage_files_bitwise_equal_per_row_fits(self, tmp_path, monkeypatch):
+        matrix, _ = data.simulate(45, 36, 2, 1.0, seed=5)
+        train, _ = data.split_random(matrix, 0.5, seed=6)
+        cfg = quick_config(approximation="gmm", partition_rows=3, partition_cols=3,
+                           n_iters=40, burn_in=16, thin=2)
+
+        def digests(run_dir):
+            names = [os.path.join(stage, name) for stage in ("stage1", "stage2", "stage3")
+                     for name in os.listdir(run_dir / stage)]
+            names += ["aggregate/x.npz", "aggregate/w.npz", "aggregate/corrections.json"]
+            return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                    for name in names}
+
+        pipeline.run_pp(train, cfg, run_dir=tmp_path / "batched")
+        monkeypatch.setattr(pipeline, "fit_rows", oracles.fit_rows)
+        pipeline.run_pp(train, cfg, run_dir=tmp_path / "per-row")
+        batched = digests(tmp_path / "batched")
+        assert len(batched) == 21
+        assert batched == digests(tmp_path / "per-row")
+        _, stage3 = load_posterior_file(tmp_path / "batched" / "stage3" / "x_2_2.npz")
+        assert np.diff(stage3.offsets).max() > 1  # some rows are mixtures
 
     def test_plan_mismatch_rejected(self, small_data, tmp_path):
         train, _ = small_data

@@ -4,7 +4,7 @@ import pytest
 from dbmf import approx, data, sampler
 from dbmf.errors import ArtifactError, NumericalError, ValidationError
 from oracles import (bincount_suff_stats, chain_posterior_mean, gmm_component_assign,
-                     grid_row_posterior, sample_row_conditional, sorted_axis)
+                     gmm_set, grid_row_posterior, sample_row_conditional, sorted_axis)
 
 
 def tiny_matrix(rng, n_rows=4, n_cols=3, tau=2.0):
@@ -182,7 +182,7 @@ class TestGmmAssign:
             rows.append(approx.GmmPosterior(rng.dirichlet(np.ones(c)),
                                             2 * rng.standard_normal((c, 3)),
                                             a @ np.swapaxes(a, 1, 2) + np.eye(3)))
-        arrays = sampler._GmmPriorArrays(approx.PosteriorSet.from_gmm_rows(rows))
+        arrays = sampler._GmmPriorArrays(gmm_set(rows))
         values = 2 * rng.standard_normal((40, 3))
         means, precs = arrays.select(values)
         for i, gmm in enumerate(rows):
@@ -249,7 +249,7 @@ class TestGibbsRun:
                                     np.array([[[4.0]], [[4.0]]]))
                 for _ in range(4)]
         priors = sampler.RowPriorSet(
-            sampler.SidePrior.propagated(approx.PosteriorSet.from_gmm_rows(rows)),
+            sampler.SidePrior.propagated(gmm_set(rows)),
             sampler.SidePrior.shared())
         chain = sampler.gibbs_run(mat, priors,
                                   sampler.NormalWishartPrior.default(1), self.config())
