@@ -586,13 +586,12 @@ def _fixed_lambda(lam_policy) -> float | None:
     if isinstance(lam_policy, str):
         if lam_policy == "median-pairwise":
             return None
-    elif not isinstance(lam_policy, bool):
+    else:
         try:
-            lam = float(lam_policy)
+            if float(lam_policy) > 0:
+                return float(lam_policy)
         except (TypeError, ValueError):
-            lam = float("nan")
-        if lam > 0:
-            return lam
+            pass
     raise ValidationError("lam_policy is 'median-pairwise' or a positive number, "
                           f"got {lam_policy!r}")
 
