@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .errors import ArtifactError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -678,11 +679,7 @@ def save_posterior_file(path, posteriors: PosteriorSet, side: str,
     if posteriors.kind == "gmm":
         arrays["weights"] = posteriors.weights
         arrays["offsets"] = posteriors.offsets
-    try:
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-    except OSError as exc:
-        raise ArtifactError(f"cannot write posterior file {path}: {exc}") from exc
+    write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_posterior_file(path) -> tuple[dict, PosteriorSet]:

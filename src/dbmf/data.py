@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_atomic
 from .errors import ArtifactError, TripletParseError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -81,16 +82,6 @@ class SparseMatrix:
 
     def col_counts(self) -> np.ndarray:
         return np.bincount(self.cols, minlength=self.n_cols)
-
-    def to_dense(self, fill=np.nan) -> np.ndarray:
-        """Dense copy with ``fill`` in unobserved cells.  Test-sized inputs only."""
-        out = np.full((self.n_rows, self.n_cols), fill, dtype=np.float64)
-        out[self.rows, self.cols] = self.vals
-        return out
-
-    def checksum(self) -> float:
-        """Order-independent checksum over entries (used by partition tests)."""
-        return float(np.sum(self.vals * (self.rows * self.n_cols + self.cols + 1.0)))
 
 
 @dataclass
@@ -177,8 +168,7 @@ class PartitionPlan:
                    np.array(doc["row_cuts"]), np.array(doc["col_cuts"]))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+        write_atomic(path, lambda fh: fh.write(self.to_json().encode("utf-8")))
 
     @classmethod
     def load(cls, path) -> "PartitionPlan":

@@ -6,7 +6,8 @@ posterior of the shared side handed in as a prior.  Stage III runs the
 remaining blocks with both sides' priors handed in from stage II.  Per-row
 posteriors are then aggregated across the blocks that estimated the same
 rows.  Baselines: a single full-data run, and independent per-block runs
-combined by prior-corrected Gaussian products.
+combined by prior-corrected Gaussian products.  One executor runs all three:
+a method names its layers of blocks and its aggregation rule.
 
 All stage handoff happens through posterior files in a run directory, so a
 stage can only start once its predecessors' files exist.  Per-block seeds
@@ -16,6 +17,7 @@ results independent of scheduling order.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -23,12 +25,14 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .aggregate import ep_aggregate, staged_aggregate
 from .approx import PosteriorSet, RowPosterior, fit_rows, load_posterior_file, save_posterior_file
+from .artifacts import write_atomic
 from .data import PartitionPlan, SparseMatrix, order_matrix, partition
 from .errors import ArtifactError, PipelineError, ValidationError
 from .sampler import GibbsConfig, NormalWishartPrior, RowPriorSet, SidePrior, gibbs_run
@@ -269,30 +273,17 @@ def load_posteriors(run_dir, stage: int, i: int, j: int, side: str) -> Posterior
 
 @dataclass
 class _BlockTask:
+    """One block run: the worker derives its sampler settings, hyperprior
+    and seeds from ``config`` and the block's stage and coordinates."""
+
     key: tuple[int, int]
-    stage: int
     block: SparseMatrix
     run_dir: str
+    config: RunConfig
     x_prior_file: str | None
     w_prior_file: str | None
-    nw_prior: NormalWishartPrior
-    gibbs: GibbsConfig
-    approximation: str
-    top_n: int
-    lambda_policy: str | float
-    fit_seed_x: int
-    fit_seed_w: int
     row_range: tuple[int, int]
     col_range: tuple[int, int]
-    save_chain: bool
-
-
-@dataclass
-class _BlockResult:
-    key: tuple[int, int]
-    seconds: float
-    started: float
-    finished: float
 
 
 def _default_posteriors(n_rows: int, nw: NormalWishartPrior) -> PosteriorSet:
@@ -304,54 +295,65 @@ def _default_posteriors(n_rows: int, nw: NormalWishartPrior) -> PosteriorSet:
     return PosteriorSet("gaussian", means, precs)
 
 
-def _load_prior(path: str | None, task: _BlockTask, side: str) -> SidePrior:
+def _load_prior(path: str | None, key: tuple[int, int], side: str) -> SidePrior:
     if path is None:
         return SidePrior.shared()
     try:
         _, pset = load_posterior_file(path)
     except ArtifactError as exc:
         raise PipelineError(
-            f"stage {task.stage} block {task.key} missing {side} prior: {exc}") from exc
+            f"stage {stage_of(*key)} block {key} missing {side} prior: {exc}") from exc
     return SidePrior.propagated(pset)
 
 
-def _run_block_task(task: _BlockTask) -> _BlockResult:
+def _run_block_task(task: _BlockTask) -> dict:
     started = time.time()
     t0 = time.perf_counter()
-    x_prior = _load_prior(task.x_prior_file, task, "x")
-    w_prior = _load_prior(task.w_prior_file, task, "w")
+    config = task.config
+    i, j = task.key
+    stage = stage_of(i, j)
+    x_prior = _load_prior(task.x_prior_file, task.key, "x")
+    w_prior = _load_prior(task.w_prior_file, task.key, "w")
+    nw = config.nw_prior()
 
     if task.block.m == 0:
         # Nothing observed: priors pass through unchanged as posteriors.
         x_pset = x_prior.posteriors if x_prior.posteriors is not None \
-            else _default_posteriors(task.block.n_rows, task.nw_prior)
+            else _default_posteriors(task.block.n_rows, nw)
         w_pset = w_prior.posteriors if w_prior.posteriors is not None \
-            else _default_posteriors(task.block.n_cols, task.nw_prior)
+            else _default_posteriors(task.block.n_cols, nw)
     else:
-        chain = gibbs_run(task.block, RowPriorSet(x_prior, w_prior),
-                          task.nw_prior, task.gibbs)
-        if task.save_chain:
-            chain.save(chain_path(task.run_dir, *task.key))
-        x_pset = fit_rows(chain.x_samples, task.approximation,
-                          lam_policy=task.lambda_policy, top_n=task.top_n,
-                          seed=task.fit_seed_x)
-        w_pset = fit_rows(chain.w_samples, task.approximation,
-                          lam_policy=task.lambda_policy, top_n=task.top_n,
-                          seed=task.fit_seed_w)
-    i, j = task.key
-    persist_posteriors(task.run_dir, task.stage, i, j, "x", x_pset, task.row_range)
-    persist_posteriors(task.run_dir, task.stage, i, j, "w", w_pset, task.col_range)
-    seconds = time.perf_counter() - t0
-    return _BlockResult(task.key, seconds, started, time.time())
+        gibbs = GibbsConfig(config.n_factors, config.tau, config.n_iters, config.burn_in,
+                            config.thin, derive_seed(config.seed, stage, i, j))
+        chain = gibbs_run(task.block, RowPriorSet(x_prior, w_prior), nw, gibbs)
+        if config.save_chains:
+            chain.save(chain_path(task.run_dir, i, j))
+        x_pset, w_pset = (fit_rows(samples, config.approximation,
+                                   lam_policy=config.lambda_policy, top_n=config.top_n,
+                                   seed=derive_seed(config.seed, stage, i, j, side))
+                          for side, samples in ((1, chain.x_samples), (2, chain.w_samples)))
+    persist_posteriors(task.run_dir, stage, i, j, "x", x_pset, task.row_range)
+    persist_posteriors(task.run_dir, stage, i, j, "w", w_pset, task.col_range)
+    return {"seconds": time.perf_counter() - t0, "started": started, "finished": time.time()}
 
 
-def _execute_stage(tasks: list[_BlockTask], workers: int) -> list[_BlockResult]:
-    if not tasks:
-        return []
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return list(pool.map(_run_block_task, tasks))
-    return [_run_block_task(task) for task in tasks]
+def _run_layer(pool, label: str, tasks: list[_BlockTask]) -> dict:
+    """Run one layer's blocks, in this process or in ``pool``, and return
+    the layer's timings.  A worker's death is a ``PipelineError`` naming the
+    layer and its unfinished blocks."""
+    if pool is None:
+        results = [_run_block_task(task) for task in tasks]
+    else:
+        futures = [pool.submit(_run_block_task, task) for task in tasks]
+        try:
+            results = [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            lost = ", ".join(f"({t.key[0]},{t.key[1]})" for t, f in zip(tasks, futures)
+                             if not f.done() or f.exception() is not None)
+            raise PipelineError(
+                f"stage {label}: a worker process died; blocks not finished: {lost}") from exc
+    return {"blocks": {f"{t.key[0]},{t.key[1]}": r for t, r in zip(tasks, results)},
+            "max_seconds": max(r["seconds"] for r in results)}
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +383,6 @@ class FactorizationResult:
         return self.timings["total"]
 
 
-def _stage_summary(results: list[_BlockResult]) -> dict:
-    blocks = {f"{r.key[0]},{r.key[1]}": {"seconds": r.seconds, "started": r.started,
-                                         "finished": r.finished}
-              for r in results}
-    return {"blocks": blocks,
-            "max_seconds": max((r.seconds for r in results), default=0.0)}
-
-
 def _make_run_dir(run_dir) -> str:
     if run_dir is None:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -402,27 +396,7 @@ def _make_run_dir(run_dir) -> str:
 
 
 def _write_json(path, doc) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    except OSError as exc:
-        raise ArtifactError(f"cannot write {path}: {exc}") from exc
-
-
-def _task_for(key, blocks, plan, config, nw, run_dir, x_prior_file, w_prior_file):
-    i, j = key
-    stage = stage_of(i, j)
-    gibbs = GibbsConfig(config.n_factors, config.tau, config.n_iters,
-                        config.burn_in, config.thin,
-                        derive_seed(config.seed, stage, i, j))
-    return _BlockTask(key=key, stage=stage, block=blocks[key], run_dir=run_dir,
-                      x_prior_file=x_prior_file, w_prior_file=w_prior_file,
-                      nw_prior=nw, gibbs=gibbs, approximation=config.approximation,
-                      top_n=config.top_n, lambda_policy=config.lambda_policy,
-                      fit_seed_x=derive_seed(config.seed, stage, i, j, 1),
-                      fit_seed_w=derive_seed(config.seed, stage, i, j, 2),
-                      row_range=plan.row_range(i), col_range=plan.col_range(j),
-                      save_chain=config.save_chains)
+    write_atomic(path, lambda fh: fh.write(json.dumps(doc, indent=2).encode("utf-8")))
 
 
 def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
@@ -457,8 +431,49 @@ def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
     return x, w, events
 
 
-def _finish(method, run_dir, plan, config, stage_timings, agg_seconds, x, w, events):
-    (x_mean, x_prec), (w_mean, w_prec) = x, w
+# ---------------------------------------------------------------------------
+# The executor and the three methods
+# ---------------------------------------------------------------------------
+
+def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationResult:
+    """Run ``layers`` in order, then combine each row's posteriors by ``rule``.
+
+    ``layers`` lists (label, entries); an entry is (block, x-prior block,
+    w-prior block), a prior block being the block whose posterior file of
+    that side is handed in, or None for the shared prior.  A layer starts
+    once the files of the layers before it are written.  With
+    ``workers > 1`` one process pool runs every block of the run.
+    """
+    if plan is None:
+        plan = build_plan(train, config)
+    if (plan.n_rows != train.n_rows or plan.n_cols != train.n_cols
+            or plan.n_row_blocks != config.partition_rows
+            or plan.n_col_blocks != config.partition_cols):
+        raise ValidationError("partition plan inconsistent with data or config")
+    run_dir = _make_run_dir(run_dir)
+    _write_json(os.path.join(run_dir, "run_config.json"), {**config.to_dict(), "method": method})
+    plan.save(os.path.join(run_dir, "plan.json"))
+    blocks = extract_blocks(train, plan)
+
+    def prior_file(side, source):
+        return None if source is None else posterior_path(run_dir, stage_of(*source),
+                                                          side, *source)
+
+    stage_timings = {}
+    width = max(len(entries) for _, entries in layers)
+    with (ProcessPoolExecutor(max_workers=min(config.workers, width))
+          if config.workers > 1 else contextlib.nullcontext()) as pool:
+        for label, entries in layers:
+            if entries:
+                tasks = [_BlockTask(key, blocks[key], run_dir, config,
+                                    prior_file("x", x_from), prior_file("w", w_from),
+                                    plan.row_range(key[0]), plan.col_range(key[1]))
+                         for key, x_from, w_from in entries]
+                stage_timings[label] = _run_layer(pool, label, tasks)
+
+    agg_start = time.perf_counter()
+    (x_mean, x_prec), (w_mean, w_prec), events = _aggregate(run_dir, plan, rule)
+    agg_seconds = time.perf_counter() - agg_start
     save_posterior_file(os.path.join(run_dir, "aggregate", "x.npz"),
                         PosteriorSet("gaussian", x_mean, x_prec), "x", 0, plan.n_rows)
     save_posterior_file(os.path.join(run_dir, "aggregate", "w.npz"),
@@ -474,58 +489,26 @@ def _finish(method, run_dir, plan, config, stage_timings, agg_seconds, x, w, eve
                                timings, run_dir, config, plan)
 
 
-def _start_run(method, train, plan, config, run_dir):
-    if plan is None:
-        plan = build_plan(train, config)
-    if (plan.n_rows != train.n_rows or plan.n_cols != train.n_cols
-            or plan.n_row_blocks != config.partition_rows
-            or plan.n_col_blocks != config.partition_cols):
-        raise ValidationError("partition plan inconsistent with data or config")
-    run_dir = _make_run_dir(run_dir)
-    meta = config.to_dict()
-    meta["method"] = method
-    _write_json(os.path.join(run_dir, "run_config.json"), meta)
-    plan.save(os.path.join(run_dir, "plan.json"))
-    return plan, run_dir, extract_blocks(train, plan)
+def _pp_layers(r: int, c: int) -> list:
+    """Stage I is (0,0) under the shared priors; stage II is the first
+    column and row, each with the stage-I posterior of the side it shares;
+    stage III is the rest, with X's prior from its row's stage-II block and
+    W's from its column's."""
+    return [("1", [((0, 0), None, None)]),
+            ("2", [((i, 0), None, (0, 0)) for i in range(1, r)]
+             + [((0, j), (0, 0), None) for j in range(1, c)]),
+            ("3", [((i, j), (i, 0), (0, j)) for i in range(1, r) for j in range(1, c)])]
+
+
+def _staged_rule(stacks):
+    return staged_aggregate(stacks[0], stacks[1:])
 
 
 def run_pp(train: SparseMatrix, config: RunConfig,
-           plan: PartitionPlan | None = None, run_dir=None,
-           _fit_kind: str | None = None) -> FactorizationResult:
+           plan: PartitionPlan | None = None, run_dir=None) -> FactorizationResult:
     """Three-stage pipeline with posterior handoff and per-row aggregation."""
-    method = "pp"
-    if _fit_kind:
-        method = "full"
-        config = RunConfig(**{**config.to_dict(), "approximation": _fit_kind})
-    plan, run_dir, blocks = _start_run(method, train, plan, config, run_dir)
-    r, c = plan.n_row_blocks, plan.n_col_blocks
-    nw = config.nw_prior()
-    stage_timings = {}
-
-    stage1 = [_task_for((0, 0), blocks, plan, config, nw, run_dir, None, None)]
-    stage_timings["1"] = _stage_summary(_execute_stage(stage1, config.workers))
-
-    x00 = posterior_path(run_dir, 1, "x", 0, 0)
-    w00 = posterior_path(run_dir, 1, "w", 0, 0)
-    stage2 = [_task_for((i, 0), blocks, plan, config, nw, run_dir, None, w00)
-              for i in range(1, r)]
-    stage2 += [_task_for((0, j), blocks, plan, config, nw, run_dir, x00, None)
-               for j in range(1, c)]
-    if stage2:
-        stage_timings["2"] = _stage_summary(_execute_stage(stage2, config.workers))
-
-    stage3 = [_task_for((i, j), blocks, plan, config, nw, run_dir,
-                        posterior_path(run_dir, 2, "x", i, 0),
-                        posterior_path(run_dir, 2, "w", 0, j))
-              for i in range(1, r) for j in range(1, c)]
-    if stage3:
-        stage_timings["3"] = _stage_summary(_execute_stage(stage3, config.workers))
-
-    agg_start = time.perf_counter()
-    x, w, events = _aggregate(run_dir, plan,
-                              lambda stacks: staged_aggregate(stacks[0], stacks[1:]))
-    agg_seconds = time.perf_counter() - agg_start
-    return _finish(method, run_dir, plan, config, stage_timings, agg_seconds, x, w, events)
+    return _run("pp", train, config, plan, run_dir,
+                _pp_layers(config.partition_rows, config.partition_cols), _staged_rule)
 
 
 def run_full(train: SparseMatrix, config: RunConfig, run_dir=None) -> FactorizationResult:
@@ -533,7 +516,8 @@ def run_full(train: SparseMatrix, config: RunConfig, run_dir=None) -> Factorizat
     posteriors are moment-matched from the chain."""
     if config.partition_rows != 1 or config.partition_cols != 1:
         raise ValidationError("run_full requires a 1x1 partition")
-    return run_pp(train, config, plan=None, run_dir=run_dir, _fit_kind="mm")
+    return _run("full", train, replace(config, approximation="mm"), None, run_dir,
+                _pp_layers(1, 1), _staged_rule)
 
 
 def run_ep(train: SparseMatrix, config: RunConfig,
@@ -546,19 +530,11 @@ def run_ep(train: SparseMatrix, config: RunConfig,
     subset runs themselves use the same default hyperprior setup as the
     staged pipeline, so a 1x1 grid degenerates to the identical chain.
     """
-    plan, run_dir, blocks = _start_run("ep", train, plan, config, run_dir)
-    r, c = plan.n_row_blocks, plan.n_col_blocks
-    nw = config.nw_prior()
     if division_prior is None:
         division_prior = RowPosterior(np.zeros(config.n_factors),
                                       np.eye(config.n_factors))
-
-    tasks = [_task_for((i, j), blocks, plan, config, nw, run_dir, None, None)
-             for i in range(r) for j in range(c)]
-    stage_timings = {"ep": _stage_summary(_execute_stage(tasks, config.workers))}
-
-    agg_start = time.perf_counter()
     prior = (division_prior.mean, division_prior.precision)
-    x, w, events = _aggregate(run_dir, plan, lambda stacks: ep_aggregate(stacks, prior))
-    agg_seconds = time.perf_counter() - agg_start
-    return _finish("ep", run_dir, plan, config, stage_timings, agg_seconds, x, w, events)
+    blocks = [((i, j), None, None) for i in range(config.partition_rows)
+              for j in range(config.partition_cols)]
+    return _run("ep", train, config, plan, run_dir, [("ep", blocks)],
+                lambda stacks: ep_aggregate(stacks, prior))

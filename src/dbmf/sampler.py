@@ -35,6 +35,7 @@ import numpy as np
 from scipy import sparse
 
 from .approx import PosteriorSet
+from .artifacts import write_atomic
 from .data import SparseMatrix
 from .errors import ArtifactError, NumericalError, ValidationError
 
@@ -166,14 +167,10 @@ class SampleChain:
         return self.x_samples.shape[0]
 
     def save(self, path) -> None:
-        try:
-            with open(path, "wb") as fh:
-                np.savez(fh, x_samples=self.x_samples, w_samples=self.w_samples,
-                         mu_x=self.mu_x, lambda_x=self.lambda_x,
-                         mu_w=self.mu_w, lambda_w=self.lambda_w,
-                         config=np.array(json.dumps(self.config.__dict__)))
-        except OSError as exc:
-            raise ArtifactError(f"cannot write chain file {path}: {exc}") from exc
+        write_atomic(path, lambda fh: np.savez(
+            fh, x_samples=self.x_samples, w_samples=self.w_samples,
+            mu_x=self.mu_x, lambda_x=self.lambda_x, mu_w=self.mu_w, lambda_w=self.lambda_w,
+            config=np.array(json.dumps(self.config.__dict__))))
 
     @classmethod
     def load(cls, path) -> "SampleChain":

@@ -27,6 +27,13 @@ LOG2PI = math.log(2.0 * math.pi)
 # Small closed forms
 # ---------------------------------------------------------------------------
 
+def to_dense(matrix, fill=np.nan) -> np.ndarray:
+    """Dense copy of a ``SparseMatrix`` with ``fill`` in unobserved cells."""
+    out = np.full((matrix.n_rows, matrix.n_cols), fill, dtype=np.float64)
+    out[matrix.rows, matrix.cols] = matrix.vals
+    return out
+
+
 def log_normal_pdf(x, mean, precision):
     """Scalar/array log N(x; mean, 1/precision)."""
     return 0.5 * (np.log(precision) - LOG2PI) - 0.5 * precision * (x - mean) ** 2

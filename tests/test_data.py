@@ -3,7 +3,7 @@ import pytest
 
 from dbmf import data, sampler
 from dbmf.errors import ArtifactError, TripletParseError, ValidationError
-from oracles import bincount_suff_stats, sorted_axis
+from oracles import bincount_suff_stats, sorted_axis, to_dense
 
 
 def make_matrix(n_rows, n_cols, rows, cols, vals):
@@ -133,7 +133,7 @@ class TestLoadTriplets:
         assert m.row_ids.tolist() == [1, 3]
         assert m.col_ids.tolist() == [7, 10]
         # user 3 -> row 1, item 10 -> col 1
-        dense = m.to_dense(fill=0.0)
+        dense = to_dense(m, fill=0.0)
         assert dense[1, 1] == 4 and dense[0, 1] == 5 and dense[1, 0] == 3
 
     @pytest.mark.filterwarnings("error")

@@ -1,14 +1,16 @@
+import glob
 import hashlib
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import oracles
-from dbmf import data, evaluate, pipeline
-from dbmf.approx import load_posterior_file
+from dbmf import artifacts, data, evaluate, pipeline
+from dbmf.approx import PosteriorSet, load_posterior_file, save_posterior_file
 from dbmf.errors import ArtifactError, PipelineError, ValidationError
-from dbmf.sampler import SampleChain, predict
+from dbmf.sampler import GibbsConfig, SampleChain, predict
 
 
 def quick_config(**kw):
@@ -17,6 +19,14 @@ def quick_config(**kw):
                 partition_cols=2, workers=1)
     base.update(kw)
     return pipeline.RunConfig(**base)
+
+
+def artifact_digests(run_dir):
+    """sha256 of every stage posterior file and aggregate output of a run."""
+    paths = (glob.glob(os.path.join(run_dir, "stage*", "*.npz"))
+             + glob.glob(os.path.join(run_dir, "aggregate", "*")))
+    with_bytes = {os.path.relpath(p, run_dir): open(p, "rb").read() for p in paths}
+    return {name: hashlib.sha256(b).hexdigest() for name, b in with_bytes.items()}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +98,7 @@ class TestExtractBlocks:
         train, _ = small_data
         plan = data.partition(train, data.order_matrix(train, "decreasing"), 2, 2)
         blocks = pipeline.extract_blocks(train, plan)
-        dense = train.to_dense(fill=np.nan)
+        dense = oracles.to_dense(train, fill=np.nan)
         for (i, j), block in blocks.items():
             r_lo, _ = plan.row_range(i)
             c_lo, _ = plan.col_range(j)
@@ -176,15 +186,57 @@ class TestStagedPipeline:
         # stage-III width is (r-1)(c-1)
         assert len(timings["stages"]["3"]["blocks"]) == 1
 
-    def test_reproducible_and_worker_invariant(self, small_data, tmp_path):
+    @pytest.mark.parametrize("run", [pipeline.run_pp, pipeline.run_ep],
+                             ids=["run_pp", "run_ep"])
+    def test_reproducible_and_worker_invariant(self, small_data, tmp_path, run):
         train, _ = small_data
-        res1 = pipeline.run_pp(train, quick_config(), run_dir=tmp_path / "a")
-        res2 = pipeline.run_pp(train, quick_config(), run_dir=tmp_path / "b")
-        res3 = pipeline.run_pp(train, quick_config(workers=2), run_dir=tmp_path / "c")
+        res1 = run(train, quick_config(), run_dir=tmp_path / "a")
+        res2 = run(train, quick_config(), run_dir=tmp_path / "b")
+        res3 = run(train, quick_config(workers=2), run_dir=tmp_path / "c")
         assert np.array_equal(res1.x_mean, res2.x_mean)
         assert np.array_equal(res1.w_precisions, res2.w_precisions)
         assert np.array_equal(res1.x_mean, res3.x_mean)
         assert np.array_equal(res1.w_mean, res3.w_mean)
+        serial = artifact_digests(tmp_path / "a")
+        assert len(serial) == 2 * 4 + 3
+        assert serial == artifact_digests(tmp_path / "c")
+
+    @pytest.mark.parametrize("run, grid, workers, pools", [
+        (pipeline.run_pp, 3, 2, 1), (pipeline.run_ep, 2, 2, 1),
+        (pipeline.run_pp, 3, 1, 0), (pipeline.run_ep, 2, 1, 0),
+    ])
+    def test_one_process_pool_per_run(self, small_data, tmp_path, monkeypatch,
+                                      run, grid, workers, pools):
+        made = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
+        train, _ = small_data
+        cfg = quick_config(workers=workers, partition_rows=grid, partition_cols=grid)
+        run(train, cfg, run_dir=tmp_path / "run")
+        assert len(made) == pools
+
+    def test_worker_death_names_stage_and_exits_4(self, small_data, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real_gibbs_run = pipeline.gibbs_run
+
+        def dies_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_gibbs_run(*args, **kwargs)
+
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(pipeline, "gibbs_run", dies_in_workers)
+        train, _ = small_data
+        cfg = quick_config(workers=2, partition_rows=3, partition_cols=3)
+        with pytest.raises(PipelineError, match=r"stage 1: .*\(0,0\)") as info:
+            pipeline.run_pp(train, cfg, run_dir=tmp_path / "dies")
+        assert info.value.exit_code == 4
+        assert not os.listdir(tmp_path / "dies" / "stage2")
 
     def test_row_only_partition_skips_stage_three(self, small_data, tmp_path):
         train, _ = small_data
@@ -224,19 +276,12 @@ class TestStagedPipeline:
         cfg = quick_config(approximation="gmm", partition_rows=3, partition_cols=3,
                            n_iters=40, burn_in=16, thin=2)
 
-        def digests(run_dir):
-            names = [os.path.join(stage, name) for stage in ("stage1", "stage2", "stage3")
-                     for name in os.listdir(run_dir / stage)]
-            names += ["aggregate/x.npz", "aggregate/w.npz", "aggregate/corrections.json"]
-            return {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-                    for name in names}
-
         pipeline.run_pp(train, cfg, run_dir=tmp_path / "batched")
         monkeypatch.setattr(pipeline, "fit_rows", oracles.fit_rows)
         pipeline.run_pp(train, cfg, run_dir=tmp_path / "per-row")
-        batched = digests(tmp_path / "batched")
+        batched = artifact_digests(tmp_path / "batched")
         assert len(batched) == 21
-        assert batched == digests(tmp_path / "per-row")
+        assert batched == artifact_digests(tmp_path / "per-row")
         _, stage3 = load_posterior_file(tmp_path / "batched" / "stage3" / "x_2_2.npz")
         assert np.diff(stage3.offsets).max() > 1  # some rows are mixtures
 
@@ -360,6 +405,59 @@ class TestPersistence:
         with pytest.raises(PipelineError, match=r"stage 2 block \(1,0\) x-posteriors") as info:
             pipeline.load_posteriors(run_dir, 2, 1, 0, "x")
         assert problem in str(info.value) and info.value.exit_code == 4
+
+    @pytest.mark.parametrize("writer", ["posterior", "chain", "json", "plan"])
+    @pytest.mark.parametrize("previous", [b"previous contents", None])
+    def test_interrupted_write_keeps_target_and_leaves_no_temporary(
+            self, tmp_path, monkeypatch, writer, previous):
+        k = 2
+        write = {
+            "posterior": lambda path: save_posterior_file(
+                path, PosteriorSet("gaussian", np.zeros((3, k)), np.tile(np.eye(k), (3, 1, 1))),
+                "x", 0, 3),
+            "chain": lambda path: SampleChain(
+                np.zeros((4, 3, k)), np.zeros((4, 2, k)), np.zeros((4, k)),
+                np.zeros((4, k, k)), np.zeros((4, k)), np.zeros((4, k, k)),
+                GibbsConfig(k, 1.0, 8, 4, 1, 0)).save(path),
+            "json": lambda path: pipeline._write_json(path, {"count": 0, "events": []}),
+            "plan": lambda path: data.PartitionPlan(np.arange(3), np.arange(2),
+                                                   [0, 3], [0, 2]).save(path),
+        }[writer]
+        target = tmp_path / "artifact"
+        if previous is not None:
+            target.write_bytes(previous)
+
+        def open_failing_partway(path, mode):
+            fh = open(path, mode)
+
+            class HalfWritten:
+                def __getattr__(self, name):
+                    return getattr(fh, name)
+
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    fh.close()
+
+                def write(self, chunk):
+                    chunk = bytes(chunk)
+                    fh.write(chunk[:len(chunk) // 2])
+                    raise OSError(28, "No space left on device")
+
+            return HalfWritten()
+
+        monkeypatch.setattr(artifacts, "open", open_failing_partway, raising=False)
+        with pytest.raises(ArtifactError, match="No space left") as info:
+            write(target)
+        assert info.value.exit_code == 4
+        assert os.listdir(tmp_path) == ([] if previous is None else ["artifact"])
+        if previous is not None:
+            assert target.read_bytes() == previous
+        monkeypatch.undo()
+        write(target)
+        assert os.listdir(tmp_path) == ["artifact"]
+        assert target.read_bytes() != previous
 
     def test_corrupt_run_config(self, tmp_path):
         with pytest.raises(ArtifactError):
