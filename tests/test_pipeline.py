@@ -2,6 +2,7 @@ import glob
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ def artifact_digests(run_dir):
     """sha256 of every stage posterior file and aggregate output of a run."""
     paths = (glob.glob(os.path.join(run_dir, "stage*", "*.npz"))
              + glob.glob(os.path.join(run_dir, "aggregate", "*")))
-    with_bytes = {os.path.relpath(p, run_dir): open(p, "rb").read() for p in paths}
-    return {name: hashlib.sha256(b).hexdigest() for name, b in with_bytes.items()}
+    return {os.path.relpath(p, run_dir): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+            for p in paths}
 
 
 @pytest.fixture(scope="module")
