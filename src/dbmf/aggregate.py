@@ -6,18 +6,17 @@ subset comes back unchanged.  The staged-pipeline rule removes the
 multiply-counted propagated posterior before summing precisions, repairing
 indefinite differences by eigenvalue correction.  The independent-subsets
 rule multiplies all subset Gaussians and divides away the multiply-counted
-prior.  The per-row functions are one-row calls into them.
+prior.  There are no per-row forms: one row is a one-row stack.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import RowPosterior, _symmetrize, non_spd_rows
-from .errors import NumericalError, ValidationError
+from .approx import _symmetrize, non_spd_rows
+from .errors import NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -29,28 +28,6 @@ EV_EPS_SCALE = 1e-6
 # (row, where, diagonal shift).
 Stack = tuple[np.ndarray, np.ndarray]
 Event = tuple[int, str, float]
-
-
-@dataclass
-class AggregationInput:
-    """Per-row inputs: the first-stage posterior plus the later-stage
-    posteriors that were each conditioned on the first one's data."""
-
-    stage1: RowPosterior
-    others: list[RowPosterior] = field(default_factory=list)
-
-    def __post_init__(self):
-        k = self.stage1.k
-        if any(p.k != k for p in self.others):
-            raise ValidationError("aggregation inputs must share dimension K")
-
-
-@dataclass
-class CorrectionEvent:
-    """Log record for one eigenvalue repair during aggregation."""
-
-    where: str
-    shift: float
 
 
 def _repair(mats: np.ndarray, eps: np.ndarray, where: str,
@@ -150,70 +127,3 @@ def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray],
         precision += precs_j
         weighted += _matvec(precs_j, means_j)
     return _solve(precision, weighted, _row_eps(precs0, eps_scale), "ep final", [])
-
-
-def _one_row(posterior: RowPosterior) -> Stack:
-    return posterior.mean[None], posterior.precision[None]
-
-
-def _row_result(means, precisions, row_events, events=None) -> RowPosterior:
-    if events is not None:
-        events.extend(CorrectionEvent(where, shift) for _, where, shift in row_events)
-    return RowPosterior(means[0], precisions[0])
-
-
-def _check_k(posteriors: list[RowPosterior]) -> int:
-    if not posteriors:
-        raise ValidationError("need at least one posterior")
-    k = posteriors[0].k
-    if any(p.k != k for p in posteriors):
-        raise ValidationError("posteriors must share dimension K")
-    return k
-
-
-def gaussian_product(posteriors: list[RowPosterior]) -> RowPosterior:
-    """Product of Gaussian densities: precisions add, means are
-    precision-weighted (``ep_aggregate`` with nothing divided away)."""
-    k = _check_k(posteriors)
-    return _row_result(*ep_aggregate([_one_row(p) for p in posteriors],
-                                     (np.zeros(k), np.zeros((k, k)))))
-
-
-def eigenvalue_correction(mat: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Make a symmetric matrix positive definite.
-
-    Already-SPD input is returned unchanged; otherwise
-    ``|lambda_min| + eps`` is added to every diagonal element.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError("expected a square matrix")
-    scale = max(float(np.abs(mat).max()), 1.0)
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-10 * scale):
-        raise ValidationError("matrix is not symmetric")
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
-    bad, repaired = _repair(mat[None], np.array([eps]), "", [])
-    return repaired[0] if bad.size else mat
-
-
-def pp_aggregate_row(agg_input: AggregationInput, eps_scale: float = EV_EPS_SCALE,
-                     events: list[CorrectionEvent] | None = None) -> RowPosterior:
-    """One row of ``staged_aggregate``; a single subset is returned as is."""
-    if not agg_input.others:
-        return agg_input.stage1
-    return _row_result(*staged_aggregate(_one_row(agg_input.stage1),
-                                         [_one_row(p) for p in agg_input.others],
-                                         eps_scale), events)
-
-
-def ep_parametric_aggregate(subset_posteriors: list[RowPosterior], prior: RowPosterior,
-                            n_subsets: int, eps_scale: float = EV_EPS_SCALE,
-                            events: list[CorrectionEvent] | None = None) -> RowPosterior:
-    """One row of ``ep_aggregate``."""
-    if _check_k(subset_posteriors) != prior.k:
-        raise ValidationError("posteriors and prior must share dimension K")
-    if n_subsets != len(subset_posteriors):
-        raise ValidationError("n_subsets must equal the number of subset posteriors")
-    return _row_result(*ep_aggregate([_one_row(p) for p in subset_posteriors],
-                                     (prior.mean, prior.precision), eps_scale), events)

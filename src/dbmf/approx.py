@@ -13,9 +13,9 @@ equal-sized clusters, so every result is bitwise the one a per-row loop
 gives (``tests/oracles.py`` holds that loop).  A row stops when its
 iteration changes nothing or when its assignments repeat an earlier
 iteration's; in a repeat, the state the loop would reach at the iteration
-cap is already stored, and that is the result.  ``lambda_means``,
-``fit_dominant_mode`` and ``fit_gmm`` are one-row calls into the same code,
-and ``fit_moment_matching`` uses its Gaussian fit.
+cap is already stored, and that is the result.  ``lambda_means`` and
+``median_pairwise_lambda`` likewise take a block's clouds ``(R, S, K)``;
+there are no one-row forms.
 """
 
 from __future__ import annotations
@@ -64,70 +64,23 @@ def non_spd_rows(mats: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class RowPosterior:
-    """Gaussian posterior for one K-vector row: mean and precision."""
-
-    mean: np.ndarray
-    precision: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.precision = _symmetrize(np.asarray(self.precision, dtype=np.float64))
-        problem = _contract_violation(
-            PosteriorSet("gaussian", self.mean[None], self.precision[None]), self.mean.size)
-        if problem:
-            raise ValidationError(f"row posterior: {problem}")
-
-    @property
-    def k(self) -> int:
-        return self.mean.size
-
-
-@dataclass
-class GmmPosterior:
-    """Mixture of weighted Gaussians for one row."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    precisions: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.precisions = _symmetrize(np.asarray(self.precisions, dtype=np.float64))
-        problem = _contract_violation(
-            PosteriorSet("gmm", self.means, self.precisions, weights=self.weights,
-                         offsets=np.array([0, self.weights.size])), self.means.shape[-1])
-        if problem:
-            raise ValidationError(f"mixture posterior: {problem}")
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
-
-    @property
-    def k(self) -> int:
-        return self.means.shape[1]
-
-
-@dataclass
 class Clustering:
-    """Result of lambda-means: assignments, centers, the lambda used, the
-    number of iterations run and whether the last one changed nothing (False
-    when the iteration cap or a repeated state ended the loop)."""
+    """Result of lambda-means on a stack of rows: assignments ``(R, S)``,
+    centers ``(R, C, K)`` padded with zeros past each row's cluster count,
+    the counts, the lambdas used, the iterations run and whether the last
+    one changed nothing (False when the iteration cap or a repeated state
+    ended the loop)."""
 
     assignments: np.ndarray
     centers: np.ndarray
-    lam: float
-    iterations: int
-    converged: bool
-
-    @property
-    def n_clusters(self) -> int:
-        return self.centers.shape[0]
+    counts: np.ndarray
+    lam: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
 
     def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignments, minlength=self.n_clusters)
+        """Members of each row's clusters, ``(R, C)``; 0 past its count."""
+        return _label_counts(self.assignments, self.centers.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +220,18 @@ def _merge_close(x, assign, centers, n_c, lam):
     return merged
 
 
-def _lambda_means_rows(x: np.ndarray, lam: np.ndarray, max_iters: int):
-    """Lambda-means on every row of ``x (R, S, K)`` with per-row ``lam``.
+def lambda_means(x: np.ndarray, lam: np.ndarray,
+                 max_iters: int = LAMBDA_MEANS_ITERS) -> Clustering:
+    """Lambda-means on every row of ``x (R, S, K)`` with per-row ``lam``:
+    a sample farther than ``lam`` (Euclidean) from every center spawns a new
+    center.
+
+    Alternates assignment (with spawning, in sample order) and center
+    recomputation.  The first center is the row's mean; empty clusters are
+    dropped, and recomputed centers that land within ``lam`` of an earlier
+    center are merged into it (the spawn rule never creates such a pair, and
+    keeping centers separated by more than ``lam`` makes the final cluster
+    count nonincreasing in ``lam``).
 
     Centers are always the cluster means of the assignments, so an
     iteration's result depends only on the assignments it starts from.  When
@@ -276,8 +239,10 @@ def _lambda_means_rows(x: np.ndarray, lam: np.ndarray, max_iters: int):
     periodic from there, and its state after ``max_iters`` iterations is the
     stored one at ``first + (max_iters - first) % period``: the row stops
     there.  A repeat after one iteration that spawned and merged nothing is
-    convergence.  Returns assignments ``(R, S)``, centers ``(R, C, K)``
-    padded with zeros, cluster counts, iterations run and converged flags."""
+    convergence."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if not np.all(lam > 0):
+        raise ValidationError("lambda must be positive")
     n_rows, n_samples, _ = x.shape
     result = np.zeros((n_rows, n_samples), dtype=np.int64)
     iterations = np.full(n_rows, max(max_iters, 0), dtype=np.int64)
@@ -312,44 +277,15 @@ def _lambda_means_rows(x: np.ndarray, lam: np.ndarray, max_iters: int):
         if not active.size:
             break
     counts = result.max(axis=1) + 1
-    return result, _group_means(x, result, counts.max()), counts, iterations, converged
+    return Clustering(result, _group_means(x, result, counts.max()), counts, lam,
+                      iterations, converged)
 
 
-def _one_lambda(lam: float) -> np.ndarray:
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
-    return np.array([lam], dtype=np.float64)
-
-
-def lambda_means(samples: np.ndarray, lam: float,
-                 max_iters: int = LAMBDA_MEANS_ITERS) -> Clustering:
-    """Cluster samples, spawning a new center for any point farther than
-    ``lam`` (Euclidean) from every existing center.
-
-    Alternates assignment (with spawning, in input order) and center
-    recomputation until assignments stabilize or ``max_iters`` is reached.
-    The first center is the global mean; empty clusters are dropped, and
-    recomputed centers that land within ``lam`` of an earlier center are
-    merged into it (the spawn rule never creates such a pair, and keeping
-    centers separated by more than ``lam`` makes the final cluster count
-    nonincreasing in ``lam``).  The procedure is deterministic given the
-    input order; a loop that revisits an earlier state stops there with the
-    result it would have had after ``max_iters`` iterations.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if samples.shape[0] < 1:
-        raise ValidationError("need at least one sample")
-    assign, centers, counts, iterations, converged = _lambda_means_rows(
-        samples[None], _one_lambda(lam), max_iters)
-    return Clustering(assign[0], centers[0, :counts[0]], float(lam), int(iterations[0]),
-                      bool(converged[0]))
-
-
-def _pairwise_lambdas(x: np.ndarray) -> np.ndarray:
-    """Median pairwise distance of each row's cloud ``(R, n, K)``, 1.0 where
-    that is not positive or n < 2.  Distances are summed over K in order, as
-    ``scipy.spatial.distance.pdist`` sums them; rows are taken in chunks of
-    about 2**20 distances."""
+def median_pairwise_lambda(x: np.ndarray) -> np.ndarray:
+    """Scale-adaptive default lambda: the median pairwise distance of each
+    row's cloud ``(R, n, K)``, 1.0 where that is not positive or n < 2.
+    Distances are summed over K in order, as ``scipy.spatial.distance.pdist``
+    sums them; rows are taken in chunks of about 2**20 distances."""
     n_rows, n, k = x.shape
     if n < 2:
         return np.ones(n_rows)
@@ -367,15 +303,6 @@ def _pairwise_lambdas(x: np.ndarray) -> np.ndarray:
 
 def _subsample(n: int, size: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).choice(n, size=size, replace=False)
-
-
-def median_pairwise_lambda(samples: np.ndarray, seed: int = 0,
-                           subsample: int = LAMBDA_SUBSAMPLE) -> float:
-    """Scale-adaptive default lambda: median pairwise distance of a subsample."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if samples.shape[0] > subsample:
-        samples = samples[_subsample(samples.shape[0], subsample, seed)]
-    return float(_pairwise_lambdas(samples[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +343,9 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
     """Dominant-mode ("dm") or mixture ("gmm") fits of every row of
     ``x (R, S, K)`` from its lambda-means clusters."""
     n_rows, _, k = x.shape
-    assign, _, counts, _, _ = _lambda_means_rows(x, lam, LAMBDA_MEANS_ITERS)
+    clustering = lambda_means(x, lam, LAMBDA_MEANS_ITERS)
+    assign, sizes = clustering.assignments, clustering.sizes()
     rows = np.arange(n_rows)
-    sizes = _label_counts(assign, counts.max())
     # Largest first, ties by lower cluster index; clusters under K+2 samples
     # are dropped, and a row left with none is fitted whole.
     order = np.argsort(-sizes, axis=1, kind="stable")[:, :1 if kind == "dm" else top_n]
@@ -443,54 +370,6 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
     return _check_contract(PosteriorSet("gmm", means[kept], precisions[kept],
                                         weights=weights[kept], offsets=offsets),
                            "mixture posterior")
-
-
-def _cloud(samples: np.ndarray) -> np.ndarray:
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    n, k = samples.shape
-    if n < k + 2:
-        raise ValidationError(f"need at least K+2={k + 2} samples, got {n}")
-    return samples
-
-
-def fit_moment_matching(samples: np.ndarray) -> RowPosterior:
-    """Gaussian with the cloud's mean and (population, ridge-regularized)
-    covariance."""
-    samples = _cloud(samples)
-    means, precisions = _fit_gaussians(samples[None], np.zeros((1, samples.shape[0]), int), 1)
-    return RowPosterior(means[0, 0], precisions[0, 0])
-
-
-def fit_dominant_mode(samples: np.ndarray, lam: float) -> RowPosterior:
-    """Moment matching restricted to the largest lambda-means cluster.
-
-    Size ties pick the lowest cluster index.  If the winning cluster is too
-    small for a well-posed covariance (< K+2 samples), falls back to moment
-    matching over the full cloud.
-    """
-    pset = _fit_clusters(_cloud(samples)[None], _one_lambda(lam), "dm", 1)
-    return RowPosterior(pset.means[0], pset.precisions[0])
-
-
-def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3) -> GmmPosterior:
-    """Mixture over the ``top_n`` largest lambda-means clusters.
-
-    Clusters smaller than K+2 are dropped before weight renormalization;
-    if none survive, the whole cloud collapses to a single moment-matched
-    component.  Weights are proportional to kept-cluster sizes.
-    """
-    samples = _cloud(samples)
-    if top_n < 1:
-        raise ValidationError("top_n must be >= 1")
-    pset = _fit_clusters(samples[None], _one_lambda(lam), "gmm", top_n)
-    return GmmPosterior(pset.weights, pset.means, pset.precisions)
-
-
-def pool_gmm(gmm: GmmPosterior) -> RowPosterior:
-    """Single Gaussian with the mixture's exact first two moments."""
-    pooled = PosteriorSet("gmm", gmm.means, gmm.precisions, weights=gmm.weights,
-                          offsets=np.array([0, gmm.n_components])).pooled()
-    return RowPosterior(pooled.means[0], pooled.precisions[0])
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +434,7 @@ def _contract_violation(pset: PosteriorSet, k: int) -> str | None:
     None.  The contract: K-dimensional finite means, finite precisions with
     a Cholesky factor and, for mixtures, positive weights summing to 1 (to
     1e-9) per row and offsets strictly increasing from 0 to the component
-    count.  ``RowPosterior``, ``GmmPosterior`` and ``load_posterior_file``
+    count.  ``fit_rows`` (for dm and gmm fits) and ``load_posterior_file``
     enforce it; each check runs once over the whole stack."""
     n = pset.means.shape[0]
     if pset.means.ndim != 2 or pset.means.shape[1] != k or pset.precisions.shape != (n, k, k):
@@ -597,9 +476,10 @@ def _fixed_lambda(lam_policy) -> float | None:
                           f"got {lam_policy!r}")
 
 
-def _row_seed(seed: int, row: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(row,))
-               .generate_state(1, dtype=np.uint64)[0])
+def derive_seed(master_seed: int, *key: int) -> int:
+    """Deterministic stream seed from the master seed and a structured key."""
+    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
@@ -637,10 +517,11 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
     if lam is not None:
         lams = np.full(n_rows, lam)
     elif n_samples > LAMBDA_SUBSAMPLE:
-        picks = [_subsample(n_samples, LAMBDA_SUBSAMPLE, _row_seed(seed, i)) for i in range(n_rows)]
-        lams = _pairwise_lambdas(x[np.arange(n_rows)[:, None], np.array(picks)])
+        picks = [_subsample(n_samples, LAMBDA_SUBSAMPLE, derive_seed(seed, i))
+                 for i in range(n_rows)]
+        lams = median_pairwise_lambda(x[np.arange(n_rows)[:, None], np.array(picks)])
     else:
-        lams = _pairwise_lambdas(x)
+        lams = median_pairwise_lambda(x)
     return _fit_clusters(x, lams, kind, top_n)
 
 

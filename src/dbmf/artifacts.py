@@ -4,6 +4,7 @@ new one, never part of a write."""
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
 from .errors import ArtifactError
@@ -28,3 +29,8 @@ def write_atomic(path, write) -> None:
             raise
     except OSError as exc:
         raise ArtifactError(f"cannot write {path}: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """``write_atomic`` of ``doc`` as indented JSON."""
+    write_atomic(path, lambda fh: fh.write(json.dumps(doc, indent=2).encode("utf-8")))

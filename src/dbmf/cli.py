@@ -23,7 +23,8 @@ import numpy as np
 
 from . import data, evaluate, pipeline
 from .approx import load_posterior_file
-from .errors import DbmfError, ValidationError
+from .artifacts import write_atomic, write_json
+from .errors import ArtifactError, DbmfError, ValidationError
 from .sampler import predict
 
 logger = logging.getLogger(__name__)
@@ -35,8 +36,16 @@ def _parse_partition(text: str) -> tuple[int, int]:
     try:
         r, c = text.lower().split("x")
         return int(r), int(c)
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise ValidationError(f"partition must look like '3x4', got {text!r}") from exc
+
+
+def _convert(kind, value, name: str):
+    """``kind(value)``, or a ``ValidationError`` naming the flag or key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be {kind.__name__}, got {value!r}") from exc
 
 
 def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -72,7 +81,10 @@ def _out_dir(args, default_name: str) -> str:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args, f"sim-{args.seed}")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ArtifactError(f"cannot create output directory {out}: {exc}") from exc
     matrix, truth = data.simulate(args.n_rows, args.n_cols, args.factors,
                                   args.tau, args.seed)
     if args.missing == "random":
@@ -83,15 +95,14 @@ def cmd_simulate(args) -> int:
                                             target_fraction=args.test_fraction)
     data.save_triplets(train, os.path.join(out, "train.txt"))
     data.save_triplets(test, os.path.join(out, "test.txt"))
-    with open(os.path.join(out, "truth.npz"), "wb") as fh:
-        np.savez(fh, x_true=truth.x_true, w_true=truth.w_true, tau=truth.tau)
+    write_atomic(os.path.join(out, "truth.npz"), lambda fh: np.savez(
+        fh, x_true=truth.x_true, w_true=truth.w_true, tau=truth.tau))
     meta = {"n_rows": args.n_rows, "n_cols": args.n_cols, "factors": args.factors,
             "tau": args.tau, "seed": args.seed, "missing": args.missing,
             "structured_mode": args.structured_mode,
             "test_fraction": args.test_fraction,
             "train_entries": train.m, "test_entries": test.m}
-    with open(os.path.join(out, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+    write_json(os.path.join(out, "meta.json"), meta)
     print(f"wrote {out}: train {train.m} entries, test {test.m} entries "
           f"({test.m / matrix.m:.1%} withheld)")
     return 0
@@ -118,24 +129,28 @@ def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
             lam = float(lam)
         except ValueError as exc:
             raise ValidationError(f"--lambda is 'median-pairwise' or a number, got {lam!r}") from exc
+
+    def get(key, kind, default):
+        return _convert(kind, merged.get(key, default), key)
+
     return pipeline.RunConfig(
-        n_factors=int(merged["factors"]),
-        tau=float(merged["tau"]),
-        n_iters=int(merged.get("iters", 1200)),
-        burn_in=int(merged.get("burn-in", 800)),
-        thin=int(merged.get("thin", 2)),
-        seed=int(merged.get("seed", 0)),
+        n_factors=get("factors", int, None),
+        tau=get("tau", float, None),
+        n_iters=get("iters", int, 1200),
+        burn_in=get("burn-in", int, 800),
+        thin=get("thin", int, 2),
+        seed=get("seed", int, 0),
         approximation=approx_kind,
         ordering=merged.get("order", "decreasing"),
         partition_rows=r, partition_cols=c,
-        top_n=int(merged.get("top-n", 3)),
+        top_n=get("top-n", int, 3),
         lambda_policy=lam,
-        workers=int(merged.get("workers", 1)),
+        workers=get("workers", int, 1),
         save_chains=bool(merged.get("save-chains", False)),
-        nw_mu0=float(merged.get("nw-mu0", 0.0)),
-        nw_beta0=float(merged.get("nw-beta0", 2.0)),
-        nw_w0_scale=float(merged.get("nw-w0-scale", 1.0)),
-        nw_nu0=(float(merged["nw-nu0"]) if merged.get("nw-nu0") is not None
+        nw_mu0=get("nw-mu0", float, 0.0),
+        nw_beta0=get("nw-beta0", float, 2.0),
+        nw_w0_scale=get("nw-w0-scale", float, 1.0),
+        nw_nu0=(get("nw-nu0", float, None) if merged.get("nw-nu0") is not None
                 else None))
 
 
@@ -154,12 +169,13 @@ def cmd_run(args) -> int:
     method = merged.get("method", "pp-mm")
     if method not in METHODS:
         raise ValidationError(f"method must be one of {METHODS}")
+    if args.replicates < 1:
+        raise ValidationError(f"--replicates must be >= 1, got {args.replicates}")
+    base_config = _run_config_from(merged, method)
     train = data.load_triplets(args.train)
     test = data.load_triplets(args.test) if args.test else None
     out = _out_dir(args, "run")
-    os.makedirs(out, exist_ok=True)
 
-    base_config = _run_config_from(merged, method)
     replicate_seeds = ([base_config.seed] if args.replicates == 1 else
                        [pipeline.derive_seed(base_config.seed, rep)
                         for rep in range(args.replicates)])
@@ -183,11 +199,14 @@ def cmd_run(args) -> int:
     print(f"wall-clock ledger mean {np.mean(times):.2f}s")
     if args.csv:
         partition = merged.get("partition", "1x1")
-        with open(args.csv, "a", encoding="utf-8") as fh:
-            for rep, seed in enumerate(replicate_seeds):
-                value = rmses[rep] if rmses else math.nan
-                fh.write(evaluate.csv_row(partition, method, seed, value,
-                                          times[rep], None) + "\n")
+        try:
+            with open(args.csv, "a", encoding="utf-8") as fh:
+                for rep, seed in enumerate(replicate_seeds):
+                    value = rmses[rep] if rmses else math.nan
+                    fh.write(evaluate.csv_row(partition, method, seed, value,
+                                              times[rep], None) + "\n")
+        except OSError as exc:
+            raise ArtifactError(f"cannot append to {args.csv}: {exc}") from exc
     return 0
 
 
@@ -202,6 +221,8 @@ class _PointEstimate:
 
 
 def cmd_evaluate(args) -> int:
+    edges = ([_convert(float, e, "--bins") for e in args.bins.split(",")] + [math.inf]
+             if args.bins else evaluate.DEFAULT_BIN_EDGES)
     meta = pipeline.read_run_config(args.run)
     if not args.test:
         raise ValidationError("--test is required to compute RMSE")
@@ -214,11 +235,7 @@ def cmd_evaluate(args) -> int:
     preds = predict(point.x_mean, point.w_mean, test.rows, test.cols)
     report_rmse = evaluate.rmse(preds, test.vals)
 
-    bins = []
-    if train is not None:
-        edges = ([float(e) for e in args.bins.split(",")] + [math.inf]
-                 if args.bins else evaluate.DEFAULT_BIN_EDGES)
-        bins = evaluate.rmse_by_frequency(point, train, test, edges)
+    bins = evaluate.rmse_by_frequency(point, train, test, edges) if train is not None else []
 
     correlations = []
     if meta["partition_rows"] * meta["partition_cols"] > 1:
@@ -232,8 +249,7 @@ def cmd_evaluate(args) -> int:
     report = evaluate.MetricReport(report_rmse, bins, correlations, wts_value)
     print(report.format_table())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        write_atomic(args.json, lambda fh: fh.write(report.to_json().encode("utf-8")))
     return 0
 
 
@@ -242,7 +258,7 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_cost_model(args) -> int:
-    worker_counts = [int(x) for x in args.workers.split(",")]
+    worker_counts = [_convert(int, x, "--workers") for x in args.workers.split(",")]
     params = pipeline.row_param_count(args.approx, args.factors, args.components)
     print(f"{'workers':>8} {'t0':>14} {'t_aggregate':>14} {'total':>14} "
           f"{'communication':>14}")

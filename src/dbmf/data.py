@@ -342,10 +342,11 @@ def _load_movielens(path) -> SparseMatrix:
 
 def save_triplets(matrix: SparseMatrix, path) -> None:
     """Write in the plain triplet format (lossless for float64 values)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {matrix.n_rows} x {matrix.n_cols}, {matrix.m} entries\n")
-        for r, c, v in zip(matrix.rows, matrix.cols, matrix.vals):
-            fh.write(f"{r} {c} {float(v)!r}\n")
+    def write(fh):
+        fh.write(f"# {matrix.n_rows} x {matrix.n_cols}, {matrix.m} entries\n".encode("utf-8"))
+        fh.writelines(f"{r} {c} {float(v)!r}\n".encode("utf-8")
+                      for r, c, v in zip(matrix.rows, matrix.cols, matrix.vals))
+    write_atomic(path, write)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .aggregate import ep_aggregate, staged_aggregate
-from .approx import PosteriorSet, RowPosterior, fit_rows, load_posterior_file, save_posterior_file
-from .artifacts import write_atomic
+from .approx import (PosteriorSet, _fixed_lambda, derive_seed, fit_rows,
+                     load_posterior_file, save_posterior_file)
+from .artifacts import write_json
 from .data import PartitionPlan, SparseMatrix, order_matrix, partition
 from .errors import ArtifactError, PipelineError, ValidationError
-from .sampler import GibbsConfig, NormalWishartPrior, RowPriorSet, SidePrior, gibbs_run
+from .sampler import GibbsConfig, NormalWishartPrior, gibbs_run
 
 logger = logging.getLogger(__name__)
 
@@ -85,11 +86,7 @@ class RunConfig:
             raise ValidationError("top_n must be >= 1")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        if isinstance(self.lambda_policy, str):
-            if self.lambda_policy != "median-pairwise":
-                raise ValidationError("lambda_policy is 'median-pairwise' or a positive float")
-        elif self.lambda_policy <= 0:
-            raise ValidationError("fixed lambda must be positive")
+        _fixed_lambda(self.lambda_policy)
         if self.nw_beta0 <= 0 or self.nw_w0_scale <= 0:
             raise ValidationError("nw_beta0 and nw_w0_scale must be positive")
         if self.nw_nu0 is not None and self.nw_nu0 < self.n_factors:
@@ -168,12 +165,6 @@ def cost_model_eval(cm: CostModel) -> CostEval:
 # Seeds, layout, plan
 # ---------------------------------------------------------------------------
 
-def derive_seed(master_seed: int, *key: int) -> int:
-    """Deterministic stream seed from the master seed and a structured key."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def stage_of(i: int, j: int) -> int:
     if i == 0 and j == 0:
         return 1
@@ -218,26 +209,22 @@ def extract_blocks(matrix: SparseMatrix, plan: PartitionPlan) -> dict:
     return blocks
 
 
-def read_run_config(run_dir) -> dict:
-    path = os.path.join(run_dir, "run_config.json")
+def _read_json(run_dir, name: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(os.path.join(run_dir, name), encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
-        raise ArtifactError(f"missing run_config.json in {run_dir}") from exc
+        raise ArtifactError(f"missing {name} in {run_dir}") from exc
     except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"unreadable run_config.json in {run_dir}: {exc}") from exc
+        raise ArtifactError(f"unreadable {name} in {run_dir}: {exc}") from exc
+
+
+def read_run_config(run_dir) -> dict:
+    return _read_json(run_dir, "run_config.json")
 
 
 def read_timings(run_dir) -> dict:
-    path = os.path.join(run_dir, "timings.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ArtifactError(f"missing timings.json in {run_dir}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"unreadable timings.json in {run_dir}: {exc}") from exc
+    return _read_json(run_dir, "timings.json")
 
 
 def load_block_means(run_dir, side: str, i: int, j: int) -> np.ndarray:
@@ -295,15 +282,16 @@ def _default_posteriors(n_rows: int, nw: NormalWishartPrior) -> PosteriorSet:
     return PosteriorSet("gaussian", means, precs)
 
 
-def _load_prior(path: str | None, key: tuple[int, int], side: str) -> SidePrior:
+def _load_prior(path: str | None, key: tuple[int, int], side: str) -> PosteriorSet | None:
+    """The handed-in posteriors of one side, or None for the shared prior."""
     if path is None:
-        return SidePrior.shared()
+        return None
     try:
         _, pset = load_posterior_file(path)
     except ArtifactError as exc:
         raise PipelineError(
             f"stage {stage_of(*key)} block {key} missing {side} prior: {exc}") from exc
-    return SidePrior.propagated(pset)
+    return pset
 
 
 def _run_block_task(task: _BlockTask) -> dict:
@@ -318,14 +306,12 @@ def _run_block_task(task: _BlockTask) -> dict:
 
     if task.block.m == 0:
         # Nothing observed: priors pass through unchanged as posteriors.
-        x_pset = x_prior.posteriors if x_prior.posteriors is not None \
-            else _default_posteriors(task.block.n_rows, nw)
-        w_pset = w_prior.posteriors if w_prior.posteriors is not None \
-            else _default_posteriors(task.block.n_cols, nw)
+        x_pset = x_prior if x_prior is not None else _default_posteriors(task.block.n_rows, nw)
+        w_pset = w_prior if w_prior is not None else _default_posteriors(task.block.n_cols, nw)
     else:
         gibbs = GibbsConfig(config.n_factors, config.tau, config.n_iters, config.burn_in,
                             config.thin, derive_seed(config.seed, stage, i, j))
-        chain = gibbs_run(task.block, RowPriorSet(x_prior, w_prior), nw, gibbs)
+        chain = gibbs_run(task.block, (x_prior, w_prior), nw, gibbs)
         if config.save_chains:
             chain.save(chain_path(task.run_dir, i, j))
         x_pset, w_pset = (fit_rows(samples, config.approximation,
@@ -384,19 +370,17 @@ class FactorizationResult:
 
 
 def _make_run_dir(run_dir) -> str:
-    if run_dir is None:
-        root = os.environ.get(OUTPUT_ROOT_ENV)
-        if root:
-            os.makedirs(root, exist_ok=True)
-        run_dir = tempfile.mkdtemp(prefix="dbmf-run-", dir=root)
-    os.makedirs(run_dir, exist_ok=True)
-    for sub in ("stage1", "stage2", "stage3", "aggregate", "chains"):
-        os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
+    try:
+        if run_dir is None:
+            root = os.environ.get(OUTPUT_ROOT_ENV)
+            if root:
+                os.makedirs(root, exist_ok=True)
+            run_dir = tempfile.mkdtemp(prefix="dbmf-run-", dir=root)
+        for sub in ("stage1", "stage2", "stage3", "aggregate", "chains"):
+            os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
+    except OSError as exc:
+        raise ArtifactError(f"cannot create run directory {run_dir}: {exc}") from exc
     return run_dir
-
-
-def _write_json(path, doc) -> None:
-    write_atomic(path, lambda fh: fh.write(json.dumps(doc, indent=2).encode("utf-8")))
 
 
 def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
@@ -451,7 +435,7 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
             or plan.n_col_blocks != config.partition_cols):
         raise ValidationError("partition plan inconsistent with data or config")
     run_dir = _make_run_dir(run_dir)
-    _write_json(os.path.join(run_dir, "run_config.json"), {**config.to_dict(), "method": method})
+    write_json(os.path.join(run_dir, "run_config.json"), {**config.to_dict(), "method": method})
     plan.save(os.path.join(run_dir, "plan.json"))
     blocks = extract_blocks(train, plan)
 
@@ -478,12 +462,12 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
                         PosteriorSet("gaussian", x_mean, x_prec), "x", 0, plan.n_rows)
     save_posterior_file(os.path.join(run_dir, "aggregate", "w.npz"),
                         PosteriorSet("gaussian", w_mean, w_prec), "w", 0, plan.n_cols)
-    _write_json(os.path.join(run_dir, "aggregate", "corrections.json"),
-                {"count": len(events), "events": events})
+    write_json(os.path.join(run_dir, "aggregate", "corrections.json"),
+               {"count": len(events), "events": events})
     total = sum(s["max_seconds"] for s in stage_timings.values()) + agg_seconds
     timings = {"stages": stage_timings, "aggregation_seconds": agg_seconds,
                "total": total}
-    _write_json(os.path.join(run_dir, "timings.json"), timings)
+    write_json(os.path.join(run_dir, "timings.json"), timings)
     logger.info("%s run finished (ledger total %.2fs): %s", method, total, run_dir)
     return FactorizationResult(method, x_mean, w_mean, x_prec, w_prec,
                                timings, run_dir, config, plan)
@@ -521,19 +505,15 @@ def run_full(train: SparseMatrix, config: RunConfig, run_dir=None) -> Factorizat
 
 
 def run_ep(train: SparseMatrix, config: RunConfig,
-           plan: PartitionPlan | None = None, run_dir=None,
-           division_prior: RowPosterior | None = None) -> FactorizationResult:
+           plan: PartitionPlan | None = None, run_dir=None) -> FactorizationResult:
     """Independent per-block runs (no propagation), aggregated by Gaussian
     products with the multiply-counted prior divided away.
 
-    The divided-away prior defaults to the standard normal row prior;
-    subset runs themselves use the same default hyperprior setup as the
-    staged pipeline, so a 1x1 grid degenerates to the identical chain.
+    The divided-away prior is the standard normal row prior; subset runs
+    themselves use the same default hyperprior setup as the staged
+    pipeline, so a 1x1 grid degenerates to the identical chain.
     """
-    if division_prior is None:
-        division_prior = RowPosterior(np.zeros(config.n_factors),
-                                      np.eye(config.n_factors))
-    prior = (division_prior.mean, division_prior.precision)
+    prior = (np.zeros(config.n_factors), np.eye(config.n_factors))
     blocks = [((i, j), None, None) for i in range(config.partition_rows)
               for j in range(config.partition_cols)]
     return _run("ep", train, config, plan, run_dir, [("ep", blocks)],

@@ -45,10 +45,6 @@ logger = logging.getLogger(__name__)
 # factorize.
 CHOL_JITTER = 1e-10
 
-SHARED = "shared-hyper"
-PROP_GAUSSIAN = "propagated-gaussian"
-PROP_GMM = "propagated-gmm"
-
 
 @dataclass
 class NormalWishartPrior:
@@ -83,43 +79,6 @@ class NormalWishartPrior:
     @classmethod
     def default(cls, n_factors: int) -> "NormalWishartPrior":
         return cls(np.zeros(n_factors), 2.0, np.eye(n_factors), float(n_factors))
-
-
-@dataclass
-class SidePrior:
-    """Prior specification for one side (all rows of X, or all of W)."""
-
-    mode: str
-    posteriors: PosteriorSet | None = None
-
-    def __post_init__(self):
-        if self.mode not in (SHARED, PROP_GAUSSIAN, PROP_GMM):
-            raise ValidationError(f"unknown prior mode: {self.mode!r}")
-        if self.mode == SHARED and self.posteriors is not None:
-            raise ValidationError("shared-hyper prior carries no row posteriors")
-        if self.mode != SHARED and self.posteriors is None:
-            raise ValidationError("propagated prior requires row posteriors")
-
-    @classmethod
-    def shared(cls) -> "SidePrior":
-        return cls(SHARED)
-
-    @classmethod
-    def propagated(cls, posteriors: PosteriorSet) -> "SidePrior":
-        mode = PROP_GAUSSIAN if posteriors.kind == "gaussian" else PROP_GMM
-        return cls(mode, posteriors)
-
-
-@dataclass
-class RowPriorSet:
-    """Priors for both sides of one sampler run."""
-
-    x: SidePrior
-    w: SidePrior
-
-    @classmethod
-    def shared(cls) -> "RowPriorSet":
-        return cls(SidePrior.shared(), SidePrior.shared())
 
 
 @dataclass
@@ -375,51 +334,54 @@ class _GmmPriorArrays:
 
 
 class _SideState:
-    """Per-side prior bookkeeping for the sweep loop."""
+    """Per-side prior bookkeeping for the sweep loop: the shared hyperprior
+    when ``prior`` is None, else the handed-in per-row Gaussians or
+    mixtures."""
 
-    def __init__(self, side_prior: SidePrior, n_rows: int, name: str):
-        self.mode = side_prior.mode
-        self.name = name
+    def __init__(self, prior: PosteriorSet | None, n_rows: int, name: str):
+        self.shared = prior is None
         self.gmm = None
-        if side_prior.mode != SHARED:
-            pset = side_prior.posteriors
-            if pset.n_rows != n_rows:
+        if prior is not None:
+            if prior.n_rows != n_rows:
                 raise ValidationError(
-                    f"propagated {name} prior covers {pset.n_rows} rows, expected {n_rows}")
-            if side_prior.mode == PROP_GAUSSIAN:
-                self.prior_precs = pset.precisions
-                self.prior_b = np.einsum("rkl,rl->rk", pset.precisions, pset.means)
-                self.prior_means = pset.means
+                    f"propagated {name} prior covers {prior.n_rows} rows, expected {n_rows}")
+            if prior.kind == "gaussian":
+                self.prior_precs = prior.precisions
+                self.prior_b = np.einsum("rkl,rl->rk", prior.precisions, prior.means)
+                self.prior_means = prior.means
             else:
-                self.gmm = _GmmPriorArrays(pset)
+                self.gmm = _GmmPriorArrays(prior)
 
     def prior_terms(self, values, hyper_mu, hyper_lambda):
-        if self.mode == SHARED:
+        if self.shared:
             return hyper_lambda, hyper_lambda @ hyper_mu
-        if self.mode == PROP_GAUSSIAN:
+        if self.gmm is None:
             return self.prior_precs, self.prior_b
         means, precs = self.gmm.select(values)
         return precs, np.einsum("rkl,rl->rk", precs, means)
 
     def initial_values(self, rng, n_rows, k, nw_prior):
-        if self.mode == PROP_GAUSSIAN:
-            means, precs = self.prior_means, self.prior_precs
-        elif self.mode == PROP_GMM:
-            means, precs = self.gmm.draw_initial(rng)
-        else:
+        if self.shared:
             means = np.broadcast_to(nw_prior.mu0, (n_rows, k))
             precs = np.broadcast_to(nw_prior.nu0 * nw_prior.w0, (n_rows, k, k))
+        elif self.gmm is None:
+            means, precs = self.prior_means, self.prior_precs
+        else:
+            means, precs = self.gmm.draw_initial(rng)
         chols = np.linalg.cholesky(precs)
         noise = rng.standard_normal((n_rows, k))
         return means + np.linalg.solve(np.swapaxes(chols, -1, -2), noise[..., None])[..., 0]
 
 
-def gibbs_run(subset: SparseMatrix, priors: RowPriorSet,
+def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, PosteriorSet | None],
               nw_prior: NormalWishartPrior, config: GibbsConfig) -> SampleChain:
     """Run the blocked Gibbs sampler on one data block.
 
-    Each sweep samples shared hyperparameters for every non-propagated side,
-    then all X rows, then all W rows.  Post-burn-in sweeps are retained at
+    ``priors`` is (X prior, W prior): each a ``PosteriorSet`` of per-row
+    Gaussians or mixtures handed in from an earlier stage, or None for the
+    shared normal-Wishart hyperprior.  Each sweep samples the shared
+    hyperparameters of every side without a handed-in prior, then all X
+    rows, then all W rows.  Post-burn-in sweeps are retained at
     the configured thinning.  Numerical failures abort with the sweep and
     side in the message.
     """
@@ -432,8 +394,9 @@ def gibbs_run(subset: SparseMatrix, priors: RowPriorSet,
 
     (x_ind, x_val), (w_ind, w_val) = _side_matrices(subset)
 
-    x_state = _SideState(priors.x, subset.n_rows, "X")
-    w_state = _SideState(priors.w, subset.n_cols, "W")
+    x_prior, w_prior = priors
+    x_state = _SideState(x_prior, subset.n_rows, "X")
+    w_state = _SideState(w_prior, subset.n_cols, "W")
 
     x = x_state.initial_values(rng, subset.n_rows, k, nw_prior)
     w = w_state.initial_values(rng, subset.n_cols, k, nw_prior)
@@ -452,9 +415,9 @@ def gibbs_run(subset: SparseMatrix, priors: RowPriorSet,
     kept = 0
     for sweep in range(1, config.n_iters + 1):
         try:
-            if x_state.mode == SHARED:
+            if x_state.shared:
                 mu_x, lambda_x = sample_hyper_normal_wishart(x, nw_prior, rng)
-            if w_state.mode == SHARED:
+            if w_state.shared:
                 mu_w, lambda_w = sample_hyper_normal_wishart(w, nw_prior, rng)
             precs, b = x_state.prior_terms(x, mu_x, lambda_x)
             x = _sample_side(rng, w, x_ind, x_val, config.tau, precs, b, "X side")

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from dbmf.approx import COV_RIDGE, Clustering, GmmPosterior, PosteriorSet, RowPosterior
+from dbmf.approx import COV_RIDGE, PosteriorSet
 from dbmf.approx import fit_rows as approx_fit_rows
 from dbmf.errors import ValidationError
 from dbmf.sampler import _chol_with_jitter
@@ -233,15 +233,16 @@ def sample_row_conditional(y_vals: np.ndarray, partner_rows: np.ndarray, tau: fl
     return mean + np.linalg.solve(chol.T, rng.standard_normal(prior_mean.size))
 
 
-def gmm_component_assign(row_value: np.ndarray, gmm) -> int:
+def gmm_component_assign(row_value: np.ndarray, weights: np.ndarray, means: np.ndarray,
+                         precisions: np.ndarray) -> int:
     """Index of the mixture component with the highest responsibility
     (weight times Gaussian density) for the current row value; ties go to
     the lowest index."""
     x = np.asarray(row_value, dtype=np.float64)
-    diffs = x[None, :] - gmm.means
-    quad = np.einsum("ck,ckl,cl->c", diffs, gmm.precisions, diffs)
-    _, logdet = np.linalg.slogdet(gmm.precisions)
-    score = np.log(gmm.weights) + 0.5 * logdet - 0.5 * quad
+    diffs = x[None, :] - means
+    quad = np.einsum("ck,ckl,cl->c", diffs, precisions, diffs)
+    _, logdet = np.linalg.slogdet(precisions)
+    score = np.log(weights) + 0.5 * logdet - 0.5 * quad
     return int(np.argmax(score))
 
 
@@ -300,7 +301,8 @@ def lambda_means(samples: np.ndarray, lam: float, max_iters: int = 100):
     empty clusters are dropped and a recomputed center within ``lam`` of an
     earlier one is folded into its nearest earlier center.  Stops when an
     iteration spawns nothing, merges nothing and keeps every assignment, or
-    after ``max_iters`` iterations."""
+    after ``max_iters`` iterations.  Returns the assignments, the centers,
+    the iterations run and whether the last one changed nothing."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     centers = [samples.mean(axis=0)]
     assignments = np.zeros(samples.shape[0], dtype=np.int64)
@@ -344,7 +346,7 @@ def lambda_means(samples: np.ndarray, lam: float, max_iters: int = 100):
         assignments = new_assignments
         if converged:
             break
-    return Clustering(assignments, np.array(centers), float(lam), iterations, converged)
+    return assignments, np.array(centers), iterations, converged
 
 
 def median_pairwise_lambda(samples: np.ndarray, seed: int = 0, subsample: int = 100) -> float:
@@ -359,61 +361,57 @@ def median_pairwise_lambda(samples: np.ndarray, seed: int = 0, subsample: int = 
     return med if med > 0 else 1.0
 
 
-def fit_gaussian(samples: np.ndarray) -> RowPosterior:
-    """Population mean and ridge-regularized covariance of one cloud."""
+def fit_gaussian(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Population mean and ridge-regularized, symmetrized precision of one
+    cloud."""
     mean = samples.mean(axis=0)
     centered = samples - mean
     cov = centered.T @ centered / samples.shape[0]
     mean_diag = float(np.trace(cov)) / cov.shape[0]
     ridge = COV_RIDGE * mean_diag if mean_diag > 0 else COV_RIDGE
-    return RowPosterior(mean, np.linalg.inv(cov + ridge * np.eye(cov.shape[0])))
+    precision = np.linalg.inv(cov + ridge * np.eye(cov.shape[0]))
+    return mean, 0.5 * (precision + precision.T)
 
 
-def fit_dominant_mode(samples: np.ndarray, lam: float) -> RowPosterior:
+def fit_dominant_mode(samples: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian on the largest cluster (ties to the lowest index), or on the
     whole cloud when that cluster has fewer than K+2 samples."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    clustering = lambda_means(samples, lam)
-    sizes = clustering.sizes()
+    assignments = lambda_means(samples, lam)[0]
+    sizes = np.bincount(assignments)
     best = int(np.argmax(sizes))
     if sizes[best] < samples.shape[1] + 2:
         return fit_gaussian(samples)
-    return fit_gaussian(samples[clustering.assignments == best])
+    return fit_gaussian(samples[assignments == best])
 
 
-def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3) -> GmmPosterior:
+def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3):
     """Mixture over the ``top_n`` largest clusters of at least K+2 samples
     (largest first, ties to the lower index), weighted by size; the whole
-    cloud as one component when none qualifies."""
+    cloud as one component when none qualifies.  Returns (weights, means,
+    precisions)."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    clustering = lambda_means(samples, lam)
-    sizes = clustering.sizes()
+    assignments = lambda_means(samples, lam)[0]
+    sizes = np.bincount(assignments)
     order = np.lexsort((np.arange(sizes.size), -sizes))[:top_n]
     kept = [c for c in order if sizes[c] >= samples.shape[1] + 2]
     if not kept:
-        fit = fit_gaussian(samples)
-        return GmmPosterior(np.array([1.0]), fit.mean[None, :], fit.precision[None, :, :])
-    fits = [fit_gaussian(samples[clustering.assignments == c]) for c in kept]
+        mean, precision = fit_gaussian(samples)
+        return np.array([1.0]), mean[None, :], precision[None, :, :]
+    fits = [fit_gaussian(samples[assignments == c]) for c in kept]
     weights = sizes[kept].astype(np.float64)
     weights /= weights.sum()
-    return GmmPosterior(weights, np.array([f.mean for f in fits]),
-                        np.array([f.precision for f in fits]))
+    return weights, np.array([m for m, _ in fits]), np.array([p for _, p in fits])
 
 
-def gaussian_set(rows: list[RowPosterior]) -> PosteriorSet:
-    """Stack one-row Gaussian posteriors into a set."""
-    return PosteriorSet("gaussian", np.array([r.mean for r in rows]),
-                        np.array([r.precision for r in rows]))
-
-
-def gmm_set(rows: list[GmmPosterior]) -> PosteriorSet:
-    """Stack one-row mixtures into a set with ragged ``offsets``."""
-    counts = np.array([r.n_components for r in rows], dtype=np.int64)
-    return PosteriorSet("gmm",
-                        np.concatenate([r.means for r in rows]),
-                        np.concatenate([r.precisions for r in rows]),
-                        weights=np.concatenate([r.weights for r in rows]),
-                        offsets=np.concatenate(([0], np.cumsum(counts))))
+def gmm_set(rows) -> PosteriorSet:
+    """Stack one-row mixtures ``(weights, means, precisions)`` into a set
+    with ragged ``offsets``, each precision symmetrized."""
+    weights, means, precisions = (np.concatenate([np.asarray(r[i], dtype=np.float64)
+                                                  for r in rows]) for i in range(3))
+    counts = np.array([len(r[0]) for r in rows], dtype=np.int64)
+    return PosteriorSet("gmm", means, 0.5 * (precisions + np.swapaxes(precisions, -1, -2)),
+                        weights=weights, offsets=np.concatenate(([0], np.cumsum(counts))))
 
 
 def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
@@ -433,7 +431,9 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
 
     rows = range(samples.shape[1])
     if kind == "dm":
-        return gaussian_set([fit_dominant_mode(samples[:, i, :], row_lambda(i)) for i in rows])
+        means, precisions = zip(*[fit_dominant_mode(samples[:, i, :], row_lambda(i))
+                                  for i in rows])
+        return PosteriorSet("gaussian", np.array(means), np.array(precisions))
     return gmm_set([fit_gmm(samples[:, i, :], row_lambda(i), top_n=top_n) for i in rows])
 
 

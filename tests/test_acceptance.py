@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from dbmf import aggregate, approx, data, evaluate, pipeline, sampler
-from dbmf.approx import RowPosterior
 from dbmf.sampler import SampleChain, predict
-from oracles import (IdentityResolution, ProductDensityIdentity, batch_mcse,
+from oracles import (IdentityResolution, ProductDensityIdentity, batch_mcse, gmm_set,
                      grid_factor_means, mixture_moments, mp_gaussian_product,
                      mp_staged_aggregate)
 
@@ -31,6 +30,13 @@ def report(criterion, ok, detail):
 def random_spd(rng, k, scale=1.0):
     a = rng.standard_normal((k, k))
     return scale * (a @ a.T + k * np.eye(k))
+
+
+def row(mean, precision):
+    """One row as a one-row stack ``(means (1, K), precisions (1, K, K))``,
+    the precision symmetrized."""
+    precision = np.asarray(precision, dtype=np.float64)
+    return np.asarray(mean, dtype=np.float64)[None], (0.5 * (precision + precision.T))[None]
 
 
 # ---------------------------------------------------------------------------
@@ -173,30 +179,30 @@ def test_criterion_4_aggregation_oracles():
         k = int(rng.integers(1, 6))
         means = [2 * rng.standard_normal(k) for _ in range(int(rng.integers(1, 5)))]
         precs = [random_spd(rng, k) for _ in means]
-        out = aggregate.gaussian_product(
-            [RowPosterior(m, p) for m, p in zip(means, precs)])
+        out_means, out_precs, _ = aggregate.ep_aggregate(
+            [row(m, p) for m, p in zip(means, precs)], (np.zeros(k), np.zeros((k, k))))
         mean, prec = mp_gaussian_product(means, precs)
         worst = max(worst,
-                    np.linalg.norm(out.mean - mean) / max(np.linalg.norm(mean), 1e-30),
-                    np.linalg.norm(out.precision - prec) / np.linalg.norm(prec))
+                    np.linalg.norm(out_means[0] - mean) / max(np.linalg.norm(mean), 1e-30),
+                    np.linalg.norm(out_precs[0] - prec) / np.linalg.norm(prec))
     for _ in range(500):
         k = int(rng.integers(1, 6))
-        p1 = RowPosterior(2 * rng.standard_normal(k), random_spd(rng, k))
-        others = [RowPosterior(2 * rng.standard_normal(k),
-                               p1.precision + random_spd(rng, k))
+        p1 = row(2 * rng.standard_normal(k), random_spd(rng, k))
+        others = [row(2 * rng.standard_normal(k), p1[1][0] + random_spd(rng, k))
                   for _ in range(int(rng.integers(1, 4)))]
-        out = aggregate.pp_aggregate_row(aggregate.AggregationInput(p1, others))
-        mean, prec = mp_staged_aggregate(p1.mean, p1.precision,
-                                         [o.mean for o in others],
-                                         [o.precision for o in others])
+        out_means, out_precs, _ = aggregate.staged_aggregate(p1, others)
+        mean, prec = mp_staged_aggregate(p1[0][0], p1[1][0],
+                                         [o[0][0] for o in others],
+                                         [o[1][0] for o in others])
         worst = max(worst,
-                    np.linalg.norm(out.mean - mean) / max(np.linalg.norm(mean), 1e-30),
-                    np.linalg.norm(out.precision - prec) / np.linalg.norm(prec))
+                    np.linalg.norm(out_means[0] - mean) / max(np.linalg.norm(mean), 1e-30),
+                    np.linalg.norm(out_precs[0] - prec) / np.linalg.norm(prec))
     chol_ok = True
     for _ in range(200):
         sym = rng.standard_normal((5, 5))
         sym = 0.5 * (sym + sym.T) - 2.0 * np.eye(5)
-        fixed = aggregate.eigenvalue_correction(sym, eps=1e-9)
+        bad, repaired = aggregate._repair(sym[None], np.array([1e-9]), "", [])
+        fixed = repaired[0] if bad.size else sym
         try:
             np.linalg.cholesky(fixed)
         except np.linalg.LinAlgError:
@@ -230,11 +236,8 @@ def test_criterion_5_sampler_grid_oracle():
 
     mat = data.SparseMatrix(n, d, np.repeat(np.arange(n), d),
                             np.tile(np.arange(d), n), y.ravel())
-    priors = sampler.RowPriorSet(
-        sampler.SidePrior.propagated(approx.PosteriorSet(
-            "gaussian", x_mean0[:, None], x_prec0[:, None, None])),
-        sampler.SidePrior.propagated(approx.PosteriorSet(
-            "gaussian", w_mean0[:, None], w_prec0[:, None, None])))
+    priors = (approx.PosteriorSet("gaussian", x_mean0[:, None], x_prec0[:, None, None]),
+              approx.PosteriorSet("gaussian", w_mean0[:, None], w_prec0[:, None, None]))
 
     worst = 0.0
     for seed in SEEDS:
@@ -329,11 +332,11 @@ def test_criterion_9_approximation_properties():
         weights = rng.dirichlet(np.ones(c))
         means = 3 * rng.standard_normal((c, k))
         precs = np.array([random_spd(rng, k) for _ in range(c)])
-        pooled = approx.pool_gmm(approx.GmmPosterior(weights, means, precs))
+        pooled = gmm_set([(weights, means, precs)]).pooled()
         exact_mean, exact_cov = mixture_moments(weights, means,
                                                 np.linalg.inv(precs))
-        pool_ok &= np.allclose(pooled.mean, exact_mean, atol=1e-12)
-        pool_ok &= np.allclose(np.linalg.inv(pooled.precision), exact_cov,
+        pool_ok &= np.allclose(pooled.means[0], exact_mean, atol=1e-12)
+        pool_ok &= np.allclose(np.linalg.inv(pooled.precisions[0]), exact_cov,
                                rtol=1e-8, atol=1e-12)
 
     shift_ok = True
@@ -341,10 +344,10 @@ def test_criterion_9_approximation_properties():
         k = int(rng.integers(1, 5))
         samples = rng.standard_normal((40, k)) * rng.uniform(0.5, 2)
         shift = 10 * rng.standard_normal(k)
-        base = approx.fit_moment_matching(samples)
-        moved = approx.fit_moment_matching(samples + shift)
-        shift_ok &= np.allclose(moved.mean, base.mean + shift, atol=1e-8)
-        shift_ok &= np.allclose(moved.precision, base.precision,
+        base = approx.fit_rows(samples[:, None], "mm")
+        moved = approx.fit_rows((samples + shift)[:, None], "mm")
+        shift_ok &= np.allclose(moved.means, base.means + shift, atol=1e-8)
+        shift_ok &= np.allclose(moved.precisions, base.precisions,
                                 rtol=1e-7, atol=1e-9)
 
     mono_ok = True
@@ -356,7 +359,8 @@ def test_criterion_9_approximation_properties():
             centers[c] + rng.uniform(0.1, 1.0) * rng.standard_normal((15, k))
             for c in range(n_clumps)])
         lams = np.exp(np.linspace(np.log(0.2), np.log(40.0), 10))
-        counts = [approx.lambda_means(samples, lam).n_clusters for lam in lams]
+        counts = [approx.lambda_means(samples[None], np.array([lam])).counts[0]
+                  for lam in lams]
         mono_ok &= all(a >= b for a, b in zip(counts, counts[1:]))
 
     report("9 (approximation-layer properties)", pool_ok and shift_ok and mono_ok,

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from dbmf import aggregate
-from dbmf.approx import RowPosterior
-from dbmf.errors import ValidationError
 from oracles import mp_ep_aggregate, mp_gaussian_product, mp_staged_aggregate
 
 
@@ -14,134 +12,128 @@ def random_spd(rng, k, scale=1.0):
     return scale * (a @ a.T + k * np.eye(k))
 
 
+def row(mean, precision):
+    """One row as a one-row stack ``(means (1, K), precisions (1, K, K))``,
+    the precision symmetrized."""
+    precision = np.asarray(precision, dtype=np.float64)
+    return np.asarray(mean, dtype=np.float64)[None], (0.5 * (precision + precision.T))[None]
+
+
 def random_posterior(rng, k, scale=1.0):
-    return RowPosterior(2 * rng.standard_normal(k), random_spd(rng, k, scale))
+    return row(2 * rng.standard_normal(k), random_spd(rng, k, scale))
+
+
+def no_prior(k):
+    """Nothing divided away: ``ep_aggregate`` is then the plain product."""
+    return np.zeros(k), np.zeros((k, k))
 
 
 class TestGaussianProduct:
     def test_single_input_identity(self):
         rng = np.random.default_rng(0)
         p = random_posterior(rng, 3)
-        out = aggregate.gaussian_product([p])
-        np.testing.assert_allclose(out.mean, p.mean, rtol=1e-12)
-        np.testing.assert_allclose(out.precision, p.precision)
+        means, precs, _ = aggregate.ep_aggregate([p], no_prior(3))
+        np.testing.assert_allclose(means, p[0], rtol=1e-12)
+        np.testing.assert_allclose(precs, p[1])
 
     def test_scalar_closed_form(self):
         # N(0,1) x N(2,1) -> N(1, var 1/2)
-        a = RowPosterior(np.array([0.0]), np.array([[1.0]]))
-        b = RowPosterior(np.array([2.0]), np.array([[1.0]]))
-        out = aggregate.gaussian_product([a, b])
-        assert out.mean[0] == pytest.approx(1.0)
-        assert out.precision[0, 0] == pytest.approx(2.0)
+        a = row([0.0], [[1.0]])
+        b = row([2.0], [[1.0]])
+        means, precs, _ = aggregate.ep_aggregate([a, b], no_prior(1))
+        assert means[0, 0] == pytest.approx(1.0)
+        assert precs[0, 0, 0] == pytest.approx(2.0)
 
     def test_matches_grid_density_product(self):
         # product of three 2-D Gaussian densities on a dense grid
         rng = np.random.default_rng(1)
         posts = [random_posterior(rng, 2, 0.5) for _ in range(3)]
-        out = aggregate.gaussian_product(posts)
+        means, precs, _ = aggregate.ep_aggregate(posts, no_prior(2))
 
         axis = np.linspace(-8, 8, 501)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
         logp = np.zeros(pts.shape[0])
-        for p in posts:
-            d = pts - p.mean
-            logp -= 0.5 * np.einsum("nk,kl,nl->n", d, p.precision, d)
+        for mean, prec in posts:
+            d = pts - mean[0]
+            logp -= 0.5 * np.einsum("nk,kl,nl->n", d, prec[0], d)
         logp -= logp.max()
         w = np.exp(logp)
         w /= w.sum()
         grid_mean = w @ pts
         centered = pts - grid_mean
         grid_cov = np.einsum("n,nk,nl->kl", w, centered, centered)
-        np.testing.assert_allclose(out.mean, grid_mean, atol=1e-5)
-        np.testing.assert_allclose(np.linalg.inv(out.precision), grid_cov, atol=1e-4)
+        np.testing.assert_allclose(means[0], grid_mean, atol=1e-5)
+        np.testing.assert_allclose(np.linalg.inv(precs[0]), grid_cov, atol=1e-4)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(2)
         posts = [random_posterior(rng, 3) for _ in range(4)]
-        base = aggregate.gaussian_product(posts)
+        base_means, base_precs, _ = aggregate.ep_aggregate(posts, no_prior(3))
         for perm in itertools.permutations(range(4)):
-            out = aggregate.gaussian_product([posts[i] for i in perm])
-            np.testing.assert_allclose(out.mean, base.mean, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(out.precision, base.precision,
-                                       rtol=1e-12, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValidationError):
-            aggregate.gaussian_product([random_posterior(rng, 2),
-                                        random_posterior(rng, 3)])
-        with pytest.raises(ValidationError):
-            aggregate.gaussian_product([])
+            means, precs, _ = aggregate.ep_aggregate([posts[i] for i in perm], no_prior(3))
+            np.testing.assert_allclose(means, base_means, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(precs, base_precs, rtol=1e-12, atol=1e-12)
 
 
 class TestEigenvalueCorrection:
     def test_spd_unchanged(self):
-        eye = np.eye(3)
-        out = aggregate.eigenvalue_correction(eye)
-        assert np.array_equal(out, eye)
+        events = []
+        bad, repaired = aggregate._repair(np.eye(3)[None], np.array([1e-6]), "", events)
+        assert bad.size == 0 and repaired.size == 0 and events == []
 
     def test_closed_form_shift(self):
         mat = np.diag([1.0, -0.5])
-        out = aggregate.eigenvalue_correction(mat, eps=1e-6)
-        np.testing.assert_allclose(np.diag(out), [1.5 + 1e-6, 1e-6])
-        np.testing.assert_allclose(out - np.diag(np.diag(out)), 0)
+        bad, repaired = aggregate._repair(mat[None], np.array([1e-6]), "", [])
+        assert bad.tolist() == [0]
+        np.testing.assert_allclose(np.diag(repaired[0]), [1.5 + 1e-6, 1e-6])
+        np.testing.assert_allclose(repaired[0] - np.diag(np.diag(repaired[0])), 0)
 
     def test_random_indefinite_becomes_spd(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             sym = rng.standard_normal((5, 5))
             sym = 0.5 * (sym + sym.T) - 1.5 * np.eye(5)
-            out = aggregate.eigenvalue_correction(sym, eps=1e-8)
+            bad, repaired = aggregate._repair(sym[None], np.array([1e-8]), "", [])
+            out = repaired[0] if bad.size else sym
             np.linalg.cholesky(out)  # must not raise
             # shift matches the eigen-decomposition oracle
             lam_min = np.linalg.eigvalsh(sym)[0]
             if lam_min < 0:
                 np.testing.assert_allclose(out, sym + (abs(lam_min) + 1e-8) * np.eye(5))
 
-    def test_non_symmetric_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate.eigenvalue_correction(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate.eigenvalue_correction(np.zeros((2, 3)))
-
 
 class TestStagedAggregation:
     def test_single_subset_unchanged(self):
         rng = np.random.default_rng(5)
         p = random_posterior(rng, 2)
-        out = aggregate.pp_aggregate_row(aggregate.AggregationInput(p, []))
-        assert out is p
+        means, precs, events = aggregate.staged_aggregate(p, [])
+        assert means is p[0] and precs is p[1] and events == []
 
     def test_two_subset_algebra(self):
         # second precision is twice the first with the same mean:
         # aggregate = (2 L1, m1)
         rng = np.random.default_rng(6)
         p1 = random_posterior(rng, 3)
-        p2 = RowPosterior(p1.mean.copy(), 2.0 * p1.precision)
-        out = aggregate.pp_aggregate_row(aggregate.AggregationInput(p1, [p2]))
-        np.testing.assert_allclose(out.precision, 2.0 * p1.precision, rtol=1e-12)
-        np.testing.assert_allclose(out.mean, p1.mean, rtol=1e-10)
+        p2 = row(p1[0][0].copy(), 2.0 * p1[1][0])
+        means, precs, _ = aggregate.staged_aggregate(p1, [p2])
+        np.testing.assert_allclose(precs, 2.0 * p1[1], rtol=1e-12)
+        np.testing.assert_allclose(means, p1[0], rtol=1e-10)
 
     def test_matches_extended_precision_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             k = int(rng.integers(1, 6))
             p1 = random_posterior(rng, k)
-            others = [RowPosterior(2 * rng.standard_normal(k),
-                                   p1.precision + random_spd(rng, k))
+            others = [row(2 * rng.standard_normal(k), p1[1][0] + random_spd(rng, k))
                       for _ in range(int(rng.integers(1, 4)))]
-            events = []
-            out = aggregate.pp_aggregate_row(
-                aggregate.AggregationInput(p1, others), events=events)
+            means, precs, events = aggregate.staged_aggregate(p1, others)
             assert not events  # all differences SPD by construction
-            mean, prec = mp_staged_aggregate(p1.mean, p1.precision,
-                                             [o.mean for o in others],
-                                             [o.precision for o in others])
-            assert np.linalg.norm(out.mean - mean) <= 1e-10 * np.linalg.norm(mean)
-            assert np.linalg.norm(out.precision - prec) <= 1e-10 * np.linalg.norm(prec)
+            mean, prec = mp_staged_aggregate(p1[0][0], p1[1][0],
+                                             [o[0][0] for o in others],
+                                             [o[1][0] for o in others])
+            assert np.linalg.norm(means[0] - mean) <= 1e-10 * np.linalg.norm(mean)
+            assert np.linalg.norm(precs[0] - prec) <= 1e-10 * np.linalg.norm(prec)
 
     def test_indefinite_differences_repaired(self):
         rng = np.random.default_rng(8)
@@ -150,112 +142,90 @@ class TestStagedAggregation:
             p1 = random_posterior(rng, k, scale=2.0)
             # later-stage precisions SMALLER than stage 1: differences are
             # negative definite, the adversarial case
-            others = [RowPosterior(rng.standard_normal(k), 0.25 * random_spd(rng, k))
+            others = [row(rng.standard_normal(k), 0.25 * random_spd(rng, k))
                       for _ in range(3)]
-            events = []
-            out = aggregate.pp_aggregate_row(
-                aggregate.AggregationInput(p1, others), events=events)
+            means, precs, events = aggregate.staged_aggregate(p1, others)
             assert events
-            np.linalg.cholesky(out.precision)
-            assert np.all(np.isfinite(out.mean))
+            np.linalg.cholesky(precs[0])
+            assert np.all(np.isfinite(means[0]))
 
     def test_homogeneity_in_precision_scale(self):
         rng = np.random.default_rng(9)
         p1 = random_posterior(rng, 3)
-        others = [RowPosterior(rng.standard_normal(3),
-                               p1.precision + random_spd(rng, 3))
+        others = [row(rng.standard_normal(3), p1[1][0] + random_spd(rng, 3))
                   for _ in range(2)]
-        base = aggregate.pp_aggregate_row(aggregate.AggregationInput(p1, others))
+        base_means, base_precs, _ = aggregate.staged_aggregate(p1, others)
         c = 7.0
-        scaled = aggregate.pp_aggregate_row(aggregate.AggregationInput(
-            RowPosterior(p1.mean, c * p1.precision),
-            [RowPosterior(o.mean, c * o.precision) for o in others]))
-        np.testing.assert_allclose(scaled.precision, c * base.precision, rtol=1e-10)
-        np.testing.assert_allclose(scaled.mean, base.mean, rtol=1e-9)
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValidationError):
-            aggregate.AggregationInput(random_posterior(rng, 2),
-                                       [random_posterior(rng, 3)])
+        means, precs, _ = aggregate.staged_aggregate(
+            row(p1[0][0], c * p1[1][0]), [row(o[0][0], c * o[1][0]) for o in others])
+        np.testing.assert_allclose(precs, c * base_precs, rtol=1e-10)
+        np.testing.assert_allclose(means, base_means, rtol=1e-9)
 
 
 class TestIndependentSubsetAggregation:
     def flat_prior(self, k):
-        return RowPosterior(np.zeros(k), 1e-12 * np.eye(k))
+        return np.zeros(k), 1e-12 * np.eye(k)
 
     def test_single_subset(self):
         rng = np.random.default_rng(11)
         p = random_posterior(rng, 2)
-        out = aggregate.ep_parametric_aggregate([p], self.flat_prior(2), 1)
-        np.testing.assert_allclose(out.precision, p.precision, rtol=1e-9)
-        np.testing.assert_allclose(out.mean, p.mean, rtol=1e-9)
+        means, precs, _ = aggregate.ep_aggregate([p], self.flat_prior(2))
+        np.testing.assert_allclose(precs, p[1], rtol=1e-9)
+        np.testing.assert_allclose(means, p[0], rtol=1e-9)
 
     def test_two_identical_posteriors_double_precision(self):
         rng = np.random.default_rng(12)
         p = random_posterior(rng, 3)
-        out = aggregate.ep_parametric_aggregate([p, p], self.flat_prior(3), 2)
-        np.testing.assert_allclose(out.precision, 2 * p.precision, rtol=1e-9)
-        np.testing.assert_allclose(out.mean, p.mean, rtol=1e-8)
+        means, precs, _ = aggregate.ep_aggregate([p, p], self.flat_prior(3))
+        np.testing.assert_allclose(precs, 2 * p[1], rtol=1e-9)
+        np.testing.assert_allclose(means, p[0], rtol=1e-8)
 
     def test_scalar_closed_form_with_standard_prior(self):
         rng = np.random.default_rng(13)
-        prior = RowPosterior(np.zeros(1), np.eye(1))
-        posts = [RowPosterior(rng.standard_normal(1),
-                              np.array([[float(rng.uniform(1.5, 4.0))]]))
+        prior = (np.zeros(1), np.eye(1))
+        posts = [row(rng.standard_normal(1), np.array([[float(rng.uniform(1.5, 4.0))]]))
                  for _ in range(3)]
-        out = aggregate.ep_parametric_aggregate(posts, prior, 3)
-        lam = sum(p.precision[0, 0] for p in posts) - 2.0
-        mean = sum(p.precision[0, 0] * p.mean[0] for p in posts) / lam
-        assert out.precision[0, 0] == pytest.approx(lam, rel=1e-12)
-        assert out.mean[0] == pytest.approx(mean, rel=1e-10)
+        means, precs, _ = aggregate.ep_aggregate(posts, prior)
+        lam = sum(p[1][0, 0, 0] for p in posts) - 2.0
+        mean = sum(p[1][0, 0, 0] * p[0][0, 0] for p in posts) / lam
+        assert precs[0, 0, 0] == pytest.approx(lam, rel=1e-12)
+        assert means[0, 0] == pytest.approx(mean, rel=1e-10)
 
     def test_matches_extended_precision_oracle(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             k = int(rng.integers(1, 5))
             j = int(rng.integers(2, 5))
-            prior = RowPosterior(np.zeros(k), np.eye(k))
+            prior = (np.zeros(k), np.eye(k))
             # keep subset precisions well above the subtracted prior mass
-            posts = [RowPosterior(rng.standard_normal(k),
-                                  random_spd(rng, k) + j * np.eye(k))
+            posts = [row(rng.standard_normal(k), random_spd(rng, k) + j * np.eye(k))
                      for _ in range(j)]
-            out = aggregate.ep_parametric_aggregate(posts, prior, j)
-            mean, prec = mp_ep_aggregate([p.mean for p in posts],
-                                         [p.precision for p in posts],
-                                         prior.mean, prior.precision)
-            assert np.linalg.norm(out.mean - mean) <= 1e-10 * np.linalg.norm(mean)
-            assert np.linalg.norm(out.precision - prec) <= 1e-10 * np.linalg.norm(prec)
+            means, precs, _ = aggregate.ep_aggregate(posts, prior)
+            mean, prec = mp_ep_aggregate([p[0][0] for p in posts],
+                                         [p[1][0] for p in posts], *prior)
+            assert np.linalg.norm(means[0] - mean) <= 1e-10 * np.linalg.norm(mean)
+            assert np.linalg.norm(precs[0] - prec) <= 1e-10 * np.linalg.norm(prec)
 
     def test_indefinite_total_repaired(self):
         # strong prior subtraction drives the total indefinite
-        posts = [RowPosterior(np.array([1.0]), np.array([[0.4]])),
-                 RowPosterior(np.array([-1.0]), np.array([[0.4]]))]
-        prior = RowPosterior(np.zeros(1), np.eye(1))
-        events = []
-        out = aggregate.ep_parametric_aggregate(posts, prior, 2, events=events)
+        posts = [row([1.0], [[0.4]]), row([-1.0], [[0.4]])]
+        _, precs, events = aggregate.ep_aggregate(posts, (np.zeros(1), np.eye(1)))
         assert events
-        np.linalg.cholesky(out.precision)
-
-    def test_subset_count_validation(self):
-        rng = np.random.default_rng(15)
-        with pytest.raises(ValidationError):
-            aggregate.ep_parametric_aggregate([random_posterior(rng, 2)],
-                                              self.flat_prior(2), 2)
+        np.linalg.cholesky(precs[0])
 
 
 class TestProductOracleBattery:
     def test_thousand_instance_oracle_battery(self):
-        # gaussian_product vs extended precision on 500 random SPD instances
+        # the plain product vs extended precision on 500 random SPD instances
         rng = np.random.default_rng(16)
         for _ in range(500):
             k = int(rng.integers(1, 6))
             posts = [random_posterior(rng, k) for _ in range(int(rng.integers(1, 5)))]
-            out = aggregate.gaussian_product(posts)
-            mean, prec = mp_gaussian_product([p.mean for p in posts],
-                                             [p.precision for p in posts])
-            assert np.linalg.norm(out.mean - mean) <= 1e-10 * max(np.linalg.norm(mean), 1e-30)
-            assert np.linalg.norm(out.precision - prec) <= 1e-10 * np.linalg.norm(prec)
+            means, precs, _ = aggregate.ep_aggregate(posts, no_prior(k))
+            mean, prec = mp_gaussian_product([p[0][0] for p in posts],
+                                             [p[1][0] for p in posts])
+            assert np.linalg.norm(means[0] - mean) <= 1e-10 * max(np.linalg.norm(mean), 1e-30)
+            assert np.linalg.norm(precs[0] - prec) <= 1e-10 * np.linalg.norm(prec)
 
 
 def _shifted(mat, eps):

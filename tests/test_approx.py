@@ -14,99 +14,105 @@ def random_spd(rng, k, scale=1.0):
     return scale * (a @ a.T + k * np.eye(k))
 
 
+def one_row(cloud):
+    """A single cloud ``(S, K)`` as the chain block ``(S, 1, K)`` of one row."""
+    return np.asarray(cloud, dtype=np.float64)[:, None, :]
+
+
 class TestLambdaMeans:
     def test_identical_samples_one_cluster(self):
         samples = np.ones((10, 3))
-        clustering = approx.lambda_means(samples, lam=0.5)
-        assert clustering.n_clusters == 1
+        clustering = approx.lambda_means(samples[None], np.array([0.5]))
+        assert clustering.counts.tolist() == [1]
         assert np.all(clustering.assignments == 0)
 
     def test_two_far_clouds(self):
         rng = np.random.default_rng(0)
         cloud = 0.1 * rng.standard_normal((30, 2))
         samples = np.concatenate([cloud - 10, cloud + 10])
-        clustering = approx.lambda_means(samples, lam=1.0)
-        assert clustering.n_clusters == 2
-        sizes = clustering.sizes()
-        assert sorted(sizes.tolist()) == [30, 30]
+        clustering = approx.lambda_means(samples[None], np.array([1.0]))
+        assert clustering.counts.tolist() == [2]
+        assert sorted(clustering.sizes()[0].tolist()) == [30, 30]
 
     def test_cluster_count_nonincreasing_in_lambda(self):
         rng = np.random.default_rng(3)
         samples = np.concatenate([rng.standard_normal((25, 2)) + c
                                   for c in ((0, 0), (6, 0), (0, 6), (9, 9))])[:50]
         lams = np.linspace(0.3, 25.0, 40)
-        counts = [approx.lambda_means(samples, lam).n_clusters for lam in lams]
+        counts = [approx.lambda_means(samples[None], np.array([lam])).counts[0] for lam in lams]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert counts[-1] == 1
 
     def test_every_cluster_nonempty(self):
         rng = np.random.default_rng(5)
         samples = rng.standard_normal((40, 3))
-        clustering = approx.lambda_means(samples, lam=2.0)
+        clustering = approx.lambda_means(samples[None], np.array([2.0]))
         assert np.all(clustering.sizes() > 0)
-        assert clustering.assignments.max() == clustering.n_clusters - 1
+        assert clustering.assignments.max() == clustering.counts[0] - 1
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            approx.lambda_means(np.ones((3, 1)), lam=0.0)
+            approx.lambda_means(np.ones((1, 3, 1)), np.array([0.0]))
 
     def test_cycling_cloud_stops_with_the_capped_result(self):
         # A unimodal cloud under its median pairwise distance: the loop
         # revisits an earlier state, and the cluster count at the cap
         # depends on the cap's parity.
         samples = np.random.default_rng(1).standard_normal((30, 2))
-        lam = approx.median_pairwise_lambda(samples)
+        lam = approx.median_pairwise_lambda(samples[None])
         counts = set()
         for max_iters in (99, 100, 101):
-            got = approx.lambda_means(samples, lam, max_iters=max_iters)
-            want = oracles.lambda_means(samples, lam, max_iters=max_iters)
-            assert np.array_equal(got.assignments, want.assignments)
-            assert got.centers.tobytes() == want.centers.tobytes()
-            assert not got.converged and not want.converged
-            assert got.iterations < want.iterations == max_iters
-            counts.add(got.n_clusters)
+            got = approx.lambda_means(samples[None], lam, max_iters=max_iters)
+            assign, centers, iterations, converged = oracles.lambda_means(
+                samples, lam[0], max_iters=max_iters)
+            assert np.array_equal(got.assignments[0], assign)
+            assert got.centers[0].tobytes() == centers.tobytes()
+            assert not got.converged[0] and not converged
+            assert got.iterations[0] < iterations == max_iters
+            counts.add(int(got.counts[0]))
         assert len(counts) == 2
 
     def test_converged_result_independent_of_max_iters(self):
         rng = np.random.default_rng(0)
         samples = np.concatenate([0.1 * rng.standard_normal((30, 2)) + c for c in (-10, 0, 10)])
-        base = approx.lambda_means(samples, lam=2.0)
-        assert base.converged and base.n_clusters == 3
-        want = oracles.lambda_means(samples, lam=2.0)
-        assert (want.iterations, want.converged) == (base.iterations, True)
-        for max_iters in range(base.iterations, base.iterations + 4):
-            got = approx.lambda_means(samples, lam=2.0, max_iters=max_iters)
-            assert (got.iterations, got.converged) == (base.iterations, True)
+        lam = np.array([2.0])
+        base = approx.lambda_means(samples[None], lam)
+        assert base.converged[0] and base.counts[0] == 3
+        _, _, iterations, converged = oracles.lambda_means(samples, lam=2.0)
+        assert (iterations, converged) == (base.iterations[0], True)
+        for max_iters in range(base.iterations[0], base.iterations[0] + 4):
+            got = approx.lambda_means(samples[None], lam, max_iters=max_iters)
+            assert (got.iterations[0], got.converged[0]) == (base.iterations[0], True)
             assert np.array_equal(got.assignments, base.assignments)
             assert got.centers.tobytes() == base.centers.tobytes()
-        capped = approx.lambda_means(samples, lam=2.0, max_iters=base.iterations - 1)
-        assert not capped.converged
+        capped = approx.lambda_means(samples[None], lam, max_iters=base.iterations[0] - 1)
+        assert not capped.converged[0]
 
 
 class TestMomentMatching:
     def test_two_point_population_convention(self):
-        fit = approx.fit_moment_matching(np.array([[-1.0], [1.0], [-1.0], [1.0]]))
-        assert abs(fit.mean[0]) < 1e-12
+        fit = approx.fit_rows(one_row([[-1.0], [1.0], [-1.0], [1.0]]), "mm")
+        assert abs(fit.means[0, 0]) < 1e-12
         # population variance 1 plus the relative ridge
-        assert fit.precision[0, 0] == pytest.approx(1.0, rel=1e-6)
+        assert fit.precisions[0, 0, 0] == pytest.approx(1.0, rel=1e-6)
 
     def test_degenerate_cloud_hits_ridge_floor(self):
-        fit = approx.fit_moment_matching(np.full((6, 1), 2.5))
-        assert fit.precision[0, 0] == pytest.approx(1e8, rel=1e-9)
+        fit = approx.fit_rows(one_row(np.full((6, 1), 2.5)), "mm")
+        assert fit.precisions[0, 0, 0] == pytest.approx(1e8, rel=1e-9)
 
     def test_gaussian_recovery(self):
         rng = np.random.default_rng(1)
         samples = 3.0 + 2.0 * rng.standard_normal((500, 1))
-        fit = approx.fit_moment_matching(samples)
+        fit = approx.fit_rows(one_row(samples), "mm")
         se_mean = 2.0 / np.sqrt(500)
-        assert abs(fit.mean[0] - 3.0) < 3 * se_mean
-        var = 1.0 / fit.precision[0, 0]
+        assert abs(fit.means[0, 0] - 3.0) < 3 * se_mean
+        var = 1.0 / fit.precisions[0, 0, 0]
         se_var = 4.0 * np.sqrt(2.0 / 500)
         assert abs(var - 4.0) < 3 * se_var
 
     def test_needs_k_plus_two_samples(self):
         with pytest.raises(ValidationError):
-            approx.fit_moment_matching(np.zeros((3, 2)))
+            approx.fit_rows(one_row(np.zeros((3, 2))), "mm")
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(7)
@@ -114,11 +120,11 @@ class TestMomentMatching:
             k = int(rng.integers(1, 5))
             samples = rng.standard_normal((50, k)) @ random_spd(rng, k, 0.3)
             shift = 10.0 * rng.standard_normal(k)
-            base = approx.fit_moment_matching(samples)
-            moved = approx.fit_moment_matching(samples + shift)
-            np.testing.assert_allclose(moved.mean, base.mean + shift,
+            base = approx.fit_rows(one_row(samples), "mm")
+            moved = approx.fit_rows(one_row(samples + shift), "mm")
+            np.testing.assert_allclose(moved.means, base.means + shift,
                                        rtol=0, atol=1e-8)
-            np.testing.assert_allclose(moved.precision, base.precision,
+            np.testing.assert_allclose(moved.precisions, base.precisions,
                                        rtol=1e-7, atol=1e-9)
 
 
@@ -126,34 +132,34 @@ class TestDominantMode:
     def test_unimodal_equals_moment_matching(self):
         rng = np.random.default_rng(2)
         samples = rng.standard_normal((60, 2))
-        dom = approx.fit_dominant_mode(samples, lam=50.0)
-        mm = approx.fit_moment_matching(samples)
-        np.testing.assert_allclose(dom.mean, mm.mean)
-        np.testing.assert_allclose(dom.precision, mm.precision)
+        dom = approx.fit_rows(one_row(samples), "dm", lam_policy=50.0)
+        mm = approx.fit_rows(one_row(samples), "mm")
+        np.testing.assert_allclose(dom.means, mm.means)
+        np.testing.assert_allclose(dom.precisions, mm.precisions)
 
     def test_majority_mode_wins(self):
         rng = np.random.default_rng(3)
         big = 0.2 * rng.standard_normal((70, 1)) + 5.0
         small = 0.2 * rng.standard_normal((30, 1)) - 5.0
         samples = np.concatenate([small, big])  # minority listed first
-        fit = approx.fit_dominant_mode(samples, lam=1.5)
-        assert abs(fit.mean[0] - 5.0) < 0.2
+        fit = approx.fit_rows(one_row(samples), "dm", lam_policy=1.5)
+        assert abs(fit.means[0, 0] - 5.0) < 0.2
 
     def test_exact_tie_takes_lowest_cluster_index(self):
         rng = np.random.default_rng(4)
         lo = 0.05 * rng.standard_normal((20, 1)) - 8.0
         hi = 0.05 * rng.standard_normal((20, 1)) + 8.0
-        fit_lo_first = approx.fit_dominant_mode(np.concatenate([lo, hi]), lam=1.0)
-        fit_hi_first = approx.fit_dominant_mode(np.concatenate([hi, lo]), lam=1.0)
-        assert fit_lo_first.mean[0] < 0 < fit_hi_first.mean[0]
+        fit_lo_first = approx.fit_rows(one_row(np.concatenate([lo, hi])), "dm", lam_policy=1.0)
+        fit_hi_first = approx.fit_rows(one_row(np.concatenate([hi, lo])), "dm", lam_policy=1.0)
+        assert fit_lo_first.means[0, 0] < 0 < fit_hi_first.means[0, 0]
 
     def test_small_cluster_falls_back(self):
         rng = np.random.default_rng(5)
         # lambda tiny: every cluster is a near-singleton, all below K+2
         samples = rng.standard_normal((12, 2)) * 5
-        fit = approx.fit_dominant_mode(samples, lam=1e-6)
-        mm = approx.fit_moment_matching(samples)
-        np.testing.assert_allclose(fit.mean, mm.mean)
+        fit = approx.fit_rows(one_row(samples), "dm", lam_policy=1e-6)
+        mm = approx.fit_rows(one_row(samples), "mm")
+        np.testing.assert_allclose(fit.means, mm.means)
 
 
 class TestFitGmm:
@@ -165,25 +171,25 @@ class TestFitGmm:
     def test_single_cluster(self):
         rng = np.random.default_rng(0)
         samples = rng.standard_normal((40, 1))
-        gmm = approx.fit_gmm(samples, lam=100.0, top_n=3)
-        assert gmm.n_components == 1
+        gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=100.0, top_n=3)
+        assert gmm.weights.size == 1
         assert gmm.weights[0] == 1.0
-        mm = approx.fit_moment_matching(samples)
-        np.testing.assert_allclose(gmm.means[0], mm.mean)
+        mm = approx.fit_rows(one_row(samples), "mm")
+        np.testing.assert_allclose(gmm.means[0], mm.means[0])
 
     def test_three_equal_clusters(self):
         rng = np.random.default_rng(1)
         samples = self._clouds(rng, [[-10.0], [0.0], [10.0]], [20, 20, 20])
-        gmm = approx.fit_gmm(samples, lam=2.0, top_n=3)
-        assert gmm.n_components == 3
+        gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=2.0, top_n=3)
+        assert gmm.weights.size == 3
         np.testing.assert_allclose(np.sort(gmm.weights), [1 / 3] * 3)
 
     def test_top_n_renormalization(self):
         rng = np.random.default_rng(2)
         samples = self._clouds(rng, [[-30.0], [-10.0], [10.0], [30.0]],
                                [40, 30, 20, 10])
-        gmm = approx.fit_gmm(samples, lam=3.0, top_n=3)
-        assert gmm.n_components == 3
+        gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=3.0, top_n=3)
+        assert gmm.weights.size == 3
         np.testing.assert_allclose(np.sort(gmm.weights)[::-1],
                                    np.array([40, 30, 20]) / 90.0)
 
@@ -192,7 +198,8 @@ class TestFitGmm:
         for _ in range(20):
             k = int(rng.integers(1, 4))
             samples = rng.standard_normal((60, k)) * rng.uniform(0.5, 3)
-            gmm = approx.fit_gmm(samples, lam=float(rng.uniform(0.5, 5)), top_n=3)
+            gmm = approx.fit_rows(one_row(samples), "gmm",
+                                  lam_policy=float(rng.uniform(0.5, 5)), top_n=3)
             assert np.all(gmm.weights > 0)
             assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
             np.linalg.cholesky(gmm.precisions)  # SPD or raises
@@ -202,26 +209,23 @@ class TestPoolGmm:
     def test_single_component_identity(self):
         mean = np.array([1.0, -2.0])
         prec = np.array([[2.0, 0.3], [0.3, 1.0]])
-        gmm = approx.GmmPosterior(np.array([1.0]), mean[None], prec[None])
-        pooled = approx.pool_gmm(gmm)
-        np.testing.assert_allclose(pooled.mean, mean)
-        np.testing.assert_allclose(pooled.precision, prec, rtol=1e-12)
+        pooled = gmm_set([(np.array([1.0]), mean[None], prec[None])]).pooled()
+        np.testing.assert_allclose(pooled.means[0], mean)
+        np.testing.assert_allclose(pooled.precisions[0], prec, rtol=1e-12)
 
     def test_symmetric_two_component_law_of_total_variance(self):
-        gmm = approx.GmmPosterior(np.array([0.5, 0.5]),
-                                  np.array([[-1.0], [1.0]]),
-                                  np.array([[[1.0]], [[1.0]]]))
-        pooled = approx.pool_gmm(gmm)
-        assert pooled.mean[0] == pytest.approx(0.0)
-        assert 1.0 / pooled.precision[0, 0] == pytest.approx(2.0)
+        pooled = gmm_set([(np.array([0.5, 0.5]),
+                           np.array([[-1.0], [1.0]]),
+                           np.array([[[1.0]], [[1.0]]]))]).pooled()
+        assert pooled.means[0, 0] == pytest.approx(0.0)
+        assert 1.0 / pooled.precisions[0, 0, 0] == pytest.approx(2.0)
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(4)
         weights = np.array([0.5, 0.3, 0.2])
         means = rng.standard_normal((3, 2)) * 2
         precs = np.array([random_spd(rng, 2) for _ in range(3)])
-        gmm = approx.GmmPosterior(weights, means, precs)
-        pooled = approx.pool_gmm(gmm)
+        pooled = gmm_set([(weights, means, precs)]).pooled()
 
         n = 1_000_000
         comp = rng.choice(3, p=weights, size=n)
@@ -232,9 +236,9 @@ class TestPoolGmm:
             draws[idx] = rng.multivariate_normal(means[c], cov, size=idx.size)
         mc_mean = draws.mean(axis=0)
         mc_cov = np.cov(draws.T)
-        pooled_cov = np.linalg.inv(pooled.precision)
+        pooled_cov = np.linalg.inv(pooled.precisions[0])
         se_mean = np.sqrt(np.diag(pooled_cov) / n)
-        assert np.all(np.abs(pooled.mean - mc_mean) < 4 * se_mean)
+        assert np.all(np.abs(pooled.means[0] - mc_mean) < 4 * se_mean)
         se_cov = np.abs(pooled_cov) * np.sqrt(8.0 / n) + 4e-3 / np.sqrt(n)
         assert np.all(np.abs(pooled_cov - mc_cov) < 5 * se_cov + 5e-3)
 
@@ -246,12 +250,11 @@ class TestPoolGmm:
             weights = rng.dirichlet(np.ones(c))
             means = 3 * rng.standard_normal((c, k))
             precs = np.array([random_spd(rng, k) for _ in range(c)])
-            gmm = approx.GmmPosterior(weights, means, precs)
-            pooled = approx.pool_gmm(gmm)
+            pooled = gmm_set([(weights, means, precs)]).pooled()
             covs = np.linalg.inv(precs)
             exact_mean, exact_cov = mixture_moments(weights, means, covs)
-            np.testing.assert_allclose(pooled.mean, exact_mean, atol=1e-12)
-            np.testing.assert_allclose(np.linalg.inv(pooled.precision), exact_cov,
+            np.testing.assert_allclose(pooled.means[0], exact_mean, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.inv(pooled.precisions[0]), exact_cov,
                                        rtol=1e-8, atol=1e-12)
 
 
@@ -261,10 +264,9 @@ class TestFitRows:
         samples = rng.standard_normal((80, 5, 3))
         pset = approx.fit_rows(samples, "mm")
         for i in range(5):
-            single = approx.fit_moment_matching(samples[:, i, :])
-            np.testing.assert_allclose(pset.means[i], single.mean, atol=1e-13)
-            np.testing.assert_allclose(pset.precisions[i], single.precision,
-                                       rtol=1e-9)
+            mean, precision = oracles.fit_gaussian(samples[:, i, :])
+            np.testing.assert_allclose(pset.means[i], mean, atol=1e-13)
+            np.testing.assert_allclose(pset.precisions[i], precision, rtol=1e-9)
 
     def test_kinds_and_policies(self):
         rng = np.random.default_rng(7)
@@ -294,7 +296,7 @@ class TestFitRows:
         def no_row_work(*_):
             raise AssertionError("rows fitted before the arguments were checked")
         monkeypatch.setattr(approx, "_fit_clusters", no_row_work)
-        monkeypatch.setattr(approx, "_pairwise_lambdas", no_row_work)
+        monkeypatch.setattr(approx, "median_pairwise_lambda", no_row_work)
         call = {"samples": np.ones((10, 3, 2)), "kind": kind, **args}
         with pytest.raises(ValidationError, match=message):
             approx.fit_rows(**call)
@@ -329,8 +331,8 @@ def _clouds(rng, n_samples, k):
 
 
 class TestBatchedAgainstOracle:
-    """fit_rows and lambda_means equal the per-row loops of ``oracles`` bit
-    for bit."""
+    """fit_rows, lambda_means and median_pairwise_lambda equal the per-row
+    loops of ``oracles`` bit for bit."""
 
     @staticmethod
     def _assert_same(got, want):
@@ -361,7 +363,11 @@ class TestBatchedAgainstOracle:
             for n in (12, 40, 150):  # 150 > the 100-sample subsample
                 for seed in range(5):
                     cloud = rng.uniform(0.1, 10) * rng.standard_normal((n, k))
-                    assert (approx.median_pairwise_lambda(cloud, seed)
+                    if n > approx.LAMBDA_SUBSAMPLE:  # fit_rows's seeded subsample
+                        sub = cloud[approx._subsample(n, approx.LAMBDA_SUBSAMPLE, seed)]
+                    else:
+                        sub = cloud
+                    assert (approx.median_pairwise_lambda(sub[None])[0]
                             == oracles.median_pairwise_lambda(cloud, seed))
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
@@ -369,16 +375,18 @@ class TestBatchedAgainstOracle:
         rng = np.random.default_rng(k)
         samples = _clouds(rng, 40, k)
         for row in range(samples.shape[1]):
+            cloud = samples[:, row][None]
             lam = oracles.median_pairwise_lambda(samples[:, row], seed=row)
-            assert approx.median_pairwise_lambda(samples[:, row], seed=row) == lam
+            assert approx.median_pairwise_lambda(cloud)[0] == lam
             for max_iters in (0, 1, 7, 8, 100):
-                got = approx.lambda_means(samples[:, row], lam, max_iters)
-                want = oracles.lambda_means(samples[:, row], lam, max_iters)
-                assert np.array_equal(got.assignments, want.assignments)
-                assert got.centers.tobytes() == want.centers.tobytes()
-                assert got.converged == want.converged
-                if want.converged:
-                    assert got.iterations == want.iterations
+                got = approx.lambda_means(cloud, np.array([lam]), max_iters)
+                assign, centers, iterations, converged = oracles.lambda_means(
+                    samples[:, row], lam, max_iters)
+                assert np.array_equal(got.assignments[0], assign)
+                assert got.centers[0].tobytes() == centers.tobytes()
+                assert got.converged[0] == converged
+                if converged:
+                    assert got.iterations[0] == iterations
 
 
 class TestPosteriorFiles:
@@ -399,10 +407,9 @@ class TestPosteriorFiles:
         rows = []
         for _ in range(3):
             c = int(rng.integers(1, 4))
-            rows.append(approx.GmmPosterior(
-                rng.dirichlet(np.ones(c)),
-                rng.standard_normal((c, 2)),
-                np.array([random_spd(rng, 2) for _ in range(c)])))
+            rows.append((rng.dirichlet(np.ones(c)),
+                         rng.standard_normal((c, 2)),
+                         np.array([random_spd(rng, 2) for _ in range(c)])))
         pset = gmm_set(rows)
         path = tmp_path / "gmm.npz"
         approx.save_posterior_file(path, pset, "w", 5, 8)
@@ -430,15 +437,15 @@ class TestPosteriorFiles:
         rng = np.random.default_rng(11)
         rows = []
         for c in (2, 1, 3, 2, 1):
-            rows.append(approx.GmmPosterior(rng.dirichlet(np.ones(c)),
-                                            3 * rng.standard_normal((c, 3)),
-                                            np.array([random_spd(rng, 3) for _ in range(c)])))
+            rows.append((rng.dirichlet(np.ones(c)),
+                         3 * rng.standard_normal((c, 3)),
+                         np.array([random_spd(rng, 3) for _ in range(c)])))
         pset = gmm_set(rows)
         pooled = pset.pooled()
         assert pooled.kind == "gaussian"
         assert np.array_equal(pooled.precisions, np.swapaxes(pooled.precisions, 1, 2))
-        for i, row in enumerate(rows):
-            mean, cov = mixture_moments(row.weights, row.means, np.linalg.inv(row.precisions))
+        for i, (weights, means, precisions) in enumerate(rows):
+            mean, cov = mixture_moments(weights, means, np.linalg.inv(precisions))
             np.testing.assert_allclose(pooled.means[i], mean, atol=1e-12)
             np.testing.assert_allclose(np.linalg.inv(pooled.precisions[i]), cov,
                                        rtol=1e-8, atol=1e-12)

@@ -227,6 +227,64 @@ class TestEvaluateAndCost:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, config, name", [
+    (["run"], {"factors": "abc", "tau": 1.0}, "factors"),
+    (["run"], {"factors": 2, "tau": 1.0, "partition": 3}, "partition"),
+    (["run", "--factors", "2", "--tau", "1.0", "--replicates", "0"], None, "--replicates"),
+    (["evaluate", "--test", "test.txt", "--bins", "0,a"], None, "--bins"),
+    (["cost-model", "--n-rows", "6", "--n-cols", "5", "--n-obs", "9", "--factors", "2",
+      "--workers", "1,x"], None, "--workers"),
+])
+def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
+    # Checked before any input is read: the train file and run directory
+    # do not exist.
+    argv = list(argv)
+    if argv[0] == "run":
+        argv += ["--train", str(tmp_path / "none.txt")]
+    if argv[0] == "evaluate":
+        argv += ["--run", str(tmp_path / "ghost")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert run_cli(argv) == 2
+    assert name in capsys.readouterr().err
+
+
+class TestUnwritableOutputs:
+    def test_simulate_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = run_cli(["simulate", "--n-rows", "4", "--n-cols", "3", "--factors", "1",
+                        "--out", str(tmp_path / "file" / "sim")])
+        assert code == 4
+        assert "cannot create" in capsys.readouterr().err
+
+    def test_run_out_under_a_file(self, sim_dir, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = run_cli(["run", "--train", str(sim_dir / "train.txt"), "--factors", "1",
+                        "--tau", "1.0", "--iters", "10", "--burn-in", "5", "--thin", "1",
+                        "--method", "full", "--out", str(tmp_path / "file" / "run")])
+        assert code == 4
+        assert "cannot create run directory" in capsys.readouterr().err
+
+    def test_run_csv_in_missing_directory(self, sim_dir, tmp_path, capsys):
+        code = run_cli(["run", "--train", str(sim_dir / "train.txt"), "--factors", "1",
+                        "--tau", "1.0", "--iters", "10", "--burn-in", "5", "--thin", "1",
+                        "--method", "full", "--out", str(tmp_path / "run"),
+                        "--csv", str(tmp_path / "missing" / "x.csv")])
+        assert code == 4
+        assert "x.csv" in capsys.readouterr().err
+
+    def test_evaluate_json_in_missing_directory(self, sim_dir, tmp_path, capsys):
+        run_cli(["run", "--train", str(sim_dir / "train.txt"), "--factors", "1",
+                 "--tau", "1.0", "--iters", "10", "--burn-in", "5", "--thin", "1",
+                 "--method", "full", "--out", str(tmp_path / "run")])
+        code = run_cli(["evaluate", "--run", str(tmp_path / "run"),
+                        "--test", str(sim_dir / "test.txt"),
+                        "--json", str(tmp_path / "missing" / "x.json")])
+        assert code == 4
+        assert "x.json" in capsys.readouterr().err
+
+
 class TestOutputRoot:
     def test_env_var_default_root(self, sim_dir, tmp_path, monkeypatch, capsys):
         root = tmp_path / "results-root"

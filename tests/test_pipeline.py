@@ -420,7 +420,7 @@ class TestPersistence:
                 np.zeros((4, 3, k)), np.zeros((4, 2, k)), np.zeros((4, k)),
                 np.zeros((4, k, k)), np.zeros((4, k)), np.zeros((4, k, k)),
                 GibbsConfig(k, 1.0, 8, 4, 1, 0)).save(path),
-            "json": lambda path: pipeline._write_json(path, {"count": 0, "events": []}),
+            "json": lambda path: artifacts.write_json(path, {"count": 0, "events": []}),
             "plan": lambda path: data.PartitionPlan(np.arange(3), np.arange(2),
                                                    [0, 3], [0, 2]).save(path),
         }[writer]

@@ -142,16 +142,13 @@ class TestNormalWishart:
 
 class TestGmmAssign:
     def test_single_component(self):
-        gmm = approx.GmmPosterior(np.array([1.0]), np.zeros((1, 2)),
-                                  np.eye(2)[None])
-        assert gmm_component_assign(np.array([5.0, 5.0]), gmm) == 0
+        gmm = (np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])
+        assert gmm_component_assign(np.array([5.0, 5.0]), *gmm) == 0
 
     def test_nearest_of_symmetric_pair(self):
-        gmm = approx.GmmPosterior(np.array([0.5, 0.5]),
-                                  np.array([[-1.0], [1.0]]),
-                                  np.array([[[1.0]], [[1.0]]]))
-        assert gmm_component_assign(np.array([0.9]), gmm) == 1
-        assert gmm_component_assign(np.array([-0.9]), gmm) == 0
+        gmm = (np.array([0.5, 0.5]), np.array([[-1.0], [1.0]]), np.array([[[1.0]], [[1.0]]]))
+        assert gmm_component_assign(np.array([0.9]), *gmm) == 1
+        assert gmm_component_assign(np.array([-0.9]), *gmm) == 0
 
     def test_matches_direct_density_evaluation(self):
         rng = np.random.default_rng(8)
@@ -161,7 +158,6 @@ class TestGmmAssign:
             means = rng.standard_normal((c, k)) * 2
             precs = np.array([np.linalg.inv(np.diag(rng.uniform(0.5, 2, k)))
                               for _ in range(c)])
-            gmm = approx.GmmPosterior(weights, means, precs)
             x = rng.standard_normal(k) * 2
 
             def density(comp):
@@ -170,7 +166,7 @@ class TestGmmAssign:
                 return weights[comp] * np.sqrt(det) * np.exp(-0.5 * d @ precs[comp] @ d)
 
             expected = int(np.argmax([density(c_) for c_ in range(c)]))
-            assert gmm_component_assign(x, gmm) == expected
+            assert gmm_component_assign(x, weights, means, precs) == expected
 
     def test_batched_selection_matches_single_row(self):
         # Padded per-row mixtures of 1-3 components pick, row by row, the
@@ -179,16 +175,18 @@ class TestGmmAssign:
         rows = []
         for c in rng.integers(1, 4, size=40):
             a = rng.standard_normal((c, 3, 3))
-            rows.append(approx.GmmPosterior(rng.dirichlet(np.ones(c)),
-                                            2 * rng.standard_normal((c, 3)),
-                                            a @ np.swapaxes(a, 1, 2) + np.eye(3)))
-        arrays = sampler._GmmPriorArrays(gmm_set(rows))
+            rows.append((rng.dirichlet(np.ones(c)),
+                         2 * rng.standard_normal((c, 3)),
+                         a @ np.swapaxes(a, 1, 2) + np.eye(3)))
+        pset = gmm_set(rows)
+        arrays = sampler._GmmPriorArrays(pset)
         values = 2 * rng.standard_normal((40, 3))
         means, precs = arrays.select(values)
-        for i, gmm in enumerate(rows):
-            chosen = gmm_component_assign(values[i], gmm)
-            assert np.array_equal(means[i], gmm.means[chosen])
-            assert np.array_equal(precs[i], gmm.precisions[chosen])
+        for i, (lo, hi) in enumerate(zip(pset.offsets[:-1], pset.offsets[1:])):
+            chosen = lo + gmm_component_assign(values[i], pset.weights[lo:hi],
+                                               pset.means[lo:hi], pset.precisions[lo:hi])
+            assert np.array_equal(means[i], pset.means[chosen])
+            assert np.array_equal(precs[i], pset.precisions[chosen])
 
 
 class TestGibbsRun:
@@ -200,7 +198,7 @@ class TestGibbsRun:
     def test_shapes_and_sample_count(self):
         rng = np.random.default_rng(9)
         mat = tiny_matrix(rng)
-        chain = sampler.gibbs_run(mat, sampler.RowPriorSet.shared(),
+        chain = sampler.gibbs_run(mat, (None, None),
                                   sampler.NormalWishartPrior.default(1), self.config())
         assert chain.n_samples == 10
         assert chain.x_samples.shape == (10, 4, 1)
@@ -211,8 +209,8 @@ class TestGibbsRun:
         rng = np.random.default_rng(10)
         mat = tiny_matrix(rng)
         prior = sampler.NormalWishartPrior.default(1)
-        a = sampler.gibbs_run(mat, sampler.RowPriorSet.shared(), prior, self.config())
-        b = sampler.gibbs_run(mat, sampler.RowPriorSet.shared(), prior, self.config())
+        a = sampler.gibbs_run(mat, (None, None), prior, self.config())
+        b = sampler.gibbs_run(mat, (None, None), prior, self.config())
         assert np.array_equal(a.x_samples, b.x_samples)
         assert np.array_equal(a.w_samples, b.w_samples)
         assert np.array_equal(a.lambda_x, b.lambda_x)
@@ -220,7 +218,7 @@ class TestGibbsRun:
     def test_sampled_precisions_spd(self):
         rng = np.random.default_rng(11)
         mat, _ = data.simulate(6, 5, 2, 1.0, seed=12)
-        chain = sampler.gibbs_run(mat, sampler.RowPriorSet.shared(),
+        chain = sampler.gibbs_run(mat, (None, None),
                                   sampler.NormalWishartPrior.default(2),
                                   self.config(n_factors=2))
         for lam in np.concatenate([chain.lambda_x, chain.lambda_w]):
@@ -231,8 +229,7 @@ class TestGibbsRun:
         mat = tiny_matrix(rng)
         pset = approx.PosteriorSet("gaussian", np.zeros((4, 1)),
                                    np.ones((4, 1, 1)))
-        priors = sampler.RowPriorSet(sampler.SidePrior.propagated(pset),
-                                     sampler.SidePrior.shared())
+        priors = (pset, None)
         chain = sampler.gibbs_run(mat, priors,
                                   sampler.NormalWishartPrior.default(1), self.config())
         # propagated X side: hyperparameters never move
@@ -244,13 +241,9 @@ class TestGibbsRun:
     def test_gmm_prior_runs(self):
         rng = np.random.default_rng(13)
         mat = tiny_matrix(rng)
-        rows = [approx.GmmPosterior(np.array([0.5, 0.5]),
-                                    np.array([[-1.0], [1.0]]),
-                                    np.array([[[4.0]], [[4.0]]]))
+        rows = [(np.array([0.5, 0.5]), np.array([[-1.0], [1.0]]), np.array([[[4.0]], [[4.0]]]))
                 for _ in range(4)]
-        priors = sampler.RowPriorSet(
-            sampler.SidePrior.propagated(gmm_set(rows)),
-            sampler.SidePrior.shared())
+        priors = (gmm_set(rows), None)
         chain = sampler.gibbs_run(mat, priors,
                                   sampler.NormalWishartPrior.default(1), self.config())
         assert np.all(np.isfinite(chain.x_samples))
@@ -259,15 +252,14 @@ class TestGibbsRun:
         mat = data.SparseMatrix(3, 3, np.empty(0, np.int64), np.empty(0, np.int64),
                                 np.empty(0))
         with pytest.raises(ValidationError):
-            sampler.gibbs_run(mat, sampler.RowPriorSet.shared(),
+            sampler.gibbs_run(mat, (None, None),
                               sampler.NormalWishartPrior.default(1), self.config())
 
     def test_coverage_validation(self):
         rng = np.random.default_rng(14)
         mat = tiny_matrix(rng)
         pset = approx.PosteriorSet("gaussian", np.zeros((2, 1)), np.ones((2, 1, 1)))
-        priors = sampler.RowPriorSet(sampler.SidePrior.propagated(pset),
-                                     sampler.SidePrior.shared())
+        priors = (pset, None)
         with pytest.raises(ValidationError, match="covers"):
             sampler.gibbs_run(mat, priors, sampler.NormalWishartPrior.default(1),
                               self.config())
@@ -347,8 +339,8 @@ class TestSideStatistics:
         before = shuffled.vals.copy()
         cfg = sampler.GibbsConfig(2, 1.0, n_iters=30, burn_in=10, thin=2, seed=43)
         prior = sampler.NormalWishartPrior.default(2)
-        a = sampler.gibbs_run(mat, sampler.RowPriorSet.shared(), prior, cfg)
-        b = sampler.gibbs_run(shuffled, sampler.RowPriorSet.shared(), prior, cfg)
+        a = sampler.gibbs_run(mat, (None, None), prior, cfg)
+        b = sampler.gibbs_run(shuffled, (None, None), prior, cfg)
         for name in ("x_samples", "w_samples", "mu_x", "lambda_x", "mu_w", "lambda_w"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert np.array_equal(shuffled.vals, before)

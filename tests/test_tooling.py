@@ -1,0 +1,31 @@
+"""Guards on the shape of the package source itself."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dbmf"
+
+# Definitions kept although nothing in ``src/`` uses them yet, each with why:
+# ``log_likelihood`` is the train log-likelihood that ``gibbs_run`` is to
+# record in its per-sweep trace (ROADMAP 3(c)).
+ALLOWED_UNUSED = {"log_likelihood"}
+
+
+def test_every_definition_is_used_by_the_package():
+    """A module-level function or class that only tests call belongs in
+    ``tests/oracles.py`` or nowhere: each must have a ``Name`` or
+    ``Attribute`` reference somewhere in ``src/`` besides its definition."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert trees, f"no modules under {SRC}"
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = sorted(defined - referenced - ALLOWED_UNUSED)
+    assert not unused, f"defined in src/dbmf but used only outside it: {unused}"
