@@ -309,26 +309,31 @@ def _subsample(n: int, size: int, seed: int) -> np.ndarray:
 # Gaussian fits
 # ---------------------------------------------------------------------------
 
+def _gaussian_fits(members: np.ndarray):
+    """Population mean and ridge-regularized covariance of each cloud of a
+    stack ``members (G, n, K)``, as means ``(G, K)`` and symmetrized
+    precisions ``(G, K, K)``."""
+    k = members.shape[2]
+    mean = members.mean(axis=1)
+    centered = members - mean[:, None, :]
+    cov = np.matmul(centered.transpose(0, 2, 1), centered) / members.shape[1]
+    mean_diag = np.trace(cov, axis1=1, axis2=2) / k
+    ridge = np.where(mean_diag > 0, COV_RIDGE * mean_diag, COV_RIDGE)
+    try:
+        precision = np.linalg.inv(cov + ridge[:, None, None] * np.eye(k))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("sample covariance not invertible after regularization") from exc
+    return mean, _symmetrize(precision)
+
+
 def _fit_gaussians(x: np.ndarray, labels: np.ndarray, n_labels: int):
-    """Population mean and ridge-regularized covariance of every non-empty
-    (row, label) group, as means ``(R, n_labels, K)`` and symmetrized
-    precisions ``(R, n_labels, K, K)``."""
+    """``_gaussian_fits`` of every non-empty (row, label) group, as means
+    ``(R, n_labels, K)`` and precisions ``(R, n_labels, K, K)``."""
     n_rows, _, k = x.shape
     means = np.zeros((n_rows, n_labels, k))
     precisions = np.zeros((n_rows, n_labels, k, k))
     for rows, labs, pos in _groups(labels, n_labels):
-        members = x[rows[:, None], pos]
-        mean = members.mean(axis=1)
-        centered = members - mean[:, None, :]
-        cov = np.matmul(centered.transpose(0, 2, 1), centered) / pos.shape[1]
-        mean_diag = np.trace(cov, axis1=1, axis2=2) / k
-        ridge = np.where(mean_diag > 0, COV_RIDGE * mean_diag, COV_RIDGE)
-        try:
-            precision = np.linalg.inv(cov + ridge[:, None, None] * np.eye(k))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("sample covariance not invertible after regularization") from exc
-        means[rows, labs] = mean
-        precisions[rows, labs] = _symmetrize(precision)
+        means[rows, labs], precisions[rows, labs] = _gaussian_fits(x[rows[:, None], pos])
     return means, precisions
 
 
@@ -505,15 +510,9 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
         raise ValidationError("top_n must be >= 1")
     lam = _fixed_lambda(lam_policy)
 
-    if kind == "mm":
-        means = samples.mean(axis=0)
-        centered = samples - means[None, :, :]
-        covs = np.einsum("srk,srl->rkl", centered, centered) / n_samples
-        diag_mean = np.einsum("rkk->r", covs) / k
-        ridge = np.where(diag_mean > 0, COV_RIDGE * diag_mean, COV_RIDGE)
-        covs = covs + ridge[:, None, None] * np.eye(k)
-        return PosteriorSet("gaussian", means, _symmetrize(np.linalg.inv(covs)))
     x = np.ascontiguousarray(samples.transpose(1, 0, 2))
+    if kind == "mm":
+        return PosteriorSet("gaussian", *_gaussian_fits(x))
     if lam is not None:
         lams = np.full(n_rows, lam)
     elif n_samples > LAMBDA_SUBSAMPLE:

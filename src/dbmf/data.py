@@ -27,6 +27,9 @@ STRUCTURED_WEIGHT_LOW = 0.005
 
 # One plain-format line, as parsed by the whole-file pass ``_parse_plain_text``.
 _PLAIN_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
+# One MovieLens line, as parsed by ``_parse_movielens_text``.
+_MOVIELENS_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64),
+                             ("timestamp", np.int64)])
 _INT64 = np.iinfo(np.int64)
 
 
@@ -314,30 +317,77 @@ def _int64(field: str) -> int:
 
 
 def _load_movielens(path) -> SparseMatrix:
-    users, items, ratings = [], [], []
     with _open_data(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split("::")
-            if len(parts) != 4:
-                raise TripletParseError(path, lineno, f"expected 4 '::' fields, got {len(parts)}")
-            try:
-                users.append(_int64(parts[0]))
-                items.append(_int64(parts[1]))
-                ratings.append(float(parts[2]))
-            except ValueError as exc:
-                raise TripletParseError(path, lineno, str(exc)) from exc
-    if not users:
+        text = fh.read()
+    parsed = _parse_movielens_text(text)
+    if parsed is None:
+        # Text mode has already mapped CRLF and CR line ends to "\n".
+        parsed = _parse_movielens_lines(path, text.split("\n"))
+    users, items, ratings = parsed
+    if not users.size:
         return SparseMatrix(0, 0, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    user_ids, rows = np.unique(np.array(users, dtype=np.int64), return_inverse=True)
-    item_ids, cols = np.unique(np.array(items, dtype=np.int64), return_inverse=True)
-    mat = SparseMatrix(user_ids.size, item_ids.size, rows, cols, np.array(ratings),
+    user_ids, rows = np.unique(users, return_inverse=True)
+    item_ids, cols = np.unique(items, return_inverse=True)
+    mat = SparseMatrix(user_ids.size, item_ids.size, rows, cols, ratings,
                        row_ids=user_ids, col_ids=item_ids)
     logger.info("loaded %s: %d x %d with %d entries (ids compacted)",
                 path, mat.n_rows, mat.n_cols, mat.m)
     return mat
+
+
+def _parse_movielens_text(text: str):
+    """The whole text of a MovieLens file parsed in one numpy call into
+    ``(users, items, ratings)``.
+
+    Returns ``None`` whenever the text is not certain to be valid, so that
+    ``_parse_movielens_lines`` decides and names the bad line.  Anything
+    accepted here is accepted by the line loop with bitwise-equal arrays.
+    Only digits, ``.``, ``:`` and line ends may occur, so no field holds a
+    blank, and every ``::`` becomes the blank ``np.loadtxt`` splits on.  A
+    colon left over fails the parse, so each of the four fields of a line
+    is non-empty and colon-free; six colons per parsed line then leave
+    exactly three ``::`` on each, as the loop's ``split("::")`` needs.
+    Timestamps must be int64 here, though the loop ignores them.
+    """
+    raw = text.encode("utf-8")
+    if raw.translate(None, b"0123456789.:\n"):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # An empty or blank-line-only file is valid and has no entries.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(io.StringIO(text.replace("::", " ")), dtype=_MOVIELENS_DTYPE,
+                               ndmin=1)
+    except ValueError:
+        return None
+    if raw.count(b":") != 6 * table.size:
+        return None
+    return tuple(np.ascontiguousarray(table[name]) for name in _MOVIELENS_DTYPE.names[:3])
+
+
+def _parse_movielens_lines(path, lines: Iterable[str]):
+    """The MovieLens format, one line at a time: its reference definition.
+
+    One ``user::item::rating::timestamp`` per line; blank lines are skipped
+    and the timestamp is not read.  Raises ``TripletParseError`` naming the
+    first bad line.
+    """
+    users, items, ratings = [], [], []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        parts = text.split("::")
+        if len(parts) != 4:
+            raise TripletParseError(path, lineno, f"expected 4 '::' fields, got {len(parts)}")
+        try:
+            users.append(_int64(parts[0]))
+            items.append(_int64(parts[1]))
+            ratings.append(float(parts[2]))
+        except ValueError as exc:
+            raise TripletParseError(path, lineno, str(exc)) from exc
+    return (np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+            np.array(ratings, dtype=np.float64))
 
 
 def save_triplets(matrix: SparseMatrix, path) -> None:

@@ -211,7 +211,7 @@ class MetricReport:
     def format_table(self) -> str:
         lines = [f"{'RMSE':<24}{self.rmse:.6f}"]
         if self.wts is not None:
-            lines.append(f"{'wall-clock speed-up':<24}{self.wts:.3f}")
+            lines.append(f"{'ledger speed-up':<24}{self.wts:.3f}")
         if self.bins:
             lines.append("")
             lines.append(f"{'row-count bin':<20}{'count':>8}  {'rmse':>10}")

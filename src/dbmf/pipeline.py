@@ -444,6 +444,7 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
                                                           side, *source)
 
     stage_timings = {}
+    run_start = time.perf_counter()
     width = max(len(entries) for _, entries in layers)
     with (ProcessPoolExecutor(max_workers=min(config.workers, width))
           if config.workers > 1 else contextlib.nullcontext()) as pool:
@@ -464,11 +465,13 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
                         PosteriorSet("gaussian", w_mean, w_prec), "w", 0, plan.n_cols)
     write_json(os.path.join(run_dir, "aggregate", "corrections.json"),
                {"count": len(events), "events": events})
+    wall_seconds = time.perf_counter() - run_start
     total = sum(s["max_seconds"] for s in stage_timings.values()) + agg_seconds
     timings = {"stages": stage_timings, "aggregation_seconds": agg_seconds,
-               "total": total}
+               "total": total, "wall_seconds": wall_seconds}
     write_json(os.path.join(run_dir, "timings.json"), timings)
-    logger.info("%s run finished (ledger total %.2fs): %s", method, total, run_dir)
+    logger.info("%s run finished (ledger total %.2fs, real %.2fs): %s",
+                method, total, wall_seconds, run_dir)
     return FactorizationResult(method, x_mean, w_mean, x_prec, w_prec,
                                timings, run_dir, config, plan)
 

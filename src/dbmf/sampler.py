@@ -21,6 +21,12 @@ indicator times the per-partner upper-triangle outer products, mirrored into
 full K x K matrices, and the value matrix times the partner rows.  The fixed
 partner order fixes the summation order, so the statistics do not depend on
 the order of the input entries.
+
+Each row's conditional precision is factored once, by one stacked Cholesky
+over the side, and the row is drawn with one forward and one back
+substitution against that factor, each a K-step loop over all rows.  A
+precision that does not factor is retried alone with diagonal jitter, so
+only that row's draw changes.
 """
 
 from __future__ import annotations
@@ -178,7 +184,9 @@ def _triangles(k: int):
 
 
 def _wishart_draw(rng: np.random.Generator, scale: np.ndarray, df: float) -> np.ndarray:
-    """Wishart(scale, df) draw via the Bartlett decomposition (df > K - 1)."""
+    """Lower-triangular factor F of a Wishart(scale, df) draw F F' via the
+    Bartlett decomposition (df > K - 1): F = chol(scale) times the Bartlett
+    factor, whose diagonal is positive, so F is the draw's Cholesky factor."""
     k = scale.shape[0]
     _, _, diag, lower = _triangles(k)
     chol = np.linalg.cholesky(scale)
@@ -186,8 +194,7 @@ def _wishart_draw(rng: np.random.Generator, scale: np.ndarray, df: float) -> np.
     bart[diag] = np.sqrt(rng.chisquare(df - np.arange(k)))
     if k > 1:
         bart[lower] = rng.standard_normal(k * (k - 1) // 2)
-    factor = chol @ bart
-    return factor @ factor.T
+    return chol @ bart
 
 
 def sample_hyper_normal_wishart(rows: np.ndarray, prior: NormalWishartPrior,
@@ -198,7 +205,8 @@ def sample_hyper_normal_wishart(rows: np.ndarray, prior: NormalWishartPrior,
     scale update:
         inv(W*) = inv(w0) + N S + (beta0 N / (beta0 + N)) (mu0 - xbar)(mu0 - xbar)'
     then Lambda ~ Wishart(W*, nu0 + N) and mu ~ Normal(mu*, inv((beta0 + N) Lambda))
-    with mu* = (beta0 mu0 + N xbar) / (beta0 + N).
+    with mu* = (beta0 mu0 + N xbar) / (beta0 + N).  Lambda = F F' with F the
+    Wishart draw's lower factor, so mu = mu* + solve(F', z) / sqrt(beta0 + N).
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     n = rows.shape[0]
@@ -219,12 +227,11 @@ def sample_hyper_normal_wishart(rows: np.ndarray, prior: NormalWishartPrior,
         raise NumericalError("posterior Wishart scale not invertible") from exc
     w_star = 0.5 * (w_star + w_star.T)
     try:
-        lam = _wishart_draw(rng, w_star, prior.nu0 + n)
+        factor = _wishart_draw(rng, w_star, prior.nu0 + n)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("posterior Wishart scale not positive definite") from exc
-    chol, _ = _chol_with_jitter(beta_star * lam, "hyper mean draw")
-    mu = mu_star + np.linalg.solve(chol.T, rng.standard_normal(prior.k))
-    return mu, lam
+    mu = mu_star + np.linalg.solve(factor.T, rng.standard_normal(prior.k)) / np.sqrt(beta_star)
+    return mu, factor @ factor.T
 
 
 def log_likelihood(matrix: SparseMatrix, x: np.ndarray, w: np.ndarray,
@@ -268,16 +275,37 @@ def _side_stats(ind, val, partner):
     return packed[:, slot].reshape(n, k, k), val @ partner
 
 
-def _batched_chol(precisions: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked Cholesky with per-matrix jitter fallback on failure."""
+def _batched_chol(precisions: np.ndarray, context: str) -> np.ndarray:
+    """Stacked Cholesky factors; when the stack fails, each matrix is
+    factored alone, with the jittered retry of ``_chol_with_jitter``."""
     try:
-        return np.linalg.cholesky(precisions), precisions
+        return np.linalg.cholesky(precisions)
     except np.linalg.LinAlgError:
-        precisions = precisions.copy()
-        chols = np.empty_like(precisions)
-        for i in range(precisions.shape[0]):
-            chols[i], precisions[i] = _chol_with_jitter(precisions[i], f"{context}, row {i}")
-        return chols, precisions
+        return np.array([_chol_with_jitter(p, f"{context}, row {i}")[0]
+                         for i, p in enumerate(precisions)])
+
+
+def _chol_draw(chols: np.ndarray, noise: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per row, inv(L') (inv(L) b + z) for the lower factor L of precision
+    P = L L': a draw from Normal(inv(P) b, inv(P)) given the standard-normal
+    ``noise`` z.  Without ``b`` it is the zero-mean draw inv(L') z.
+
+    Each substitution is a K-step loop over all rows at once; the factors
+    are laid out (K, K, rows) so that every step reads contiguous rows.
+    """
+    fac = np.ascontiguousarray(np.moveaxis(chols, 0, -1))
+    k = fac.shape[0]
+    out = np.array(noise.T, order="C")
+    if b is not None:
+        fwd = np.array(b.T, order="C")
+        for i in range(k):
+            fwd[i] /= fac[i, i]
+            fwd[i + 1:] -= fac[i + 1:, i] * fwd[i]
+        out += fwd
+    for i in range(k - 1, -1, -1):
+        out[i] /= fac[i, i]
+        out[:i] -= fac[i, :i] * out[i]
+    return np.ascontiguousarray(out.T)
 
 
 def _sample_side(rng, partner, ind, val, tau, prior_precs, prior_b, context):
@@ -289,12 +317,9 @@ def _sample_side(rng, partner, ind, val, tau, prior_precs, prior_b, context):
     """
     n, k = ind.shape[0], partner.shape[1]
     suff, lin = _side_stats(ind, val, partner)
-    precisions = prior_precs + tau * suff
-    b = prior_b + tau * lin
-    chols, precisions = _batched_chol(precisions, context)
-    means = np.linalg.solve(precisions, b[..., None])[..., 0]
+    chols = _batched_chol(prior_precs + tau * suff, context)
     noise = rng.standard_normal((n, k))
-    return means + np.linalg.solve(np.swapaxes(chols, -1, -2), noise[..., None])[..., 0]
+    return _chol_draw(chols, noise, prior_b + tau * lin)
 
 
 class _GmmPriorArrays:
@@ -369,8 +394,7 @@ class _SideState:
         else:
             means, precs = self.gmm.draw_initial(rng)
         chols = np.linalg.cholesky(precs)
-        noise = rng.standard_normal((n_rows, k))
-        return means + np.linalg.solve(np.swapaxes(chols, -1, -2), noise[..., None])[..., 0]
+        return means + _chol_draw(chols, rng.standard_normal((n_rows, k)))
 
 
 def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, PosteriorSet | None],

@@ -230,6 +230,7 @@ class TestMetricReport:
         assert doc["wts"] == 3.2
         table = report.format_table()
         assert "RMSE" in table and "0.950000" in table
+        assert "ledger speed-up" in table and "3.200" in table
         assert "n/a" in table          # empty bin marker
         assert "0.8700" in table
 

@@ -187,6 +187,22 @@ class TestStagedPipeline:
         # stage-III width is (r-1)(c-1)
         assert len(timings["stages"]["3"]["blocks"]) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_timings_record_real_time_next_to_the_ledger(self, small_data, tmp_path, workers):
+        # ``total`` is the ledger (stage maxima plus aggregation);
+        # ``wall_seconds`` is the real time from the first block to the
+        # aggregate files, so it covers every stage's slowest block, and in
+        # one process every block in turn.
+        train, _ = small_data
+        pipeline.run_pp(train, quick_config(workers=workers), run_dir=tmp_path / "t")
+        timings = pipeline.read_timings(tmp_path / "t")
+        stages = timings["stages"].values()
+        assert timings["wall_seconds"] >= max(s["max_seconds"] for s in stages)
+        assert timings["total"] == (sum(s["max_seconds"] for s in stages)
+                                    + timings["aggregation_seconds"])
+        if workers == 1:
+            assert timings["wall_seconds"] >= timings["total"]
+
     @pytest.mark.parametrize("run", [pipeline.run_pp, pipeline.run_ep],
                              ids=["run_pp", "run_ep"])
     def test_reproducible_and_worker_invariant(self, small_data, tmp_path, run):

@@ -127,6 +127,21 @@ class TestNormalWishart:
         se = mus.std(axis=0) / np.sqrt(8000)
         assert np.all(np.abs(mus.mean(axis=0) - mu_star) < 4 * se)
 
+    def test_mean_draw_uses_the_wishart_factor(self):
+        # mu = mu* + solve(chol((beta0 + N) Lambda)', z): drawn with the
+        # Wishart draw's own factor, it agrees up to round-off.
+        k, rows = 4, np.random.default_rng(8).standard_normal((30, 4))
+        prior = sampler.NormalWishartPrior.default(k)
+        mu, lam = sampler.sample_hyper_normal_wishart(rows, prior, np.random.default_rng(9))
+        replay = np.random.default_rng(9)
+        replay.chisquare(prior.nu0 + 30 - np.arange(k))
+        replay.standard_normal(k * (k - 1) // 2)
+        beta_star = prior.beta0 + 30
+        mu_star = (prior.beta0 * prior.mu0 + rows.sum(axis=0)) / beta_star
+        chol = np.linalg.cholesky(beta_star * lam)
+        expected = mu_star + np.linalg.solve(chol.T, replay.standard_normal(k))
+        np.testing.assert_allclose(mu, expected, rtol=1e-11, atol=1e-13)
+
     def test_prior_validation(self):
         with pytest.raises(ValidationError):
             sampler.NormalWishartPrior(np.zeros(2), 1.0, np.eye(2), 1.0)  # nu0 < K
@@ -298,6 +313,55 @@ class TestBatchedSideAgainstReference:
             ref = sample_row_conditional(vals[mask], partner[minor[mask]],
                                          1.5, prior_mean, prior_prec, rng_ref)
             np.testing.assert_allclose(batched[n], ref, rtol=1e-9, atol=1e-11)
+
+
+class TestCholeskyDraw:
+    @staticmethod
+    def assert_rows_close(got, ref, rtol):
+        err = np.linalg.norm(got - ref, axis=1)
+        assert np.all(err <= rtol * np.linalg.norm(ref, axis=1)), err.max()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_matches_general_solves(self, k):
+        # inv(L')(inv(L) b + z) is the mean solve(P, b) plus the noise
+        # solve(L', z) of the general-solve form, up to round-off.
+        rng = np.random.default_rng(60 + k)
+        a = rng.standard_normal((50, k, 2 * k))
+        precisions = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(k)
+        b = rng.standard_normal((50, k))
+        z = rng.standard_normal((50, k))
+        chols = np.linalg.cholesky(precisions)
+        noise = np.linalg.solve(np.swapaxes(chols, -1, -2), z[..., None])[..., 0]
+        mean = np.linalg.solve(precisions, b[..., None])[..., 0]
+        self.assert_rows_close(sampler._chol_draw(chols, z, b), mean + noise, 1e-11)
+        self.assert_rows_close(sampler._chol_draw(chols, z), noise, 1e-11)
+
+    @staticmethod
+    def side_with_empty_row(row_prior):
+        """One X-side update of a 5 x 4 block whose row 2 has no entries,
+        with per-row prior precisions: the identity, and ``row_prior`` for
+        row 2, which is then that row's whole conditional precision."""
+        rows = np.array([0, 0, 1, 3, 3, 4, 4])
+        cols = np.array([0, 2, 1, 0, 3, 1, 2])
+        vals = np.linspace(-1.0, 1.0, rows.size)
+        ind, val = sampler._side_matrices(data.SparseMatrix(5, 4, rows, cols, vals))[0]
+        partner = np.random.default_rng(70).standard_normal((4, 2))
+        precs = np.tile(np.eye(2), (5, 1, 1))
+        precs[2] = row_prior
+        prior_b = np.ones((5, 2))
+        return sampler._sample_side(np.random.default_rng(71), partner, ind, val, 1.0,
+                                    precs, prior_b, "X side")
+
+    def test_singular_row_is_jittered_alone(self):
+        draws = self.side_with_empty_row([[1.0, 1.0], [1.0, 1.0]])  # PSD, not PD
+        plain = self.side_with_empty_row(np.eye(2))
+        assert np.all(np.isfinite(draws))
+        others = [0, 1, 3, 4]
+        assert np.array_equal(draws[others], plain[others])
+
+    def test_indefinite_row_raises_naming_it(self):
+        with pytest.raises(NumericalError, match="X side, row 2"):
+            self.side_with_empty_row([[1.0, 0.0], [0.0, -1.0]])
 
 
 class TestSideStatistics:
