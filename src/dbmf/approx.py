@@ -24,6 +24,7 @@ import json
 import logging
 import zipfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +45,20 @@ LAMBDA_MEANS_ITERS = 100
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
+
+
+@lru_cache(maxsize=None)
+def _triangles(k: int):
+    """Read-only index constants of K x K matrices: the upper triangle
+    (diagonal included) as (row, col) arrays, the flattened map from each
+    entry to its upper-triangle slot, the diagonal and the strict lower
+    triangle."""
+    upper, diag, lower = np.triu_indices(k), np.diag_indices(k), np.tril_indices(k, -1)
+    slot = np.empty((k, k), dtype=np.intp)
+    slot[upper] = slot[upper[::-1]] = np.arange(upper[0].size)
+    for arr in (*upper, slot, *diag, *lower):
+        arr.flags.writeable = False
+    return upper, slot.ravel(), diag, lower
 
 
 def is_spd(mat: np.ndarray) -> bool:
@@ -352,7 +367,8 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
     assign, sizes = clustering.assignments, clustering.sizes()
     rows = np.arange(n_rows)
     # Largest first, ties by lower cluster index; clusters under K+2 samples
-    # are dropped, and a row left with none is fitted whole.
+    # are dropped, and a row left with none is fitted whole.  The kept
+    # clusters of a row are a prefix of its order: they fill its first slots.
     order = np.argsort(-sizes, axis=1, kind="stable")[:, :1 if kind == "dm" else top_n]
     top = sizes[rows[:, None], order]
     kept = top >= k + 2
@@ -362,7 +378,8 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
     labels = rank[rows[:, None], assign]
     labels[whole] = 0
     kept[whole, 0] = True
-    means, precisions = _fit_gaussians(x, labels, order.shape[1])
+    slots = kept.sum(axis=1).max()
+    means, precisions = _fit_gaussians(x, labels, slots)
     if kind == "dm":
         if whole.any():
             logger.warning("%d of %d rows: dominant cluster has < K+2 samples; "
@@ -371,9 +388,8 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
                                "row posterior")
     weights = np.where(kept, top, 0).astype(np.float64)
     weights /= weights.sum(axis=1, keepdims=True)
-    offsets = np.concatenate(([0], np.cumsum(kept.sum(axis=1))))
-    return _check_contract(PosteriorSet("gmm", means[kept], precisions[kept],
-                                        weights=weights[kept], offsets=offsets),
+    precisions[~kept[:, :slots]] = np.eye(k)
+    return _check_contract(PosteriorSet("gmm", means, precisions, weights[:, :slots]),
                            "mixture posterior")
 
 
@@ -386,50 +402,46 @@ class PosteriorSet:
     """Approximations for a contiguous range of rows of one factor matrix.
 
     ``kind`` is "gaussian" or "gmm".  Gaussian sets hold ``means (R, K)``
-    and ``precisions (R, K, K)``.  Mixture sets additionally hold ragged
-    per-row components flattened into ``weights``, ``means``, ``precisions``
-    with ``offsets (R+1,)`` delimiting each row's slice.
+    and ``precisions (R, K, K)``.  Mixture sets hold ``C`` component slots
+    per row: ``means (R, C, K)``, ``precisions (R, C, K, K)`` and
+    ``weights (R, C)``, C being the most components any row has.  A slot of
+    weight 0 holds no component, with mean 0 and the identity precision.
     """
 
     kind: str
     means: np.ndarray
     precisions: np.ndarray
     weights: np.ndarray | None = None
-    offsets: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "gmm"):
             raise ValidationError(f"unknown posterior set kind: {self.kind!r}")
-        if self.kind == "gmm" and (self.weights is None or self.offsets is None):
-            raise ValidationError("gmm posterior set requires weights and offsets")
+        if self.kind == "gmm" and self.weights is None:
+            raise ValidationError("gmm posterior set requires weights")
 
     @property
     def n_rows(self) -> int:
-        if self.kind == "gaussian":
-            return self.means.shape[0]
-        return self.offsets.size - 1
+        return self.means.shape[0]
 
     @property
     def k(self) -> int:
         return self.means.shape[-1]
 
-    def component_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """For each mixture component, its row and its position in that row."""
-        counts = np.diff(self.offsets)
-        rows = np.repeat(np.arange(counts.size), counts)
-        return rows, np.arange(rows.size) - self.offsets[rows]
-
     def pooled(self) -> "PosteriorSet":
         """Collapse mixtures to single Gaussians with each row's exact
-        mixture mean and covariance."""
+        mixture mean and covariance.  ``np.add.reduceat`` adds each row's
+        slots one after another in slot order, so a row's result does not
+        depend on how many empty slots pad it."""
         if self.kind == "gaussian":
             return self
-        starts = self.offsets[:-1]
-        weights = self.weights[:, None]
-        mean = np.add.reduceat(weights * self.means, starts)
-        diffs = self.means - mean[self.component_index()[0]]
+        n, c, k = self.means.shape
+        starts = np.arange(0, n * c, c)
+        weights = self.weights.reshape(-1, 1)
+        means = self.means.reshape(-1, k)
+        mean = np.add.reduceat(weights * means, starts)
+        diffs = means - np.repeat(mean, c, axis=0)
         weights = weights[..., None]
-        cov = np.add.reduceat(weights * np.linalg.inv(self.precisions), starts)
+        cov = np.add.reduceat(weights * np.linalg.inv(self.precisions.reshape(-1, k, k)), starts)
         cov = cov + np.add.reduceat(weights * diffs[:, :, None] * diffs[:, None, :], starts)
         return PosteriorSet("gaussian", mean, _symmetrize(np.linalg.inv(_symmetrize(cov))))
 
@@ -437,33 +449,28 @@ class PosteriorSet:
 def _contract_violation(pset: PosteriorSet, k: int) -> str | None:
     """The first way a set breaks the posterior contract, naming the row, or
     None.  The contract: K-dimensional finite means, finite precisions with
-    a Cholesky factor and, for mixtures, positive weights summing to 1 (to
-    1e-9) per row and offsets strictly increasing from 0 to the component
-    count.  ``fit_rows`` (for dm and gmm fits) and ``load_posterior_file``
-    enforce it; each check runs once over the whole stack."""
-    n = pset.means.shape[0]
-    if pset.means.ndim != 2 or pset.means.shape[1] != k or pset.precisions.shape != (n, k, k):
-        return f"means and precisions do not hold the same K={k} components"
-    rows = np.arange(n)
-    checks = [(np.isfinite(pset.means).all(axis=1), "non-finite mean"),
-              (np.isfinite(pset.precisions).all(axis=(1, 2)), "non-finite precision")]
+    a Cholesky factor in every slot and, for mixtures, finite nonnegative
+    weights summing to 1 (to 1e-9) per row.  ``fit_rows`` (for dm and gmm
+    fits) and ``load_posterior_file`` enforce it; each check runs once over
+    the whole stack."""
+    slots = pset.means.shape[:-1]
+    if (pset.means.ndim != (3 if pset.kind == "gmm" else 2) or pset.means.shape[-1] != k
+            or pset.precisions.shape != (*slots, k, k)
+            or (pset.kind == "gmm" and pset.weights.shape != slots)):
+        return f"means, precisions and weights do not hold the same K={k} components"
+    checks = [(np.isfinite(pset.means), "non-finite mean"),
+              (np.isfinite(pset.precisions), "non-finite precision")]
     if pset.kind == "gmm":
-        offsets = pset.offsets
-        if (offsets.ndim != 1 or offsets.dtype.kind not in "iu" or offsets[:1].tolist() != [0]
-                or offsets[-1] != n or pset.weights.shape != (n,)):
-            return f"offsets do not run from 0 to the {n} components of the weights"
-        steps_ok = np.diff(offsets) > 0
-        if not steps_ok.all():
-            return f"row {np.argmin(steps_ok)}: offsets not strictly increasing"
-        rows = pset.component_index()[0]
-        sums = np.add.reduceat(pset.weights, offsets[:-1])
-        checks += [(np.isfinite(pset.weights) & (pset.weights > 0), "weight not positive"),
-                   (np.abs(sums - 1.0)[rows] <= 1e-9, "weights do not sum to 1")]
+        weights = pset.weights
+        checks += [(np.isfinite(weights) & (weights >= 0), "negative or non-finite weight"),
+                   (np.abs(weights.sum(axis=1) - 1.0) <= 1e-9, "weights do not sum to 1")]
     for ok, what in checks:
+        ok = ok.all(axis=tuple(range(1, ok.ndim)))
         if not ok.all():
-            return f"row {rows[np.argmin(ok)]}: {what}"
-    bad = non_spd_rows(pset.precisions)
-    return f"row {rows[bad[0]]}: precision not positive definite" if bad.size else None
+            return f"row {np.argmin(ok)}: {what}"
+    bad = non_spd_rows(pset.precisions.reshape(-1, k, k))
+    width = pset.weights.shape[1] if pset.kind == "gmm" else 1
+    return f"row {bad[0] // width}: precision not positive definite" if bad.size else None
 
 
 def _fixed_lambda(lam_policy) -> float | None:
@@ -526,24 +533,23 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
 
 # --- file format -----------------------------------------------------------
 #
-# A posterior file is a .npz archive with a JSON header plus flat arrays.
+# A posterior file is a .npz archive with a JSON header plus arrays.
 # Precisions are stored as packed upper triangles, which is lossless
-# because every precision in a PosteriorSet is exactly symmetric.
+# because every precision in a PosteriorSet is exactly symmetric.  A
+# mixture file stores its ``weights (R, C)`` whole but only the components
+# of positive weight, row after row; loading puts them back in their slots.
 
 def _pack_ut(mats: np.ndarray) -> np.ndarray:
-    k = mats.shape[-1]
-    iu = np.triu_indices(k)
-    return mats[..., iu[0], iu[1]]
+    rows, cols = _triangles(mats.shape[-1])[0]
+    return mats[..., rows, cols]
 
 
 def _unpack_ut(packed: np.ndarray, k: int) -> np.ndarray:
-    iu = np.triu_indices(k)
-    out = np.zeros(packed.shape[:-1] + (k, k))
-    out[..., iu[0], iu[1]] = packed
-    lower = np.swapaxes(out, -1, -2).copy()
-    diag = np.arange(k)
-    lower[..., diag, diag] = 0.0
-    return out + lower
+    if packed.shape[-1] != k * (k + 1) // 2:
+        raise ValueError(f"packed precisions of {packed.shape[-1]} values, not K={k}")
+    # ``take`` keeps the stack C-ordered (``packed[..., slot]`` would not),
+    # and the stacked products downstream sum in an order set by the layout.
+    return np.take(packed, _triangles(k)[1], axis=-1).reshape(*packed.shape[:-1], k, k)
 
 
 def save_posterior_file(path, posteriors: PosteriorSet, side: str,
@@ -553,12 +559,13 @@ def save_posterior_file(path, posteriors: PosteriorSet, side: str,
               "row_start": int(row_start), "row_stop": int(row_stop)}
     if extra:
         header.update(extra)
-    arrays = {"header": np.array(json.dumps(header)),
-              "means": posteriors.means,
-              "prec_ut": _pack_ut(posteriors.precisions)}
+    means, precisions = posteriors.means, posteriors.precisions
+    arrays = {"header": np.array(json.dumps(header))}
     if posteriors.kind == "gmm":
         arrays["weights"] = posteriors.weights
-        arrays["offsets"] = posteriors.offsets
+        present = posteriors.weights > 0
+        means, precisions = means[present], precisions[present]
+    arrays.update(means=means, prec_ut=_pack_ut(precisions))
     write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
@@ -568,16 +575,24 @@ def load_posterior_file(path) -> tuple[dict, PosteriorSet]:
     try:
         with np.load(path) as npz:
             header = json.loads(str(npz["header"]))
+            if not (isinstance(header, dict) and header.get("kind") in ("gaussian", "gmm")
+                    and type(header.get("k")) is int and header["k"] >= 1):
+                raise ValueError("the header is not an object with kind 'gaussian' or "
+                                 "'gmm' and an integer k >= 1")
             k = header["k"]
+            means, precisions = npz["means"], _unpack_ut(npz["prec_ut"], k)
             if header["kind"] == "gaussian":
-                pset = PosteriorSet("gaussian", npz["means"],
-                                    _unpack_ut(npz["prec_ut"], k))
+                pset = PosteriorSet("gaussian", means, precisions)
             else:
-                pset = PosteriorSet("gmm", npz["means"], _unpack_ut(npz["prec_ut"], k),
-                                    weights=npz["weights"], offsets=npz["offsets"])
+                weights = npz["weights"]
+                present = weights > 0
+                pset = PosteriorSet("gmm", np.zeros((*weights.shape, k)),
+                                    np.tile(np.eye(k), (*weights.shape, 1, 1)), weights)
+                pset.means[present] = means
+                pset.precisions[present] = precisions
     except FileNotFoundError as exc:
         raise ArtifactError(f"posterior file not found: {path}") from exc
-    except (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError) as exc:
+    except (zipfile.BadZipFile, OSError, KeyError, TypeError, ValueError, EOFError) as exc:
         raise ArtifactError(f"corrupt posterior file {path}: {exc}") from exc
     problem = _contract_violation(pset, k)
     if problem:

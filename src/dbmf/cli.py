@@ -112,46 +112,37 @@ def cmd_simulate(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
-RUN_CONFIG_KEYS = ["factors", "tau", "iters", "burn-in", "thin", "seed", "method",
-                   "partition", "order", "top-n", "lambda", "workers", "save-chains",
-                   "nw-mu0", "nw-beta0", "nw-w0-scale", "nw-nu0"]
+# Each ``run`` key that maps onto one ``RunConfig`` field: (field, type).
+# ``method``, ``partition`` and ``lambda`` are read on their own.
+RUN_FIELDS = {"factors": ("n_factors", int), "tau": ("tau", float),
+              "iters": ("n_iters", int), "burn-in": ("burn_in", int), "thin": ("thin", int),
+              "seed": ("seed", int), "order": ("ordering", str), "top-n": ("top_n", int),
+              "workers": ("workers", int), "save-chains": ("save_chains", bool),
+              "nw-mu0": ("nw_mu0", float), "nw-beta0": ("nw_beta0", float),
+              "nw-w0-scale": ("nw_w0_scale", float), "nw-nu0": ("nw_nu0", float)}
+RUN_CONFIG_KEYS = [*RUN_FIELDS, "method", "partition", "lambda"]
 
 
 def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
+    """The ``RunConfig`` of the keys set (not None) in ``merged``; every
+    other field keeps its ``RunConfig`` default."""
     r, c = _parse_partition(merged.get("partition", "1x1"))
     if method == "full" and (r, c) != (1, 1):
         raise ValidationError("method 'full' requires --partition 1x1")
     approx_kind = {"full": "mm", "pp-mm": "mm", "pp-dm": "dm", "pp-gmm": "gmm",
                    "ep-parametric": "mm"}[method]
-    lam = merged.get("lambda", "median-pairwise")
+    fields = {name: _convert(kind, merged[key], key)
+              for key, (name, kind) in RUN_FIELDS.items() if merged.get(key) is not None}
+    lam = merged.get("lambda")
     if isinstance(lam, str) and lam != "median-pairwise":
         try:
             lam = float(lam)
         except ValueError as exc:
             raise ValidationError(f"--lambda is 'median-pairwise' or a number, got {lam!r}") from exc
-
-    def get(key, kind, default):
-        return _convert(kind, merged.get(key, default), key)
-
-    return pipeline.RunConfig(
-        n_factors=get("factors", int, None),
-        tau=get("tau", float, None),
-        n_iters=get("iters", int, 1200),
-        burn_in=get("burn-in", int, 800),
-        thin=get("thin", int, 2),
-        seed=get("seed", int, 0),
-        approximation=approx_kind,
-        ordering=merged.get("order", "decreasing"),
-        partition_rows=r, partition_cols=c,
-        top_n=get("top-n", int, 3),
-        lambda_policy=lam,
-        workers=get("workers", int, 1),
-        save_chains=bool(merged.get("save-chains", False)),
-        nw_mu0=get("nw-mu0", float, 0.0),
-        nw_beta0=get("nw-beta0", float, 2.0),
-        nw_w0_scale=get("nw-w0-scale", float, 1.0),
-        nw_nu0=(get("nw-nu0", float, None) if merged.get("nw-nu0") is not None
-                else None))
+    if lam is not None:
+        fields["lambda_policy"] = lam
+    return pipeline.RunConfig(approximation=approx_kind, partition_rows=r, partition_cols=c,
+                              **fields)
 
 
 def _execute_method(method: str, train, config: pipeline.RunConfig, run_dir):
@@ -164,7 +155,7 @@ def _execute_method(method: str, train, config: pipeline.RunConfig, run_dir):
 
 def cmd_run(args) -> int:
     merged = _merge_config(args, RUN_CONFIG_KEYS)
-    if "factors" not in merged or "tau" not in merged:
+    if merged.get("factors") is None or merged.get("tau") is None:
         raise ValidationError("--factors and --tau are required (flag or config file)")
     method = merged.get("method", "pp-mm")
     if method not in METHODS:

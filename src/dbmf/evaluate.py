@@ -152,26 +152,24 @@ def sharing_pairs(n_row_blocks: int, n_col_blocks: int):
     return pairs
 
 
-def subset_mean_correlations(run_dir, align: bool | None = None) -> list[PairCorrelation]:
-    """Correlations between per-block posterior-mean estimates of shared
-    parameters, for every sharing pair of a finished run directory.
+def subset_mean_correlations(run_dir) -> list[PairCorrelation]:
+    """Correlations between per-block posterior-mean estimates (mixtures
+    pooled) of shared parameters, for every sharing pair of a finished run
+    directory.
 
-    By default, estimates from runs without cross-subset coupling (method
-    ``ep``) are aligned (permutation and sign of latent dimensions) before
-    correlating; staged runs are correlated directly.  Pass ``align`` to
-    override.
+    Estimates from runs without cross-subset coupling (method ``ep``) are
+    aligned (permutation and sign of latent dimensions) before correlating;
+    staged runs are correlated directly.
     """
     from . import pipeline  # local import; pipeline does not import evaluate
 
     meta = pipeline.read_run_config(run_dir)
-    if align is None:
-        align = meta["method"] == "ep"
     r, c = meta["partition_rows"], meta["partition_cols"]
     out = []
     for side, blk_a, blk_b in sharing_pairs(r, c):
-        mean_a = pipeline.load_block_means(run_dir, side, *blk_a)
-        mean_b = pipeline.load_block_means(run_dir, side, *blk_b)
-        if align:
+        mean_a, mean_b = (pipeline.load_posteriors(run_dir, side, *blk).pooled().means
+                          for blk in (blk_a, blk_b))
+        if meta["method"] == "ep":
             perm, signs = align_latent_dimensions(mean_a, mean_b)
             mean_b = mean_b[:, perm] * signs
         per_dim = [float(np.nan_to_num(_column_correlations(

@@ -171,8 +171,8 @@ def stage_of(i: int, j: int) -> int:
     return 2 if (i == 0 or j == 0) else 3
 
 
-def posterior_path(run_dir, stage: int, side: str, i: int, j: int) -> str:
-    return os.path.join(run_dir, f"stage{stage}", f"{side}_{i}_{j}.npz")
+def posterior_path(run_dir, side: str, i: int, j: int) -> str:
+    return os.path.join(run_dir, f"stage{stage_of(i, j)}", f"{side}_{i}_{j}.npz")
 
 
 def chain_path(run_dir, i: int, j: int) -> str:
@@ -220,37 +220,37 @@ def _read_json(run_dir, name: str) -> dict:
 
 
 def read_run_config(run_dir) -> dict:
-    return _read_json(run_dir, "run_config.json")
+    """The run's configuration echo; ``ArtifactError`` unless it is an
+    object naming the method and a partition of at least 1x1."""
+    meta = _read_json(run_dir, "run_config.json")
+    if not (isinstance(meta, dict) and isinstance(meta.get("method"), str)
+            and all(type(meta.get(key)) is int and meta[key] >= 1
+                    for key in ("partition_rows", "partition_cols"))):
+        raise ArtifactError(f"{os.path.join(run_dir, 'run_config.json')} does not name the "
+                            "method and the partition (partition_rows, partition_cols)")
+    return meta
 
 
 def read_timings(run_dir) -> dict:
     return _read_json(run_dir, "timings.json")
 
 
-def load_block_means(run_dir, side: str, i: int, j: int) -> np.ndarray:
-    """Posterior-mean estimate of one side's rows from one block run
-    (mixtures are pooled)."""
-    path = posterior_path(run_dir, stage_of(i, j), side, i, j)
-    _, pset = load_posterior_file(path)
-    return pset.pooled().means
-
-
-def persist_posteriors(run_dir, stage: int, i: int, j: int, side: str,
+def persist_posteriors(run_dir, side: str, i: int, j: int,
                        posteriors: PosteriorSet, row_range: tuple[int, int]) -> str:
     """Write one side's block approximations into the run layout."""
-    path = posterior_path(run_dir, stage, side, i, j)
+    path = posterior_path(run_dir, side, i, j)
     save_posterior_file(path, posteriors, side, row_range[0], row_range[1],
-                        extra={"stage": stage, "block": [i, j]})
+                        extra={"stage": stage_of(i, j), "block": [i, j]})
     return path
 
 
-def load_posteriors(run_dir, stage: int, i: int, j: int, side: str) -> PosteriorSet:
+def load_posteriors(run_dir, side: str, i: int, j: int) -> PosteriorSet:
     """Read one side's block approximations; names the stage/block on failure."""
-    path = posterior_path(run_dir, stage, side, i, j)
     try:
-        _, pset = load_posterior_file(path)
+        _, pset = load_posterior_file(posterior_path(run_dir, side, i, j))
     except ArtifactError as exc:
-        raise PipelineError(f"stage {stage} block ({i},{j}) {side}-posteriors: {exc}") from exc
+        raise PipelineError(
+            f"stage {stage_of(i, j)} block ({i},{j}) {side}-posteriors: {exc}") from exc
     return pset
 
 
@@ -261,14 +261,16 @@ def load_posteriors(run_dir, stage: int, i: int, j: int, side: str) -> Posterior
 @dataclass
 class _BlockTask:
     """One block run: the worker derives its sampler settings, hyperprior
-    and seeds from ``config`` and the block's stage and coordinates."""
+    and seeds from ``config`` and the block's stage and coordinates.  A
+    side's prior is the posterior of the block ``x_from`` (``w_from``), or
+    the shared prior when that is None."""
 
     key: tuple[int, int]
     block: SparseMatrix
     run_dir: str
     config: RunConfig
-    x_prior_file: str | None
-    w_prior_file: str | None
+    x_from: tuple[int, int] | None
+    w_from: tuple[int, int] | None
     row_range: tuple[int, int]
     col_range: tuple[int, int]
 
@@ -282,26 +284,14 @@ def _default_posteriors(n_rows: int, nw: NormalWishartPrior) -> PosteriorSet:
     return PosteriorSet("gaussian", means, precs)
 
 
-def _load_prior(path: str | None, key: tuple[int, int], side: str) -> PosteriorSet | None:
-    """The handed-in posteriors of one side, or None for the shared prior."""
-    if path is None:
-        return None
-    try:
-        _, pset = load_posterior_file(path)
-    except ArtifactError as exc:
-        raise PipelineError(
-            f"stage {stage_of(*key)} block {key} missing {side} prior: {exc}") from exc
-    return pset
-
-
 def _run_block_task(task: _BlockTask) -> dict:
     started = time.time()
     t0 = time.perf_counter()
     config = task.config
     i, j = task.key
     stage = stage_of(i, j)
-    x_prior = _load_prior(task.x_prior_file, task.key, "x")
-    w_prior = _load_prior(task.w_prior_file, task.key, "w")
+    x_prior, w_prior = (None if source is None else load_posteriors(task.run_dir, side, *source)
+                        for side, source in (("x", task.x_from), ("w", task.w_from)))
     nw = config.nw_prior()
 
     if task.block.m == 0:
@@ -318,8 +308,8 @@ def _run_block_task(task: _BlockTask) -> dict:
                                    lam_policy=config.lambda_policy, top_n=config.top_n,
                                    seed=derive_seed(config.seed, stage, i, j, side))
                           for side, samples in ((1, chain.x_samples), (2, chain.w_samples)))
-    persist_posteriors(task.run_dir, stage, i, j, "x", x_pset, task.row_range)
-    persist_posteriors(task.run_dir, stage, i, j, "w", w_pset, task.col_range)
+    persist_posteriors(task.run_dir, "x", i, j, x_pset, task.row_range)
+    persist_posteriors(task.run_dir, "w", i, j, w_pset, task.col_range)
     return {"seconds": time.perf_counter() - t0, "started": started, "finished": time.time()}
 
 
@@ -396,7 +386,7 @@ def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
         for index, keys in enumerate(lines):
             stacks = []
             for i, j in keys:
-                pset = load_posteriors(run_dir, stage_of(i, j), i, j, name).pooled()
+                pset = load_posteriors(run_dir, name, i, j).pooled()
                 stacks.append((pset.means, pset.precisions))
             means, precs, line_events = rule(stacks)
             parts.append((means, precs))
@@ -439,10 +429,6 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
     plan.save(os.path.join(run_dir, "plan.json"))
     blocks = extract_blocks(train, plan)
 
-    def prior_file(side, source):
-        return None if source is None else posterior_path(run_dir, stage_of(*source),
-                                                          side, *source)
-
     stage_timings = {}
     run_start = time.perf_counter()
     width = max(len(entries) for _, entries in layers)
@@ -450,8 +436,7 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
           if config.workers > 1 else contextlib.nullcontext()) as pool:
         for label, entries in layers:
             if entries:
-                tasks = [_BlockTask(key, blocks[key], run_dir, config,
-                                    prior_file("x", x_from), prior_file("w", w_from),
+                tasks = [_BlockTask(key, blocks[key], run_dir, config, x_from, w_from,
                                     plan.row_range(key[0]), plan.col_range(key[1]))
                          for key, x_from, w_from in entries]
                 stage_timings[label] = _run_layer(pool, label, tasks)

@@ -35,12 +35,11 @@ import json
 import logging
 import zipfile
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
 
-from .approx import PosteriorSet
+from .approx import PosteriorSet, _triangles
 from .artifacts import write_atomic
 from .data import SparseMatrix
 from .errors import ArtifactError, NumericalError, ValidationError
@@ -167,20 +166,6 @@ def _chol_with_jitter(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.nda
             return np.linalg.cholesky(jittered), jittered
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Cholesky failed after jitter ({context})") from exc
-
-
-@lru_cache(maxsize=None)
-def _triangles(k: int):
-    """Read-only index constants of K x K matrices: the upper triangle
-    (diagonal included) as (row, col) arrays, the flattened map from each
-    entry to its upper-triangle slot, the diagonal and the strict lower
-    triangle."""
-    upper, diag, lower = np.triu_indices(k), np.diag_indices(k), np.tril_indices(k, -1)
-    slot = np.empty((k, k), dtype=np.intp)
-    slot[upper] = slot[upper[::-1]] = np.arange(upper[0].size)
-    for arr in (*upper, slot, *diag, *lower):
-        arr.flags.writeable = False
-    return upper, slot.ravel(), diag, lower
 
 
 def _wishart_draw(rng: np.random.Generator, scale: np.ndarray, df: float) -> np.ndarray:
@@ -322,77 +307,58 @@ def _sample_side(rng, partner, ind, val, tau, prior_precs, prior_b, context):
     return _chol_draw(chols, noise, prior_b + tau * lin)
 
 
-class _GmmPriorArrays:
-    """Padded per-row mixture arrays enabling batched component selection."""
-
-    def __init__(self, pset: PosteriorSet):
-        rows, slots = pset.component_index()
-        n, cmax, k = pset.n_rows, int(slots.max()) + 1, pset.k
-        self.log_weights = np.full((n, cmax), -np.inf)
-        self.means = np.zeros((n, cmax, k))
-        self.precisions = np.tile(np.eye(k), (n, cmax, 1, 1))
-        self.weights = np.zeros((n, cmax))
-        self.weights[rows, slots] = pset.weights
-        self.log_weights[rows, slots] = np.log(pset.weights)
-        self.means[rows, slots] = pset.means
-        self.precisions[rows, slots] = pset.precisions
-        _, self.logdet = np.linalg.slogdet(self.precisions)
-        self.logdet[np.isinf(self.log_weights)] = 0.0
-
-    def select(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the (mean, precision) of the maximum-responsibility
-        component at the current row values."""
-        diffs = values[:, None, :] - self.means
-        quad = np.einsum("rck,rckl,rcl->rc", diffs, self.precisions, diffs)
-        score = self.log_weights + 0.5 * self.logdet - 0.5 * quad
-        chosen = np.argmax(score, axis=1)
-        rows = np.arange(values.shape[0])
-        return self.means[rows, chosen], self.precisions[rows, chosen]
-
-    def draw_initial(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Component draw by weight per row, for initialization."""
-        cum = np.cumsum(self.weights, axis=1)
-        chosen = np.sum(cum < rng.random((cum.shape[0], 1)), axis=1)
-        chosen = np.minimum(chosen, self.weights.shape[1] - 1)
-        rows = np.arange(cum.shape[0])
-        return self.means[rows, chosen], self.precisions[rows, chosen]
-
-
 class _SideState:
     """Per-side prior bookkeeping for the sweep loop: the shared hyperprior
     when ``prior`` is None, else the handed-in per-row Gaussians or
-    mixtures."""
+    mixtures.  A mixture's empty slots have log weight -inf and, with the
+    identity precision, log-determinant 0, so they are never selected."""
 
     def __init__(self, prior: PosteriorSet | None, n_rows: int, name: str):
-        self.shared = prior is None
-        self.gmm = None
-        if prior is not None:
-            if prior.n_rows != n_rows:
-                raise ValidationError(
-                    f"propagated {name} prior covers {prior.n_rows} rows, expected {n_rows}")
-            if prior.kind == "gaussian":
-                self.prior_precs = prior.precisions
-                self.prior_b = np.einsum("rkl,rl->rk", prior.precisions, prior.means)
-                self.prior_means = prior.means
-            else:
-                self.gmm = _GmmPriorArrays(prior)
+        self.prior = prior
+        if prior is None:
+            return
+        if prior.n_rows != n_rows:
+            raise ValidationError(
+                f"propagated {name} prior covers {prior.n_rows} rows, expected {n_rows}")
+        if prior.kind == "gaussian":
+            self.prior_b = np.einsum("rkl,rl->rk", prior.precisions, prior.means)
+        else:
+            with np.errstate(divide="ignore"):
+                self.log_weights = np.log(prior.weights)
+            self.logdet = np.linalg.slogdet(prior.precisions)[1]
+
+    def select(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the (mean, precision) of the maximum-responsibility
+        mixture component at the current row values."""
+        means, precs = self.prior.means, self.prior.precisions
+        diffs = values[:, None, :] - means
+        quad = np.einsum("rck,rckl,rcl->rc", diffs, precs, diffs)
+        chosen = np.argmax(self.log_weights + 0.5 * self.logdet - 0.5 * quad, axis=1)
+        rows = np.arange(values.shape[0])
+        return means[rows, chosen], precs[rows, chosen]
 
     def prior_terms(self, values, hyper_mu, hyper_lambda):
-        if self.shared:
+        if self.prior is None:
             return hyper_lambda, hyper_lambda @ hyper_mu
-        if self.gmm is None:
-            return self.prior_precs, self.prior_b
-        means, precs = self.gmm.select(values)
+        if self.prior.kind == "gaussian":
+            return self.prior.precisions, self.prior_b
+        means, precs = self.select(values)
         return precs, np.einsum("rkl,rl->rk", precs, means)
 
     def initial_values(self, rng, n_rows, k, nw_prior):
-        if self.shared:
+        if self.prior is None:
             means = np.broadcast_to(nw_prior.mu0, (n_rows, k))
             precs = np.broadcast_to(nw_prior.nu0 * nw_prior.w0, (n_rows, k, k))
-        elif self.gmm is None:
-            means, precs = self.prior_means, self.prior_precs
+        elif self.prior.kind == "gaussian":
+            means, precs = self.prior.means, self.prior.precisions
         else:
-            means, precs = self.gmm.draw_initial(rng)
+            # A component drawn by weight per row.
+            weights = self.prior.weights
+            cum = np.cumsum(weights, axis=1)
+            chosen = np.sum(cum < rng.random((n_rows, 1)), axis=1)
+            chosen = np.minimum(chosen, weights.shape[1] - 1)
+            rows = np.arange(n_rows)
+            means, precs = self.prior.means[rows, chosen], self.prior.precisions[rows, chosen]
         chols = np.linalg.cholesky(precs)
         return means + _chol_draw(chols, rng.standard_normal((n_rows, k)))
 
@@ -439,9 +405,9 @@ def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, Posterior
     kept = 0
     for sweep in range(1, config.n_iters + 1):
         try:
-            if x_state.shared:
+            if x_prior is None:
                 mu_x, lambda_x = sample_hyper_normal_wishart(x, nw_prior, rng)
-            if w_state.shared:
+            if w_prior is None:
                 mu_w, lambda_w = sample_hyper_normal_wishart(w, nw_prior, rng)
             precs, b = x_state.prior_terms(x, mu_x, lambda_x)
             x = _sample_side(rng, w, x_ind, x_val, config.tau, precs, b, "X side")

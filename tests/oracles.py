@@ -405,13 +405,19 @@ def fit_gmm(samples: np.ndarray, lam: float, top_n: int = 3):
 
 
 def gmm_set(rows) -> PosteriorSet:
-    """Stack one-row mixtures ``(weights, means, precisions)`` into a set
-    with ragged ``offsets``, each precision symmetrized."""
-    weights, means, precisions = (np.concatenate([np.asarray(r[i], dtype=np.float64)
-                                                  for r in rows]) for i in range(3))
-    counts = np.array([len(r[0]) for r in rows], dtype=np.int64)
-    return PosteriorSet("gmm", means, 0.5 * (precisions + np.swapaxes(precisions, -1, -2)),
-                        weights=weights, offsets=np.concatenate(([0], np.cumsum(counts))))
+    """Stack one-row mixtures ``(weights, means, precisions)`` into a padded
+    set: each row's components fill its first slots, each precision
+    symmetrized, and the slots past them hold weight 0, mean 0 and the
+    identity precision."""
+    counts = [len(r[0]) for r in rows]
+    n, c, k = len(rows), max(counts), np.shape(rows[0][1])[-1]
+    weights, means = np.zeros((n, c)), np.zeros((n, c, k))
+    precisions = np.tile(np.eye(k), (n, c, 1, 1))
+    for i, (w, m, p) in enumerate(rows):
+        p = np.asarray(p, dtype=np.float64)
+        weights[i, :counts[i]], means[i, :counts[i]] = w, m
+        precisions[i, :counts[i]] = 0.5 * (p + np.swapaxes(p, -1, -2))
+    return PosteriorSet("gmm", means, precisions, weights)
 
 
 def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",

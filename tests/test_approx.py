@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -172,25 +173,25 @@ class TestFitGmm:
         rng = np.random.default_rng(0)
         samples = rng.standard_normal((40, 1))
         gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=100.0, top_n=3)
-        assert gmm.weights.size == 1
-        assert gmm.weights[0] == 1.0
+        assert gmm.weights.shape == (1, 1)
+        assert gmm.weights[0, 0] == 1.0
         mm = approx.fit_rows(one_row(samples), "mm")
-        np.testing.assert_allclose(gmm.means[0], mm.means[0])
+        np.testing.assert_allclose(gmm.means[0, 0], mm.means[0])
 
     def test_three_equal_clusters(self):
         rng = np.random.default_rng(1)
         samples = self._clouds(rng, [[-10.0], [0.0], [10.0]], [20, 20, 20])
         gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=2.0, top_n=3)
-        assert gmm.weights.size == 3
-        np.testing.assert_allclose(np.sort(gmm.weights), [1 / 3] * 3)
+        assert gmm.weights.shape == (1, 3)
+        np.testing.assert_allclose(np.sort(gmm.weights[0]), [1 / 3] * 3)
 
     def test_top_n_renormalization(self):
         rng = np.random.default_rng(2)
         samples = self._clouds(rng, [[-30.0], [-10.0], [10.0], [30.0]],
                                [40, 30, 20, 10])
         gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=3.0, top_n=3)
-        assert gmm.weights.size == 3
-        np.testing.assert_allclose(np.sort(gmm.weights)[::-1],
+        assert gmm.weights.shape == (1, 3)
+        np.testing.assert_allclose(np.sort(gmm.weights[0])[::-1],
                                    np.array([40, 30, 20]) / 90.0)
 
     def test_weights_positive_sum_one_randomized(self):
@@ -336,7 +337,7 @@ class TestBatchedAgainstOracle:
 
     @staticmethod
     def _assert_same(got, want):
-        for field in ("means", "precisions", "weights", "offsets"):
+        for field in ("means", "precisions", "weights"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a is None) == (b is None), field
             if a is not None:
@@ -401,23 +402,26 @@ class TestPosteriorFiles:
         assert header["row_start"] == 0 and header["row_stop"] == 4
         assert np.array_equal(loaded.means, pset.means)
         assert np.array_equal(loaded.precisions, pset.precisions)
+        # C order, as fitted: the stacked products that take loaded
+        # precisions sum in an order set by their memory layout.
+        assert loaded.precisions.flags.c_contiguous
 
-    def test_gmm_round_trip(self, tmp_path):
+    def test_gmm_round_trip_bit_identical(self, tmp_path):
+        # Rows of 1, 2 and 3 components: the file keeps the padded weights
+        # and only the components of positive weight.
         rng = np.random.default_rng(9)
-        rows = []
-        for _ in range(3):
-            c = int(rng.integers(1, 4))
-            rows.append((rng.dirichlet(np.ones(c)),
-                         rng.standard_normal((c, 2)),
-                         np.array([random_spd(rng, 2) for _ in range(c)])))
+        rows = [(rng.dirichlet(np.ones(c)), rng.standard_normal((c, 2)),
+                 np.array([random_spd(rng, 2) for _ in range(c)])) for c in (2, 1, 3)]
         pset = gmm_set(rows)
         path = tmp_path / "gmm.npz"
         approx.save_posterior_file(path, pset, "w", 5, 8)
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["header", "means", "prec_ut", "weights"]
+            assert npz["weights"].shape == (3, 3)
+            assert npz["means"].shape == (6, 2) and npz["prec_ut"].shape == (6, 3)
         _, loaded = approx.load_posterior_file(path)
-        assert np.array_equal(loaded.weights, pset.weights)
-        assert np.array_equal(loaded.means, pset.means)
-        assert np.array_equal(loaded.precisions, pset.precisions)
-        assert np.array_equal(loaded.offsets, pset.offsets)
+        for field in ("weights", "means", "precisions"):
+            assert getattr(loaded, field).tobytes() == getattr(pset, field).tobytes()
 
     def test_truncated_file_errors(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -451,42 +455,75 @@ class TestPosteriorFiles:
                                        rtol=1e-8, atol=1e-12)
 
     @staticmethod
-    def _gmm_arrays(rng):
-        """Three rows with 2, 1 and 2 components."""
-        return dict(means=rng.standard_normal((5, 2)),
-                    precisions=np.array([random_spd(rng, 2) for _ in range(5)]),
-                    weights=np.array([0.5, 0.5, 1.0, 0.25, 0.75]),
-                    offsets=np.array([0, 2, 3, 5]))
+    def _arrays(kind, rng):
+        """Five Gaussian rows, or three mixture rows with 2, 1 and 2
+        components in two slots."""
+        if kind == "gaussian":
+            return dict(kind=kind, means=rng.standard_normal((5, 2)),
+                        precisions=np.array([random_spd(rng, 2) for _ in range(5)]))
+        return vars(gmm_set([(np.array([0.5, 0.5]), rng.standard_normal((2, 2)),
+                         np.array([random_spd(rng, 2) for _ in range(2)])),
+                        (np.array([1.0]), rng.standard_normal((1, 2)), random_spd(rng, 2)[None]),
+                        (np.array([0.25, 0.75]), rng.standard_normal((2, 2)),
+                         np.array([random_spd(rng, 2) for _ in range(2)]))]))
 
     @pytest.mark.parametrize("kind, field, index, value, message", [
         ("gaussian", "means", (2, 1), np.nan, "row 2: non-finite mean"),
         ("gaussian", "precisions", (1, 0, 0), np.inf, "row 1: non-finite precision"),
         ("gaussian", "precisions", (3, 1, 1), -50.0, "row 3: precision not positive definite"),
-        ("gmm", "means", (3, 0), np.nan, "row 2: non-finite mean"),
-        ("gmm", "precisions", (4, 0, 0), -50.0, "row 2: precision not positive definite"),
-        ("gmm", "weights", (1,), 0.0, "row 0: weight not positive"),
-        ("gmm", "weights", (1,), np.nan, "row 0: weight not positive"),
-        ("gmm", "weights", (4,), 0.7, "row 2: weights do not sum to 1"),
-        ("gmm", "offsets", (1,), 3, "row 1: offsets not strictly increasing"),
-        ("gmm", "offsets", (0,), 1, "offsets do not run from 0 to the 5 components"),
-        ("gmm", "offsets", (3,), 4, "offsets do not run from 0 to the 5 components"),
+        ("gmm", "means", (2, 1, 0), np.nan, "row 2: non-finite mean"),
+        ("gmm", "precisions", (2, 1, 0, 0), -50.0, "row 2: precision not positive definite"),
+        ("gmm", "weights", (0, 1), 0.0, "row 0: weights do not sum to 1"),
+        ("gmm", "weights", (0, 1), np.nan, "row 0: negative or non-finite weight"),
+        ("gmm", "weights", (2, 1), 0.7, "row 2: weights do not sum to 1"),
+        ("gmm", "weights", (2, 0), -0.25, "row 2: negative or non-finite weight"),
+        # one component fewer stored than the weights have positive
+        ("gmm", "stored means", slice(-1), None, "corrupt posterior file"),
+        # a zero-weight slot may come first in its row
+        ("gmm", "weights", (1,), np.array([0.0, 1.0]), None),
     ])
     def test_invalid_posteriors_rejected_at_load(self, tmp_path, kind, field, index, value,
                                                  message):
         rng = np.random.default_rng(12)
-        arrays = self._gmm_arrays(rng)
-        if kind == "gaussian":
-            arrays = {"means": arrays["means"], "precisions": arrays["precisions"]}
+        arrays = self._arrays(kind, rng)
         path = tmp_path / "post.npz"
-        approx.save_posterior_file(path, approx.PosteriorSet(kind, **arrays), "x", 0, 5)
+        approx.save_posterior_file(path, approx.PosteriorSet(**arrays), "x", 0, 5)
         approx.load_posterior_file(path)  # the untouched file is valid
-        arrays[field] = arrays[field].copy()
-        arrays[field][index] = value
-        if field == "precisions":  # keep the stored upper triangle symmetric
-            arrays[field][index[0]] = np.triu(arrays[field][index[0]]) + \
-                np.triu(arrays[field][index[0]], 1).T
-        approx.save_posterior_file(path, approx.PosteriorSet(kind, **arrays), "x", 0, 5)
+        if field == "stored means":  # edit the file, not the set
+            with np.load(path) as npz:
+                stored = dict(npz)
+            stored["means"] = stored["means"][index]
+            np.savez(path, **stored)
+        else:
+            arrays[field] = arrays[field].copy()
+            arrays[field][index] = value
+            if field == "precisions":  # keep the stored upper triangle symmetric
+                mat = arrays[field][index[:-2]]
+                arrays[field][index[:-2]] = np.triu(mat) + np.triu(mat, 1).T
+            approx.save_posterior_file(path, approx.PosteriorSet(**arrays), "x", 0, 5)
+        if message is None:
+            _, loaded = approx.load_posterior_file(path)
+            assert loaded.weights.tobytes() == arrays["weights"].tobytes()
+            return
         with pytest.raises(ArtifactError) as info:
             approx.load_posterior_file(path)
         assert str(path) in str(info.value)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("header", [
+        [1, 2], "gmm", {"kind": "gaussian"}, {"kind": "gaussian", "k": "2"},
+        {"kind": "gaussian", "k": 2.5}, {"kind": "gaussian", "k": 0},
+        {"kind": "gaussian", "k": True}, {"kind": "mixture", "k": 2},
+    ])
+    def test_malformed_header_rejected_at_load(self, tmp_path, header):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "post.npz"
+        approx.save_posterior_file(path, approx.PosteriorSet(**self._arrays("gaussian", rng)),
+                                   "x", 0, 5)
+        with np.load(path) as npz:
+            stored = dict(npz)
+        stored["header"] = np.array(json.dumps(header))
+        np.savez(path, **stored)
+        with pytest.raises(ArtifactError, match="corrupt posterior file .*header") as info:
+            approx.load_posterior_file(path)
+        assert str(path) in str(info.value)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dbmf import cli
@@ -205,6 +206,40 @@ class TestEvaluateAndCost:
         assert len(doc["correlations"]) == len(
             [p for p in __import__("dbmf").evaluate.sharing_pairs(2, 2)])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("edit", [
+        {"method": None}, {"partition_rows": None}, {"partition_cols": None},
+        {"partition_rows": "2"}, {"partition_cols": 0}, [],
+    ])
+    def test_malformed_run_config_is_io_error(self, sim_dir, finished_run, capsys, edit):
+        path = finished_run / "run_config.json"
+        doc = json.loads(path.read_text())
+        if isinstance(edit, dict):
+            doc.update(edit)
+            doc = {key: value for key, value in doc.items() if value is not None}
+        else:
+            doc = edit
+        path.write_text(json.dumps(doc))
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt")])
+        assert code == 4
+        assert f"{path} does not name the method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        [1, 2], {"kind": "gaussian", "k": "2"}, {"kind": "gaussian", "k": 2.5},
+        {"kind": "mixture", "k": 2},
+    ])
+    def test_malformed_posterior_header_is_io_error(self, sim_dir, finished_run, capsys,
+                                                    header):
+        path = finished_run / "aggregate" / "x.npz"
+        with np.load(path) as npz:
+            stored = dict(npz)
+        stored["header"] = np.array(json.dumps(header))
+        np.savez(path, **stored)
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt")])
+        assert code == 4
+        assert f"corrupt posterior file {path}" in capsys.readouterr().err
 
     def test_evaluate_requires_test(self, finished_run, capsys):
         code = run_cli(["evaluate", "--run", str(finished_run)])

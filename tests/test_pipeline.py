@@ -300,7 +300,7 @@ class TestStagedPipeline:
         assert len(batched) == 21
         assert batched == artifact_digests(tmp_path / "per-row")
         _, stage3 = load_posterior_file(tmp_path / "batched" / "stage3" / "x_2_2.npz")
-        assert np.diff(stage3.offsets).max() > 1  # some rows are mixtures
+        assert (stage3.weights > 0).sum(axis=1).max() > 1  # some rows are mixtures
 
     def test_plan_mismatch_rejected(self, small_data, tmp_path):
         train, _ = small_data
@@ -397,15 +397,25 @@ class TestPersistence:
         cfg = quick_config()
         run_dir = tmp_path / "persist"
         pipeline.run_pp(train, cfg, run_dir=run_dir)
-        pset = pipeline.load_posteriors(run_dir, 1, 0, 0, "x")
-        path = pipeline.persist_posteriors(run_dir, 1, 0, 0, "x", pset, (0, pset.n_rows))
+        pset = pipeline.load_posteriors(run_dir, "x", 0, 0)
+        path = pipeline.persist_posteriors(run_dir, "x", 0, 0, pset, (0, pset.n_rows))
         _, again = load_posterior_file(path)
         assert np.array_equal(again.means, pset.means)
 
     def test_missing_posterior_names_stage_and_block(self, tmp_path):
         os.makedirs(tmp_path / "stage2", exist_ok=True)
         with pytest.raises(PipelineError, match=r"stage 2 block \(1,0\)"):
-            pipeline.load_posteriors(tmp_path, 2, 1, 0, "x")
+            pipeline.load_posteriors(tmp_path, "x", 1, 0)
+
+    def test_missing_prior_names_its_stage_and_block(self, small_data, tmp_path):
+        # Block (1,1) takes its X prior from stage-2 block (1,0), whose file
+        # is absent; the block is never sampled.
+        train, _ = small_data
+        task = pipeline._BlockTask((1, 1), train, str(tmp_path), quick_config(),
+                                   (1, 0), (0, 1), (0, train.n_rows), (0, train.n_cols))
+        with pytest.raises(PipelineError, match=r"stage 2 block \(1,0\) x-posteriors: "
+                                                r"posterior file not found"):
+            pipeline._run_block_task(task)
 
     @pytest.mark.parametrize("field, index, value, problem", [
         ("means", (3, 0), np.nan, "row 3: non-finite mean"),
@@ -416,11 +426,11 @@ class TestPersistence:
         train, _ = small_data
         run_dir = tmp_path / "bad"
         pipeline.run_pp(train, quick_config(), run_dir=run_dir)
-        pset = pipeline.load_posteriors(run_dir, 2, 1, 0, "x")
+        pset = pipeline.load_posteriors(run_dir, "x", 1, 0)
         getattr(pset, field)[index] = value
-        pipeline.persist_posteriors(run_dir, 2, 1, 0, "x", pset, (0, pset.n_rows))
+        pipeline.persist_posteriors(run_dir, "x", 1, 0, pset, (0, pset.n_rows))
         with pytest.raises(PipelineError, match=r"stage 2 block \(1,0\) x-posteriors") as info:
-            pipeline.load_posteriors(run_dir, 2, 1, 0, "x")
+            pipeline.load_posteriors(run_dir, "x", 1, 0)
         assert problem in str(info.value) and info.value.exit_code == 4
 
     @pytest.mark.parametrize("writer", ["posterior", "chain", "json", "plan"])
@@ -483,13 +493,14 @@ class TestPersistence:
         with pytest.raises(ArtifactError):
             pipeline.read_run_config(tmp_path)
 
-    def test_load_block_means_pools_mixtures(self, small_data, tmp_path):
+    def test_loaded_mixtures_pool_to_block_means(self, small_data, tmp_path):
         train, _ = small_data
         cfg = quick_config(approximation="gmm", n_iters=30, burn_in=20, thin=1)
         run_dir = tmp_path / "gmmrun"
         pipeline.run_pp(train, cfg, run_dir=run_dir)
-        means = pipeline.load_block_means(run_dir, "x", 0, 0)
-        assert means.shape[1] == 2
+        pset = pipeline.load_posteriors(run_dir, "x", 0, 0)
+        means = pset.pooled().means
+        assert pset.kind == "gmm" and means.shape == (pset.n_rows, 2)
         assert np.all(np.isfinite(means))
 
 

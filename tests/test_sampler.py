@@ -194,14 +194,14 @@ class TestGmmAssign:
                          2 * rng.standard_normal((c, 3)),
                          a @ np.swapaxes(a, 1, 2) + np.eye(3)))
         pset = gmm_set(rows)
-        arrays = sampler._GmmPriorArrays(pset)
         values = 2 * rng.standard_normal((40, 3))
-        means, precs = arrays.select(values)
-        for i, (lo, hi) in enumerate(zip(pset.offsets[:-1], pset.offsets[1:])):
-            chosen = lo + gmm_component_assign(values[i], pset.weights[lo:hi],
-                                               pset.means[lo:hi], pset.precisions[lo:hi])
-            assert np.array_equal(means[i], pset.means[chosen])
-            assert np.array_equal(precs[i], pset.precisions[chosen])
+        means, precs = sampler._SideState(pset, 40, "X").select(values)
+        for i, (weights, _, _) in enumerate(rows):
+            c = len(weights)
+            chosen = gmm_component_assign(values[i], pset.weights[i, :c],
+                                          pset.means[i, :c], pset.precisions[i, :c])
+            assert np.array_equal(means[i], pset.means[i, chosen])
+            assert np.array_equal(precs[i], pset.precisions[i, chosen])
 
 
 class TestGibbsRun:
