@@ -45,9 +45,9 @@ def _repair(mats: np.ndarray, eps: np.ndarray, where: str,
     return bad, repaired
 
 
-def _row_eps(precisions: np.ndarray, eps_scale: float) -> np.ndarray:
+def _row_eps(precisions: np.ndarray) -> np.ndarray:
     k = precisions.shape[-1]
-    return eps_scale * np.maximum(np.trace(precisions, axis1=-2, axis2=-1) / k,
+    return EV_EPS_SCALE * np.maximum(np.trace(precisions, axis1=-2, axis2=-1) / k,
                                   np.finfo(float).tiny)
 
 
@@ -71,7 +71,7 @@ def _solve(precision: np.ndarray, weighted: np.ndarray, eps: np.ndarray, where: 
     return means, precision, events
 
 
-def staged_aggregate(stage1: Stack, others: list[Stack], eps_scale: float = EV_EPS_SCALE
+def staged_aggregate(stage1: Stack, others: list[Stack]
                      ) -> tuple[np.ndarray, np.ndarray, list[Event]]:
     """The staged rule over a block's rows.
 
@@ -83,14 +83,14 @@ def staged_aggregate(stage1: Stack, others: list[Stack], eps_scale: float = EV_E
         mean*      = inv(precision*) ((2 - J) L1 m1 + sum_j Lj* mj)
 
     and a still indefinite precision* is corrected once more ("final").  A
-    row's repair constant is ``eps_scale`` times its mean first-stage
+    row's repair constant is ``EV_EPS_SCALE`` times its mean first-stage
     precision diagonal.  Returns means, precisions and repair events.
     """
     means1, precs1 = stage1
     if not others:
         return means1, precs1, []
     n_subsets = 1 + len(others)
-    eps = _row_eps(precs1, eps_scale)
+    eps = _row_eps(precs1)
     events: list[Event] = []
     precision = (2.0 - n_subsets) * precs1
     weighted = (2.0 - n_subsets) * _matvec(precs1, means1)
@@ -104,8 +104,8 @@ def staged_aggregate(stage1: Stack, others: list[Stack], eps_scale: float = EV_E
     return _solve(precision, weighted, eps, "final", events)
 
 
-def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray],
-                 eps_scale: float = EV_EPS_SCALE) -> tuple[np.ndarray, np.ndarray, list[Event]]:
+def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray, list[Event]]:
     """The independent-subsets rule over a block's rows: the product of the
     J subset Gaussians with J-1 copies of the shared prior ``(mean (K,),
     precision (K, K))`` divided away,
@@ -126,4 +126,4 @@ def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray],
     for means_j, precs_j in subsets[1:]:
         precision += precs_j
         weighted += _matvec(precs_j, means_j)
-    return _solve(precision, weighted, _row_eps(precs0, eps_scale), "ep final", [])
+    return _solve(precision, weighted, _row_eps(precs0), "ep final", [])

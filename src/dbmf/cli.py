@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 METHODS = ("full", "pp-mm", "pp-dm", "pp-gmm", "ep-parametric")
 
+# Root of the default output directories of ``simulate`` and ``run``.
+OUTPUT_ROOT_ENV = "DBMF_OUTPUT_ROOT"
+
 
 def _parse_partition(text: str) -> tuple[int, int]:
     try:
@@ -41,11 +43,17 @@ def _parse_partition(text: str) -> tuple[int, int]:
 
 
 def _convert(kind, value, name: str):
-    """``kind(value)``, or a ``ValidationError`` naming the flag or key."""
+    """``kind(value)``, or a ``ValidationError`` naming the flag or key.
+    A ``bool`` must be a boolean, and no other kind takes one; an ``int``
+    takes no number with a fractional part, which ``int()`` would truncate."""
+    error = ValidationError(f"{name} must be {kind.__name__}, got {value!r}")
+    if isinstance(value, bool) != (kind is bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise error
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be {kind.__name__}, got {value!r}") from exc
+        raise error from exc
 
 
 def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -71,7 +79,7 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
 def _out_dir(args, default_name: str) -> str:
     if args.out:
         return args.out
-    root = os.environ.get(pipeline.OUTPUT_ROOT_ENV, ".")
+    root = os.environ.get(OUTPUT_ROOT_ENV, ".")
     return os.path.join(root, default_name)
 
 
@@ -175,9 +183,9 @@ def cmd_run(args) -> int:
         config = pipeline.RunConfig(**{**base_config.to_dict(), "seed": seed})
         run_dir = out if args.replicates == 1 else os.path.join(out, f"rep{rep}")
         result = _execute_method(method, train, config, run_dir)
-        times.append(result.total_seconds)
+        times.append(result.timings["total"])
         line = (f"replicate {rep} (seed {seed}): "
-                f"ledger {result.total_seconds:.2f}s, real {result.timings['wall_seconds']:.2f}s")
+                f"ledger {times[-1]:.2f}s, real {result.timings['wall_seconds']:.2f}s")
         if test is not None:
             value = evaluate.rmse(predict(result.x_mean, result.w_mean,
                                           test.rows, test.cols), test.vals)
@@ -205,12 +213,6 @@ def cmd_run(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PointEstimate:
-    x_mean: np.ndarray
-    w_mean: np.ndarray
-
-
 def cmd_evaluate(args) -> int:
     edges = ([_convert(float, e, "--bins") for e in args.bins.split(",")] + [math.inf]
              if args.bins else evaluate.DEFAULT_BIN_EDGES)
@@ -222,11 +224,11 @@ def cmd_evaluate(args) -> int:
 
     _, x_set = load_posterior_file(os.path.join(args.run, "aggregate", "x.npz"))
     _, w_set = load_posterior_file(os.path.join(args.run, "aggregate", "w.npz"))
-    point = _PointEstimate(x_set.means, w_set.means)
-    preds = predict(point.x_mean, point.w_mean, test.rows, test.cols)
+    preds = predict(x_set.means, w_set.means, test.rows, test.cols)
     report_rmse = evaluate.rmse(preds, test.vals)
 
-    bins = evaluate.rmse_by_frequency(point, train, test, edges) if train is not None else []
+    bins = (evaluate.rmse_by_frequency(x_set.means, w_set.means, train, test, edges)
+            if train is not None else [])
 
     correlations = []
     if meta["partition_rows"] * meta["partition_cols"] > 1:
@@ -255,8 +257,7 @@ def cmd_cost_model(args) -> int:
           f"{'communication':>14}")
     for u in worker_counts:
         ev = pipeline.cost_model_eval(pipeline.CostModel(
-            args.n_rows, args.n_cols, args.n_obs, args.factors, args.iters, u,
-            n_components=args.components, params_per_row=params))
+            args.n_rows, args.n_cols, args.n_obs, args.factors, args.iters, u, params))
         print(f"{u:>8} {ev.t0:>14.4g} {ev.t_aggregate:>14.4g} {ev.total:>14.4g} "
               f"{ev.communication:>14.4g}")
     return 0

@@ -156,27 +156,10 @@ class PartitionPlan:
     def col_range(self, j: int) -> tuple[int, int]:
         return int(self.col_cuts[j]), int(self.col_cuts[j + 1])
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "row_perm": self.row_perm.tolist(),
-            "col_perm": self.col_perm.tolist(),
-            "row_cuts": self.row_cuts.tolist(),
-            "col_cuts": self.col_cuts.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionPlan":
-        doc = json.loads(text)
-        return cls(np.array(doc["row_perm"]), np.array(doc["col_perm"]),
-                   np.array(doc["row_cuts"]), np.array(doc["col_cuts"]))
-
     def save(self, path) -> None:
-        write_atomic(path, lambda fh: fh.write(self.to_json().encode("utf-8")))
-
-    @classmethod
-    def load(cls, path) -> "PartitionPlan":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        doc = {name: getattr(self, name).tolist()
+               for name in ("row_perm", "col_perm", "row_cuts", "col_cuts")}
+        write_atomic(path, lambda fh: fh.write(json.dumps(doc).encode("utf-8")))
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,11 @@ class FrequencyBin:
     count: int
 
 
-def rmse_by_frequency(result, train: SparseMatrix, test: SparseMatrix,
-                      bin_edges=DEFAULT_BIN_EDGES) -> list[FrequencyBin]:
-    """Bin test entries by their row's training observation count.
+def rmse_by_frequency(x_mean: np.ndarray, w_mean: np.ndarray, train: SparseMatrix,
+                      test: SparseMatrix, bin_edges=DEFAULT_BIN_EDGES) -> list[FrequencyBin]:
+    """RMSE of the point matrices' predictions, with test entries binned by
+    their row's training observation count.
 
-    ``result`` is anything with ``x_mean`` / ``w_mean`` point matrices.
     Every test entry must land in some bin, else a validation error.
     """
     edges = list(bin_edges)
@@ -53,7 +53,7 @@ def rmse_by_frequency(result, train: SparseMatrix, test: SparseMatrix,
     freq = counts[test.rows]
     if test.m and (freq.min() < edges[0] or freq.max() >= edges[-1]):
         raise ValidationError("a test entry falls outside the given bins")
-    preds = predict(result.x_mean, result.w_mean, test.rows, test.cols)
+    preds = predict(x_mean, w_mean, test.rows, test.cols)
     out = []
     for low, high in zip(edges, edges[1:]):
         mask = (freq >= low) & (freq < high)
@@ -204,7 +204,7 @@ class MetricReport:
         doc = asdict(self)
         for b in doc["bins"]:
             b.update({edge: str(b[edge]) for edge in ("low", "high") if math.isinf(b[edge])})
-        return json.dumps(doc, indent=2, default=_json_default)
+        return json.dumps(doc, indent=2)
 
     def format_table(self) -> str:
         lines = [f"{'RMSE':<24}{self.rmse:.6f}"]
@@ -224,16 +224,6 @@ class MetricReport:
                 pair = f"{pc.block_a}~{pc.block_b}"
                 lines.append(f"{pc.side:<6}{pair:<22}{pc.correlation:>12.4f}")
         return "\n".join(lines)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def csv_row(partition: str, method: str, seed: int, rmse_value: float,

@@ -22,7 +22,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -39,8 +38,6 @@ from .errors import ArtifactError, PipelineError, ValidationError
 from .sampler import GibbsConfig, NormalWishartPrior, gibbs_run
 
 logger = logging.getLogger(__name__)
-
-OUTPUT_ROOT_ENV = "DBMF_OUTPUT_ROOT"
 
 
 @dataclass
@@ -112,12 +109,11 @@ class CostModel:
     n_factors: int
     n_iters: int
     workers: int
-    n_components: int = 1
-    params_per_row: float | None = None
+    params_per_row: float
 
     def __post_init__(self):
         for name in ("n_rows", "n_cols", "n_obs", "n_factors", "n_iters",
-                     "workers", "n_components"):
+                     "workers", "params_per_row"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
 
@@ -133,9 +129,11 @@ class CostEval:
     communication: float
 
 
-def row_param_count(kind: str, n_factors: int, n_components: int = 1) -> float:
+def row_param_count(kind: str, n_factors: int, n_components: int) -> float:
     """Parameters communicated per row: K + K^2 per Gaussian, times the
     component count for mixtures."""
+    if n_components < 1:
+        raise ValidationError("n_components must be positive")
     base = n_factors + n_factors ** 2
     return float(n_components * base) if kind == "gmm" else float(base)
 
@@ -153,11 +151,7 @@ def cost_model_eval(cm: CostModel) -> CostEval:
     t0 = ((cm.n_rows + cm.n_cols) * k ** 3 / (su + 1.0)
           + cm.n_obs * k ** 2 / (cm.workers + 2.0 * su + 1.0)) * cm.n_iters
     t_a = max(cm.n_rows, cm.n_cols) / (su + 1.0) * (k + k ** 2)
-    params = cm.params_per_row
-    if params is None:
-        params = row_param_count("gmm" if cm.n_components > 1 else "mm",
-                                 k, cm.n_components)
-    comm = su * (cm.n_rows + cm.n_cols) * params
+    comm = su * (cm.n_rows + cm.n_cols) * cm.params_per_row
     return CostEval(t0, t_a, 3.0 * t0 + t_a, comm)
 
 
@@ -344,33 +338,19 @@ class FactorizationResult:
     row/column ids.
     """
 
-    method: str
     x_mean: np.ndarray
     w_mean: np.ndarray
     x_precisions: np.ndarray
     w_precisions: np.ndarray
     timings: dict
-    run_dir: str
-    config: RunConfig
-    plan: PartitionPlan
-
-    @property
-    def total_seconds(self) -> float:
-        return self.timings["total"]
 
 
-def _make_run_dir(run_dir) -> str:
+def _make_run_dir(run_dir) -> None:
     try:
-        if run_dir is None:
-            root = os.environ.get(OUTPUT_ROOT_ENV)
-            if root:
-                os.makedirs(root, exist_ok=True)
-            run_dir = tempfile.mkdtemp(prefix="dbmf-run-", dir=root)
         for sub in ("stage1", "stage2", "stage3", "aggregate", "chains"):
             os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
     except OSError as exc:
         raise ArtifactError(f"cannot create run directory {run_dir}: {exc}") from exc
-    return run_dir
 
 
 def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
@@ -409,8 +389,9 @@ def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
 # The executor and the three methods
 # ---------------------------------------------------------------------------
 
-def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationResult:
-    """Run ``layers`` in order, then combine each row's posteriors by ``rule``.
+def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
+    """Order and tile ``train`` per ``config``, run ``layers`` in order, then
+    combine each row's posteriors by ``rule``.
 
     ``layers`` lists (label, entries); an entry is (block, x-prior block,
     w-prior block), a prior block being the block whose posterior file of
@@ -418,13 +399,8 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
     once the files of the layers before it are written.  With
     ``workers > 1`` one process pool runs every block of the run.
     """
-    if plan is None:
-        plan = build_plan(train, config)
-    if (plan.n_rows != train.n_rows or plan.n_cols != train.n_cols
-            or plan.n_row_blocks != config.partition_rows
-            or plan.n_col_blocks != config.partition_cols):
-        raise ValidationError("partition plan inconsistent with data or config")
-    run_dir = _make_run_dir(run_dir)
+    plan = build_plan(train, config)
+    _make_run_dir(run_dir)
     write_json(os.path.join(run_dir, "run_config.json"), {**config.to_dict(), "method": method})
     plan.save(os.path.join(run_dir, "plan.json"))
     blocks = extract_blocks(train, plan)
@@ -457,8 +433,7 @@ def _run(method, train, config, plan, run_dir, layers, rule) -> FactorizationRes
     write_json(os.path.join(run_dir, "timings.json"), timings)
     logger.info("%s run finished (ledger total %.2fs, real %.2fs): %s",
                 method, total, wall_seconds, run_dir)
-    return FactorizationResult(method, x_mean, w_mean, x_prec, w_prec,
-                               timings, run_dir, config, plan)
+    return FactorizationResult(x_mean, w_mean, x_prec, w_prec, timings)
 
 
 def _pp_layers(r: int, c: int) -> list:
@@ -476,24 +451,22 @@ def _staged_rule(stacks):
     return staged_aggregate(stacks[0], stacks[1:])
 
 
-def run_pp(train: SparseMatrix, config: RunConfig,
-           plan: PartitionPlan | None = None, run_dir=None) -> FactorizationResult:
+def run_pp(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:
     """Three-stage pipeline with posterior handoff and per-row aggregation."""
-    return _run("pp", train, config, plan, run_dir,
+    return _run("pp", train, config, run_dir,
                 _pp_layers(config.partition_rows, config.partition_cols), _staged_rule)
 
 
-def run_full(train: SparseMatrix, config: RunConfig, run_dir=None) -> FactorizationResult:
+def run_full(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:
     """Single sampler run over the whole matrix (1x1 grid); reported
     posteriors are moment-matched from the chain."""
     if config.partition_rows != 1 or config.partition_cols != 1:
         raise ValidationError("run_full requires a 1x1 partition")
-    return _run("full", train, replace(config, approximation="mm"), None, run_dir,
+    return _run("full", train, replace(config, approximation="mm"), run_dir,
                 _pp_layers(1, 1), _staged_rule)
 
 
-def run_ep(train: SparseMatrix, config: RunConfig,
-           plan: PartitionPlan | None = None, run_dir=None) -> FactorizationResult:
+def run_ep(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:
     """Independent per-block runs (no propagation), aggregated by Gaussian
     products with the multiply-counted prior divided away.
 
@@ -504,5 +477,5 @@ def run_ep(train: SparseMatrix, config: RunConfig,
     prior = (np.zeros(config.n_factors), np.eye(config.n_factors))
     blocks = [((i, j), None, None) for i in range(config.partition_rows)
               for j in range(config.partition_cols)]
-    return _run("ep", train, config, plan, run_dir, [("ep", blocks)],
+    return _run("ep", train, config, run_dir, [("ep", blocks)],
                 lambda stacks: ep_aggregate(stacks, prior))

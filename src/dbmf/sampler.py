@@ -81,10 +81,6 @@ class NormalWishartPrior:
     def k(self) -> int:
         return self.mu0.size
 
-    @classmethod
-    def default(cls, n_factors: int) -> "NormalWishartPrior":
-        return cls(np.zeros(n_factors), 2.0, np.eye(n_factors), float(n_factors))
-
 
 @dataclass
 class GibbsConfig:

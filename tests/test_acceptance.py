@@ -244,7 +244,8 @@ def test_criterion_5_sampler_grid_oracle():
         cfg = sampler.GibbsConfig(1, tau, n_iters=3000, burn_in=1000, thin=2,
                                   seed=seed)
         chain = sampler.gibbs_run(mat, priors,
-                                  sampler.NormalWishartPrior.default(1), cfg)
+                                  sampler.NormalWishartPrior(np.zeros(1), 2.0, np.eye(1), 1.0),
+                                  cfg)
         for i in range(n):
             s = chain.x_samples[:, i, 0]
             worst = max(worst, abs(s.mean() - oracle.x_mean[i]) / batch_mcse(s))

@@ -269,6 +269,8 @@ class TestEvaluateAndCost:
     (["evaluate", "--test", "test.txt", "--bins", "0,a"], None, "--bins"),
     (["cost-model", "--n-rows", "6", "--n-cols", "5", "--n-obs", "9", "--factors", "2",
       "--workers", "1,x"], None, "--workers"),
+    (["run"], {"factors": 2, "tau": 1.0, "save-chains": "false"}, "save-chains"),
+    (["run"], {"factors": 2, "tau": 1.0, "workers": 2.7}, "workers"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory

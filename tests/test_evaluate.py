@@ -38,36 +38,30 @@ class TestRmse:
             evaluate.rmse(np.ones(2), np.ones(3))
 
 
-class _Point:
-    def __init__(self, x_mean, w_mean):
-        self.x_mean = x_mean
-        self.w_mean = w_mean
-
-
 class TestRmseByFrequency:
     def _setup(self, rng, n=12, d=6, k=2):
         x = rng.standard_normal((n, k))
         w = rng.standard_normal((d, k))
         full, _ = data.simulate(n, d, k, 1.0, seed=0)
         train, test = data.split_random(full, 0.3, seed=1)
-        return _Point(x, w), train, test
+        return x, w, train, test
 
     def test_single_bin_equals_global(self):
         rng = np.random.default_rng(2)
-        point, train, test = self._setup(rng)
+        x, w, train, test = self._setup(rng)
         from dbmf.sampler import predict
         global_rmse = evaluate.rmse(
-            predict(point.x_mean, point.w_mean, test.rows, test.cols), test.vals)
-        bins = evaluate.rmse_by_frequency(point, train, test, (0, math.inf))
+            predict(x, w, test.rows, test.cols), test.vals)
+        bins = evaluate.rmse_by_frequency(x, w, train, test, (0, math.inf))
         assert len(bins) == 1
         assert bins[0].count == test.m
         assert bins[0].value == pytest.approx(global_rmse)
 
     def test_empty_bin_marked(self):
         rng = np.random.default_rng(3)
-        point, train, test = self._setup(rng)
+        x, w, train, test = self._setup(rng)
         big = train.n_cols + 10
-        bins = evaluate.rmse_by_frequency(point, train, test,
+        bins = evaluate.rmse_by_frequency(x, w, train, test,
                                           (0, big, big + 1, math.inf))
         assert bins[1].count == 0 and bins[1].value is None
 
@@ -78,24 +72,24 @@ class TestRmseByFrequency:
                                   np.array([5.0, 5.0, 5.0]))
         test = data.SparseMatrix(2, 3, np.array([0, 1]), np.array([2, 2]),
                                  np.array([1.0, 2.0]))
-        point = _Point(np.array([[2.0], [4.0]]), np.array([[0.0], [0.0], [1.0]]))
-        bins = evaluate.rmse_by_frequency(point, train, test, (1, 2, math.inf))
+        x, w = np.array([[2.0], [4.0]]), np.array([[0.0], [0.0], [1.0]])
+        bins = evaluate.rmse_by_frequency(x, w, train, test, (1, 2, math.inf))
         assert bins[0].value == pytest.approx(1.0)   # rows with 1 entry
         assert bins[1].value == pytest.approx(2.0)   # rows with 2 entries
 
     def test_entry_outside_bins_rejected(self):
         rng = np.random.default_rng(4)
-        point, train, test = self._setup(rng)
+        x, w, train, test = self._setup(rng)
         with pytest.raises(ValidationError):
-            evaluate.rmse_by_frequency(point, train, test, (1000, 2000))
+            evaluate.rmse_by_frequency(x, w, train, test, (1000, 2000))
 
     def test_bin_weighted_mse_reproduces_global(self):
         rng = np.random.default_rng(5)
-        point, train, test = self._setup(rng, n=30, d=10)
+        x, w, train, test = self._setup(rng, n=30, d=10)
         from dbmf.sampler import predict
-        preds = predict(point.x_mean, point.w_mean, test.rows, test.cols)
+        preds = predict(x, w, test.rows, test.cols)
         global_mse = float(np.mean((preds - test.vals) ** 2))
-        bins = evaluate.rmse_by_frequency(point, train, test, (0, 2, 4, math.inf))
+        bins = evaluate.rmse_by_frequency(x, w, train, test, (0, 2, 4, math.inf))
         weighted = sum(b.count * b.value ** 2 for b in bins if b.count) / test.m
         assert weighted == pytest.approx(global_mse, rel=1e-12)
 

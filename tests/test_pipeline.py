@@ -111,7 +111,7 @@ class TestExtractBlocks:
 
 class TestCostModel:
     def test_single_worker_closed_form(self):
-        cm = pipeline.CostModel(100, 50, 2000, 3, 10, 1)
+        cm = pipeline.CostModel(100, 50, 2000, 3, 10, 1, 12.0)
         ev = pipeline.cost_model_eval(cm)
         expected_t0 = (150 * 27 / 2 + 2000 * 9 / 4) * 10
         assert ev.t0 == pytest.approx(expected_t0)
@@ -119,28 +119,30 @@ class TestCostModel:
         assert ev.total == pytest.approx(3 * ev.t0 + ev.t_aggregate)
 
     def test_iterations_scale_t0_only(self):
-        base = pipeline.cost_model_eval(pipeline.CostModel(100, 50, 2000, 3, 10, 4))
-        double = pipeline.cost_model_eval(pipeline.CostModel(100, 50, 2000, 3, 20, 4))
+        base = pipeline.cost_model_eval(pipeline.CostModel(100, 50, 2000, 3, 10, 4, 12.0))
+        double = pipeline.cost_model_eval(pipeline.CostModel(100, 50, 2000, 3, 20, 4, 12.0))
         assert double.t0 == pytest.approx(2 * base.t0)
         assert double.t_aggregate == pytest.approx(base.t_aggregate)
 
     def test_total_nonincreasing_in_workers(self):
         totals = [pipeline.cost_model_eval(
-            pipeline.CostModel(500, 300, 10000, 5, 100, u)).total
+            pipeline.CostModel(500, 300, 10000, 5, 100, u, 30.0)).total
             for u in (1, 2, 4, 9, 16, 36, 64, 144)]
         assert all(a >= b for a, b in zip(totals, totals[1:]))
 
     def test_communication_formula(self):
         params = pipeline.row_param_count("gmm", 4, 3)
         assert params == 3 * (4 + 16)
-        ev = pipeline.cost_model_eval(pipeline.CostModel(10, 20, 50, 4, 5, 9,
-                                                         n_components=3,
-                                                         params_per_row=params))
+        ev = pipeline.cost_model_eval(pipeline.CostModel(10, 20, 50, 4, 5, 9, params))
         assert ev.communication == pytest.approx(3 * 30 * params)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            pipeline.CostModel(0, 1, 1, 1, 1, 1)
+            pipeline.CostModel(0, 1, 1, 1, 1, 1, 2.0)
+        with pytest.raises(ValidationError):
+            pipeline.CostModel(1, 1, 1, 1, 1, 1, 0.0)
+        with pytest.raises(ValidationError):
+            pipeline.row_param_count("mm", 2, 0)
 
 
 class TestStagedPipeline:
@@ -302,13 +304,6 @@ class TestStagedPipeline:
         _, stage3 = load_posterior_file(tmp_path / "batched" / "stage3" / "x_2_2.npz")
         assert (stage3.weights > 0).sum(axis=1).max() > 1  # some rows are mixtures
 
-    def test_plan_mismatch_rejected(self, small_data, tmp_path):
-        train, _ = small_data
-        plan = data.partition(train, data.order_matrix(train, "none"), 3, 3)
-        with pytest.raises(ValidationError):
-            pipeline.run_pp(train, quick_config(), plan=plan,
-                            run_dir=tmp_path / "bad")
-
 
 class TestDegenerateEquivalence:
     def test_full_pp_ep_identical_at_1x1(self, small_data, tmp_path):
@@ -328,10 +323,10 @@ class TestDegenerateEquivalence:
             assert np.array_equal(res_full.w_mean, other.w_mean)
             assert np.array_equal(res_full.x_precisions, other.x_precisions)
 
-    def test_run_full_requires_1x1(self, small_data):
+    def test_run_full_requires_1x1(self, small_data, tmp_path):
         train, _ = small_data
         with pytest.raises(ValidationError):
-            pipeline.run_full(train, quick_config(partition_rows=2))
+            pipeline.run_full(train, quick_config(partition_rows=2), run_dir=tmp_path / "full")
 
     def test_run_config_json_replays_run(self, small_data, tmp_path):
         train, _ = small_data

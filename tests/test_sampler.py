@@ -7,6 +7,11 @@ from oracles import (bincount_suff_stats, chain_posterior_mean, gmm_component_as
                      gmm_set, grid_row_posterior, sample_row_conditional, sorted_axis)
 
 
+def nw_prior(k):
+    """Normal-Wishart hyperprior with mu0 = 0, beta0 = 2, w0 = I and nu0 = K."""
+    return sampler.NormalWishartPrior(np.zeros(k), 2.0, np.eye(k), float(k))
+
+
 def tiny_matrix(rng, n_rows=4, n_cols=3, tau=2.0):
     mat, _ = data.simulate(n_rows, n_cols, 1, tau, seed=int(rng.integers(1 << 30)))
     return mat
@@ -93,7 +98,7 @@ class TestNormalWishart:
         rng = np.random.default_rng(6)
         k = 3
         rows = rng.standard_normal((40, k)) + np.array([1.0, 0.0, -1.0])
-        prior = sampler.NormalWishartPrior.default(k)
+        prior = nw_prior(k)
         n_draws = 10000
         lams = np.empty((n_draws, k, k))
         for i in range(n_draws):
@@ -119,7 +124,7 @@ class TestNormalWishart:
         rng = np.random.default_rng(7)
         k = 2
         rows = rng.standard_normal((25, k)) + 2.0
-        prior = sampler.NormalWishartPrior.default(k)
+        prior = nw_prior(k)
         mus = np.array([sampler.sample_hyper_normal_wishart(rows, prior, rng)[0]
                         for _ in range(8000)])
         n = rows.shape[0]
@@ -131,7 +136,7 @@ class TestNormalWishart:
         # mu = mu* + solve(chol((beta0 + N) Lambda)', z): drawn with the
         # Wishart draw's own factor, it agrees up to round-off.
         k, rows = 4, np.random.default_rng(8).standard_normal((30, 4))
-        prior = sampler.NormalWishartPrior.default(k)
+        prior = nw_prior(k)
         mu, lam = sampler.sample_hyper_normal_wishart(rows, prior, np.random.default_rng(9))
         replay = np.random.default_rng(9)
         replay.chisquare(prior.nu0 + 30 - np.arange(k))
@@ -149,7 +154,7 @@ class TestNormalWishart:
             sampler.NormalWishartPrior(np.zeros(2), 1.0, -np.eye(2), 2.0)
 
     def test_empty_rows_rejected(self):
-        prior = sampler.NormalWishartPrior.default(2)
+        prior = nw_prior(2)
         with pytest.raises(ValidationError):
             sampler.sample_hyper_normal_wishart(np.empty((0, 2)), prior,
                                                 np.random.default_rng(0))
@@ -214,7 +219,7 @@ class TestGibbsRun:
         rng = np.random.default_rng(9)
         mat = tiny_matrix(rng)
         chain = sampler.gibbs_run(mat, (None, None),
-                                  sampler.NormalWishartPrior.default(1), self.config())
+                                  nw_prior(1), self.config())
         assert chain.n_samples == 10
         assert chain.x_samples.shape == (10, 4, 1)
         assert chain.w_samples.shape == (10, 3, 1)
@@ -223,7 +228,7 @@ class TestGibbsRun:
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         mat = tiny_matrix(rng)
-        prior = sampler.NormalWishartPrior.default(1)
+        prior = nw_prior(1)
         a = sampler.gibbs_run(mat, (None, None), prior, self.config())
         b = sampler.gibbs_run(mat, (None, None), prior, self.config())
         assert np.array_equal(a.x_samples, b.x_samples)
@@ -234,7 +239,7 @@ class TestGibbsRun:
         rng = np.random.default_rng(11)
         mat, _ = data.simulate(6, 5, 2, 1.0, seed=12)
         chain = sampler.gibbs_run(mat, (None, None),
-                                  sampler.NormalWishartPrior.default(2),
+                                  nw_prior(2),
                                   self.config(n_factors=2))
         for lam in np.concatenate([chain.lambda_x, chain.lambda_w]):
             np.linalg.cholesky(lam)
@@ -246,7 +251,7 @@ class TestGibbsRun:
                                    np.ones((4, 1, 1)))
         priors = (pset, None)
         chain = sampler.gibbs_run(mat, priors,
-                                  sampler.NormalWishartPrior.default(1), self.config())
+                                  nw_prior(1), self.config())
         # propagated X side: hyperparameters never move
         assert np.all(chain.mu_x == chain.mu_x[0])
         assert np.all(chain.lambda_x == chain.lambda_x[0])
@@ -260,7 +265,7 @@ class TestGibbsRun:
                 for _ in range(4)]
         priors = (gmm_set(rows), None)
         chain = sampler.gibbs_run(mat, priors,
-                                  sampler.NormalWishartPrior.default(1), self.config())
+                                  nw_prior(1), self.config())
         assert np.all(np.isfinite(chain.x_samples))
 
     def test_empty_subset_rejected(self):
@@ -268,7 +273,7 @@ class TestGibbsRun:
                                 np.empty(0))
         with pytest.raises(ValidationError):
             sampler.gibbs_run(mat, (None, None),
-                              sampler.NormalWishartPrior.default(1), self.config())
+                              nw_prior(1), self.config())
 
     def test_coverage_validation(self):
         rng = np.random.default_rng(14)
@@ -276,7 +281,7 @@ class TestGibbsRun:
         pset = approx.PosteriorSet("gaussian", np.zeros((2, 1)), np.ones((2, 1, 1)))
         priors = (pset, None)
         with pytest.raises(ValidationError, match="covers"):
-            sampler.gibbs_run(mat, priors, sampler.NormalWishartPrior.default(1),
+            sampler.gibbs_run(mat, priors, nw_prior(1),
                               self.config())
 
     def test_config_validation(self):
@@ -402,7 +407,7 @@ class TestSideStatistics:
                                      mat.cols[perm], mat.vals[perm])
         before = shuffled.vals.copy()
         cfg = sampler.GibbsConfig(2, 1.0, n_iters=30, burn_in=10, thin=2, seed=43)
-        prior = sampler.NormalWishartPrior.default(2)
+        prior = nw_prior(2)
         a = sampler.gibbs_run(mat, (None, None), prior, cfg)
         b = sampler.gibbs_run(shuffled, (None, None), prior, cfg)
         for name in ("x_samples", "w_samples", "mu_x", "lambda_x", "mu_w", "lambda_w"):

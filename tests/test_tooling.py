@@ -12,14 +12,21 @@ ALLOWED_UNUSED = {"log_likelihood"}
 
 
 def test_every_definition_is_used_by_the_package():
-    """A module-level function or class that only tests call belongs in
-    ``tests/oracles.py`` or nowhere: each must have a ``Name`` or
-    ``Attribute`` reference somewhere in ``src/`` besides its definition."""
+    """A module-level function or class, or a method of a module-level
+    class, that only tests call belongs in ``tests/oracles.py`` or nowhere:
+    each must have a ``Name`` or ``Attribute`` reference somewhere in
+    ``src/`` besides its definition.  Dunder methods are called implicitly
+    and are exempt."""
     trees = [ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     assert trees, f"no modules under {SRC}"
-    defined = {node.name for tree in trees for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    tops = [node for tree in trees for node in tree.body
+            if isinstance(node, (*functions, ast.ClassDef))]
+    methods = [node for cls in tops if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, functions)
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    defined = {node.name for node in tops + methods}
     referenced = set()
     for tree in trees:
         for node in ast.walk(tree):
