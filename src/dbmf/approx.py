@@ -61,21 +61,34 @@ def _triangles(k: int):
     return upper, slot.ravel(), diag, lower
 
 
-def is_spd(mat: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _kstep_cholesky(fac: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """In place, the Cholesky factors L (P = L L') of the lower triangles of
+    a ``(K, K, R)`` stack of symmetric matrices, by a right-looking K-step
+    loop over all R at once, and ``rhs (K, R)`` overwritten with inv(L) rhs.
+    Returns per matrix whether a pivot was not positive or was NaN, that is
+    whether it has no Cholesky factor (its results are then meaningless)."""
+    k = fac.shape[0]
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            pivot = fac[j, j]
+            np.sqrt(pivot, out=pivot)
+            col = fac[j + 1:, j]
+            col /= pivot
+            if rhs is not None:
+                head, tail = rhs[j], rhs[j + 1:]
+                head /= pivot
+                tail -= col * head
+            for i in range(j + 1, k):
+                row = fac[i, j + 1:i + 1]
+                row -= col[i - j - 1] * col[:i - j]
+    # sqrt keeps a positive pivot positive and makes a negative one NaN
+    return ~np.all(fac[_triangles(k)[2]] > 0, axis=0)
 
 
 def non_spd_rows(mats: np.ndarray) -> np.ndarray:
-    """Indices of the matrices in a stack ``(R, K, K)`` that have no
-    Cholesky factor.  One stacked factorization settles the usual all-SPD
-    case; only when it fails is each matrix tried on its own."""
-    if is_spd(mats):
-        return np.empty(0, dtype=np.intp)
-    return np.flatnonzero([not is_spd(mat) for mat in mats])
+    """Indices of the matrices in a symmetric stack ``(R, K, K)`` that have
+    no Cholesky factor, from one K-step factorization of a copy."""
+    return np.flatnonzero(_kstep_cholesky(np.moveaxis(mats, 0, -1).copy()))
 
 
 @dataclass

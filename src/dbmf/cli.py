@@ -239,7 +239,8 @@ def cmd_evaluate(args) -> int:
         full_time = pipeline.read_timings(args.baseline)["total"]
         wts_value = evaluate.wts(full_time, pipeline.read_timings(args.run)["total"])
 
-    report = evaluate.MetricReport(report_rmse, bins, correlations, wts_value)
+    repairs = evaluate.repair_rates(args.run, {"x": x_set.precisions, "w": w_set.precisions})
+    report = evaluate.MetricReport(report_rmse, bins, correlations, wts_value, repairs)
     print(report.format_table())
     if args.json:
         write_atomic(args.json, lambda fh: fh.write(report.to_json().encode("utf-8")))

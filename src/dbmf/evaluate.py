@@ -1,5 +1,6 @@
 """Metrics: RMSE, frequency-binned RMSE, cross-subset posterior-mean
-correlations with latent-dimension alignment, and wall-clock speed-up."""
+correlations with latent-dimension alignment, wall-clock speed-up, and the
+rate and size of aggregation's eigenvalue repairs."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .data import SparseMatrix
-from .errors import ValidationError
+from .errors import ArtifactError, ValidationError
 from .sampler import predict
 
 DEFAULT_BIN_EDGES = (0, 10, 20, 40, 80, 160, math.inf)
@@ -186,6 +187,44 @@ def wts(full_time: float, distributed_time: float) -> float:
     return full_time / distributed_time
 
 
+@dataclass
+class RepairRate:
+    """Aggregation's eigenvalue repairs of one side at one step (``where``):
+    the share of the side's rows repaired, and the median diagonal shift
+    relative to the mean diagonal of the row's aggregated precision."""
+
+    side: str
+    where: str
+    rate: float
+    median_shift: float
+
+
+def repair_rates(run_dir, precisions: dict[str, np.ndarray]) -> list[RepairRate]:
+    """Repair rates of a finished run directory, per side and per ``where``,
+    from ``aggregate/corrections.json``.  ``precisions`` maps "x" and "w"
+    to the aggregated precisions, in original index order."""
+    from . import pipeline  # local import; pipeline does not import evaluate
+
+    plan = pipeline.read_plan(run_dir)
+    axes = {"x": (plan.row_perm, plan.row_cuts), "w": (plan.col_perm, plan.col_cuts)}
+    relative: dict[tuple[str, str], list[float]] = {}
+    try:
+        for event in pipeline.read_corrections(run_dir)["events"]:
+            side, block, row = event["row"].split(":")
+            perm, cuts = axes[side]
+            block, row = int(block), int(row)
+            if not (0 <= block < cuts.size - 1 and 0 <= row < cuts[block + 1] - cuts[block]):
+                raise IndexError(f"row {event['row']!r} is outside the plan")
+            prec = precisions[side][perm[cuts[block] + row]]
+            relative.setdefault((side, event["where"]), []).append(
+                float(event["shift"]) / np.diagonal(prec).mean())
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ArtifactError(f"malformed corrections.json in {run_dir}: {exc!r}") from exc
+    return [RepairRate(side, where, len(shifts) / precisions[side].shape[0],
+                       float(np.median(shifts)))
+            for (side, where), shifts in sorted(relative.items())]
+
+
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -198,6 +237,7 @@ class MetricReport:
     bins: list[FrequencyBin] = field(default_factory=list)
     correlations: list[PairCorrelation] = field(default_factory=list)
     wts: float | None = None
+    repairs: list[RepairRate] | None = None
 
     def to_json(self) -> str:
         """The report as JSON; an open bin edge is written as "inf"."""
@@ -223,6 +263,15 @@ class MetricReport:
             for pc in self.correlations:
                 pair = f"{pc.block_a}~{pc.block_b}"
                 lines.append(f"{pc.side:<6}{pair:<22}{pc.correlation:>12.4f}")
+        if self.repairs is not None:
+            lines.append("")
+            if not self.repairs:
+                lines.append("eigenvalue repairs: none")
+            else:
+                lines.append(f"{'side':<6}{'repair':<16}{'rate':>8}  {'median shift/diag':>18}")
+                for rr in self.repairs:
+                    lines.append(f"{rr.side:<6}{rr.where:<16}{rr.rate:>8.4f}  "
+                                 f"{rr.median_shift:>18.4g}")
         return "\n".join(lines)
 
 

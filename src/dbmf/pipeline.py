@@ -84,6 +84,10 @@ class RunConfig:
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         _fixed_lambda(self.lambda_policy)
+        for name in ("nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.nw_beta0 <= 0 or self.nw_w0_scale <= 0:
             raise ValidationError("nw_beta0 and nw_w0_scale must be positive")
         if self.nw_nu0 is not None and self.nw_nu0 < self.n_factors:
@@ -227,6 +231,18 @@ def read_run_config(run_dir) -> dict:
 
 def read_timings(run_dir) -> dict:
     return _read_json(run_dir, "timings.json")
+
+
+def read_plan(run_dir) -> PartitionPlan:
+    """The run's partition plan; ``ArtifactError`` unless it is a valid one."""
+    try:
+        return PartitionPlan(**_read_json(run_dir, "plan.json"))
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ArtifactError(f"invalid plan.json in {run_dir}: {exc}") from exc
+
+
+def read_corrections(run_dir) -> dict:
+    return _read_json(run_dir, os.path.join("aggregate", "corrections.json"))
 
 
 def persist_posteriors(run_dir, side: str, i: int, j: int,

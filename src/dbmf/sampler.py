@@ -13,20 +13,23 @@ other side, so the implementation updates a full side with batched linear
 algebra.
 
 A side update needs, per row, the sufficient statistics sum_d w_d w_d' and
-sum_d y_d w_d over that row's observed partners.  ``gibbs_run`` builds, once
-per block and per side, a CSR pair over (rows x partners): an indicator
-matrix with data 1 and a value matrix with data y, each row's partners in
-ascending order.  Each side update is then two sparse products: the
-indicator times the per-partner upper-triangle outer products, mirrored into
-full K x K matrices, and the value matrix times the partner rows.  The fixed
-partner order fixes the summation order, so the statistics do not depend on
-the order of the input entries.
+sum_d y_d w_d over that row's observed partners.  ``gibbs_run`` builds,
+once per block, one CSR pair over (rows x columns): an indicator matrix
+with data 1 and a value matrix with data y, each row's columns in ascending
+order.  The X side multiplies by that pair; the W side by its transposes,
+CSC views that scatter each X row into its columns, so every W row still
+sums its partners in ascending order.  Each side update is two sparse
+products: the indicator times the per-partner upper-triangle outer
+products, and the value matrix times the partner rows.  The fixed partner
+order fixes the summation order, so the statistics do not depend on the
+order of the input entries.
 
-Each row's conditional precision is factored once, by one stacked Cholesky
-over the side, and the row is drawn with one forward and one back
-substitution against that factor, each a K-step loop over all rows.  A
-precision that does not factor is retried alone with diagonal jitter, so
-only that row's draw changes.
+Each row's conditional precision is built in a (K, K, rows) layout and
+factored by one K-step Cholesky over all rows of the side, which also
+forward-substitutes the linear term; the draw is one back substitution
+against the factor.  A row whose precision has a pivot that is not
+positive is flagged; only the flagged rows are rebuilt with diagonal
+jitter and factored again, so no other row's draw changes.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from .approx import PosteriorSet, _triangles
+from .approx import PosteriorSet, _kstep_cholesky, _triangles, non_spd_rows
 from .artifacts import write_atomic
 from .data import SparseMatrix
 from .errors import ArtifactError, NumericalError, ValidationError
@@ -67,14 +70,14 @@ class NormalWishartPrior:
         k = self.mu0.size
         if self.w0.shape != (k, k):
             raise ValidationError("w0 shape does not match mu0")
-        if self.beta0 <= 0:
-            raise ValidationError("beta0 must be positive")
-        if self.nu0 < k:
-            raise ValidationError("nu0 must be >= K")
-        try:
-            np.linalg.cholesky(self.w0)
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError("w0 must be symmetric positive definite") from exc
+        if not 0 < self.beta0 < np.inf:
+            raise ValidationError("beta0 must be positive and finite")
+        if not k <= self.nu0 < np.inf:
+            raise ValidationError("nu0 must be finite and >= K")
+        if not np.isfinite(self.mu0).all():
+            raise ValidationError("mu0 must be finite")
+        if non_spd_rows(self.w0[None]).size:
+            raise ValidationError("w0 must be symmetric positive definite")
         self.w0_inv = np.linalg.inv(self.w0)
 
     @property
@@ -96,8 +99,8 @@ class GibbsConfig:
     def __post_init__(self):
         if self.n_factors < 1:
             raise ValidationError("n_factors must be >= 1")
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
         if not self.n_iters > self.burn_in >= 0:
             raise ValidationError("need n_iters > burn_in >= 0")
         if self.thin < 1:
@@ -148,21 +151,6 @@ class SampleChain:
 # ---------------------------------------------------------------------------
 # Elementary conditionals
 # ---------------------------------------------------------------------------
-
-def _chol_with_jitter(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor of one SPD matrix, with a single jittered retry."""
-    try:
-        return np.linalg.cholesky(mat), mat
-    except np.linalg.LinAlgError:
-        k = mat.shape[0]
-        bump = CHOL_JITTER * max(np.trace(mat) / k, 1.0)
-        jittered = mat + bump * np.eye(k)
-        logger.warning("jittered diagonal by %.3e (%s)", bump, context)
-        try:
-            return np.linalg.cholesky(jittered), jittered
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Cholesky failed after jitter ({context})") from exc
-
 
 def _wishart_draw(rng: np.random.Generator, scale: np.ndarray, df: float) -> np.ndarray:
     """Lower-triangular factor F of a Wishart(scale, df) draw F F' via the
@@ -229,23 +217,19 @@ def log_likelihood(matrix: SparseMatrix, x: np.ndarray, w: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _side_matrices(matrix: SparseMatrix):
-    """Per side, the (indicator, value) CSR pair over (rows x partners):
-    first the X side (rows x columns), then the W side (columns x rows).
-    Each row's partners are in ascending order."""
-    val_x = sparse.csr_array((matrix.vals, (matrix.rows, matrix.cols)),
-                             shape=(matrix.n_rows, matrix.n_cols))
-    val_w = val_x.T.tocsr()
-    pairs = []
-    for val in (val_x, val_w):
-        val.sort_indices()
-        ind = sparse.csr_array((np.ones(val.nnz), val.indices, val.indptr),
-                               shape=val.shape)
-        pairs.append((ind, val))
-    return pairs
+    """Per side, the (indicator, value) pair over (rows x partners): a CSR
+    pair over (rows x columns), each row's columns in ascending order, and
+    its transposes (CSC views) for the W side."""
+    val = sparse.csr_array((matrix.vals, (matrix.rows, matrix.cols)),
+                           shape=(matrix.n_rows, matrix.n_cols))
+    val.sort_indices()
+    ind = sparse.csr_array((np.ones(val.nnz), val.indices, val.indptr), shape=val.shape)
+    return [(ind, val), (ind.T, val.T)]
 
 
 def _side_stats(ind, val, partner):
-    """Per-row sums of partner outer products and of value-weighted partners.
+    """Per-row sums of partner outer products, laid out ``(K, K, rows)``,
+    and of value-weighted partners, ``(rows, K)``.
 
     The indicator matrix sums the upper triangles of the per-partner outer
     products, which are then mirrored; rows without entries get exact zeros.
@@ -253,54 +237,59 @@ def _side_stats(ind, val, partner):
     n, k = ind.shape[0], partner.shape[1]
     (upper_r, upper_c), slot, _, _ = _triangles(k)
     packed = ind @ (partner[:, upper_r] * partner[:, upper_c])
-    return packed[:, slot].reshape(n, k, k), val @ partner
+    return np.ascontiguousarray(packed.T)[slot].reshape(k, k, n), val @ partner
 
 
-def _batched_chol(precisions: np.ndarray, context: str) -> np.ndarray:
-    """Stacked Cholesky factors; when the stack fails, each matrix is
-    factored alone, with the jittered retry of ``_chol_with_jitter``."""
-    try:
-        return np.linalg.cholesky(precisions)
-    except np.linalg.LinAlgError:
-        return np.array([_chol_with_jitter(p, f"{context}, row {i}")[0]
-                         for i, p in enumerate(precisions)])
-
-
-def _chol_draw(chols: np.ndarray, noise: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per row, inv(L') (inv(L) b + z) for the lower factor L of precision
-    P = L L': a draw from Normal(inv(P) b, inv(P)) given the standard-normal
-    ``noise`` z.  Without ``b`` it is the zero-mean draw inv(L') z.
-
-    Each substitution is a K-step loop over all rows at once; the factors
-    are laid out (K, K, rows) so that every step reads contiguous rows.
-    """
-    fac = np.ascontiguousarray(np.moveaxis(chols, 0, -1))
-    k = fac.shape[0]
+def _factor_draw(precs: np.ndarray, noise: np.ndarray,
+                 b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a ``(K, K, rows)`` stack of precisions P = L L', factored
+    in place, the draw inv(L') (inv(L) b + z) from Normal(inv(P) b, inv(P))
+    given standard-normal ``noise`` z ``(rows, K)`` (without ``b``, the
+    zero-mean draw).  Returns the draws and ``_kstep_cholesky``'s flags."""
+    k = precs.shape[0]
     out = np.array(noise.T, order="C")
-    if b is not None:
-        fwd = np.array(b.T, order="C")
-        for i in range(k):
-            fwd[i] /= fac[i, i]
-            fwd[i + 1:] -= fac[i + 1:, i] * fwd[i]
+    fwd = None if b is None else np.array(b.T, order="C")
+    bad = _kstep_cholesky(precs, fwd)
+    if fwd is not None:
         out += fwd
-    for i in range(k - 1, -1, -1):
-        out[i] /= fac[i, i]
-        out[:i] -= fac[i, :i] * out[i]
-    return np.ascontiguousarray(out.T)
+    with np.errstate(all="ignore"):
+        for i in range(k - 1, -1, -1):
+            head, tail = out[i], out[:i]
+            head /= precs[i, i]
+            tail -= precs[i, :i] * head
+    return np.ascontiguousarray(out.T), bad
 
 
 def _sample_side(rng, partner, ind, val, tau, prior_precs, prior_b, context):
     """Resample every row of one side from its Gaussian full conditional.
 
-    ``ind`` and ``val`` are the side's CSR pair from ``_side_matrices``.
+    ``ind`` and ``val`` are the side's pair from ``_side_matrices``.
     ``prior_precs`` broadcasts over rows when the prior is shared;
     ``prior_b`` is the per-row (or shared) prior_precision @ prior_mean term.
+    A row whose precision does not factor is rebuilt with its diagonal
+    raised by ``CHOL_JITTER`` times its mean diagonal (at least 1) and
+    factored again; one that still fails raises ``NumericalError``.
     """
     n, k = ind.shape[0], partner.shape[1]
     suff, lin = _side_stats(ind, val, partner)
-    chols = _batched_chol(prior_precs + tau * suff, context)
+    prior = prior_precs[..., None] if prior_precs.ndim == 2 else prior_precs.transpose(1, 2, 0)
+    b = prior_b + tau * lin
     noise = rng.standard_normal((n, k))
-    return _chol_draw(chols, noise, prior_b + tau * lin)
+    precs = tau * suff
+    precs += prior
+    draws, bad = _factor_draw(precs, noise, b)
+    if bad.any():
+        rows = np.flatnonzero(bad)
+        precs = np.broadcast_to(prior, suff.shape)[..., rows] + tau * suff[..., rows]
+        bumps = CHOL_JITTER * np.maximum(np.trace(precs) / k, 1.0)
+        for row, bump in zip(rows, bumps):
+            logger.warning("jittered diagonal by %.3e (%s, row %d)", bump, context, row)
+        precs[_triangles(k)[2]] += bumps
+        draws[rows], bad = _factor_draw(precs, noise[rows], b[rows])
+        if bad.any():
+            raise NumericalError(
+                f"Cholesky failed after jitter ({context}, row {rows[np.argmax(bad)]})")
+    return draws
 
 
 class _SideState:
@@ -355,8 +344,12 @@ class _SideState:
             chosen = np.minimum(chosen, weights.shape[1] - 1)
             rows = np.arange(n_rows)
             means, precs = self.prior.means[rows, chosen], self.prior.precisions[rows, chosen]
-        chols = np.linalg.cholesky(precs)
-        return means + _chol_draw(chols, rng.standard_normal((n_rows, k)))
+        draws, bad = _factor_draw(np.moveaxis(precs, 0, -1).copy(),
+                                  rng.standard_normal((n_rows, k)))
+        if bad.any():
+            raise NumericalError(f"prior precision of row {np.argmax(bad)} is not "
+                                 "positive definite")
+        return means + draws
 
 
 def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, PosteriorSet | None],

@@ -17,8 +17,8 @@ from scipy.spatial.distance import pdist
 
 from dbmf.approx import COV_RIDGE, PosteriorSet
 from dbmf.approx import fit_rows as approx_fit_rows
-from dbmf.errors import ValidationError
-from dbmf.sampler import _chol_with_jitter
+from dbmf.errors import NumericalError, ValidationError
+from dbmf.sampler import CHOL_JITTER
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -211,6 +211,21 @@ def mp_ep_aggregate(means, precisions, prior_mean, prior_prec, dps=60):
 # ---------------------------------------------------------------------------
 # Single-row reference forms of the batched sampler
 # ---------------------------------------------------------------------------
+
+def _chol_with_jitter(mat: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK Cholesky factor of one SPD matrix, with the sampler's single
+    jittered retry: the diagonal raised by ``CHOL_JITTER`` times its mean
+    (at least 1)."""
+    try:
+        return np.linalg.cholesky(mat), mat
+    except np.linalg.LinAlgError:
+        k = mat.shape[0]
+        jittered = mat + CHOL_JITTER * max(np.trace(mat) / k, 1.0) * np.eye(k)
+        try:
+            return np.linalg.cholesky(jittered), jittered
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky failed after jitter ({context})") from exc
+
 
 def sample_row_conditional(y_vals: np.ndarray, partner_rows: np.ndarray, tau: float,
                            prior_mean: np.ndarray, prior_precision: np.ndarray,

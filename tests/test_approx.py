@@ -390,6 +390,76 @@ class TestBatchedAgainstOracle:
                     assert got.iterations[0] == iterations
 
 
+class TestKstepCholesky:
+    @staticmethod
+    def mixed_stack(rng, k):
+        """Shuffled SPD, singular PSD (a zero row and column, or the
+        all-ones matrix: zero pivots in exact arithmetic), indefinite and
+        NaN-holding symmetric matrices, with their kinds."""
+        mats, kinds = [], []
+        for _ in range(8):
+            spd = random_spd(rng, k)
+            zero_row = random_spd(rng, k)
+            gap = rng.integers(k)
+            zero_row[gap, :] = zero_row[:, gap] = 0.0
+            q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            eigs = rng.uniform(0.5, 2.0, k)
+            eigs[rng.integers(k)] *= -1.0
+            nan = random_spd(rng, k)
+            i, j = rng.integers(k, size=2)
+            nan[i, j] = nan[j, i] = np.nan
+            mats += [spd, zero_row, 4.0 * np.ones((k, k)) if k > 1 else np.zeros((1, 1)),
+                     (q * eigs) @ q.T, nan]
+            kinds += ["spd", "psd", "psd", "indefinite", "nan"]
+        order = rng.permutation(len(mats))
+        mats = np.array(mats)[order]
+        return 0.5 * (mats + np.swapaxes(mats, 1, 2)), np.array(kinds)[order]
+
+    @staticmethod
+    def lapack_fails(mat):
+        try:
+            np.linalg.cholesky(mat)
+            return False
+        except np.linalg.LinAlgError:
+            return True
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_flags_match_lapack_per_matrix(self, k):
+        # A NaN pivot is a failure too: OpenBLAS's Cholesky tests only
+        # ``pivot <= 0`` and passes a matrix holding NaN, so such rows are
+        # flagged by the NaN test, not by LAPACK.
+        mats, kinds = self.mixed_stack(np.random.default_rng(90 + k), k)
+        expected = np.array([self.lapack_fails(mat) or np.isnan(mat).any() for mat in mats])
+        assert np.array_equal(expected, kinds != "spd")
+        fac = np.moveaxis(mats, 0, -1).copy()
+        assert np.array_equal(approx._kstep_cholesky(fac), expected)
+        assert np.array_equal(approx.non_spd_rows(mats), np.flatnonzero(expected))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 10])
+    def test_factor_and_forward_substitution(self, k):
+        # On SPD rows the lower triangle is LAPACK's factor and the right-hand
+        # side becomes inv(L) rhs; the strict upper triangle is untouched.
+        rng = np.random.default_rng(95 + k)
+        mats = np.array([random_spd(rng, k) for _ in range(30)])
+        rhs = rng.standard_normal((k, 30))
+        fac, fwd = np.moveaxis(mats, 0, -1).copy(), rhs.copy()
+        assert not approx._kstep_cholesky(fac, fwd).any()
+        chols = np.linalg.cholesky(mats)
+        got = np.moveaxis(fac, -1, 0)
+        np.testing.assert_allclose(np.tril(got), chols, rtol=1e-12, atol=1e-12)
+        upper = np.triu_indices(k, 1)
+        assert np.array_equal(got[:, upper[0], upper[1]], mats[:, upper[0], upper[1]])
+        ref = np.linalg.solve(chols, rhs.T[..., None])[..., 0]
+        np.testing.assert_allclose(fwd.T, ref, rtol=1e-11, atol=1e-12)
+
+    def test_copy_leaves_input_alone(self):
+        mats = np.array([[[4.0]], [[-1.0]]])
+        one = mats[:1].copy()
+        assert np.array_equal(approx.non_spd_rows(mats), [1])
+        assert approx.non_spd_rows(one).size == 0
+        assert mats[0, 0, 0] == 4.0 and one[0, 0, 0] == 4.0
+
+
 class TestPosteriorFiles:
     def test_gaussian_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(8)

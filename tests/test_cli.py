@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dbmf import cli
+from dbmf import approx, cli
 
 
 def run_cli(argv):
@@ -207,6 +207,47 @@ class TestEvaluateAndCost:
             [p for p in __import__("dbmf").evaluate.sharing_pairs(2, 2)])
         capsys.readouterr()
 
+    def test_evaluate_reports_repair_rates(self, sim_dir, finished_run, tmp_path, capsys):
+        # Per side and per step: the share of the side's rows repaired, and
+        # the median shift over the mean diagonal of the row's aggregated
+        # precision, read back here from the run's own files.
+        report_path = tmp_path / "report.json"
+        assert run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt"),
+                        "--json", str(report_path)]) == 0
+        table = capsys.readouterr().out
+        events = json.loads((finished_run / "aggregate" / "corrections.json").read_text())
+        plan = json.loads((finished_run / "plan.json").read_text())
+        axes = {"x": (plan["row_perm"], plan["row_cuts"]),
+                "w": (plan["col_perm"], plan["col_cuts"])}
+        precisions = {side: approx.load_posterior_file(
+            finished_run / "aggregate" / f"{side}.npz")[1].precisions for side in axes}
+        expected = {}
+        for event in events["events"]:
+            side, block, row = event["row"].split(":")
+            perm, cuts = axes[side]
+            diag = np.diag(precisions[side][perm[cuts[int(block)] + int(row)]])
+            expected.setdefault((side, event["where"]), []).append(event["shift"] / diag.mean())
+        assert expected, "the fixture run has no repairs to report"
+        report = json.loads(report_path.read_text())
+        got = {(rr["side"], rr["where"]): rr for rr in report["repairs"]}
+        assert got.keys() == expected.keys()
+        for (side, where), shifts in expected.items():
+            rate = len(shifts) / precisions[side].shape[0]
+            assert got[side, where]["rate"] == pytest.approx(rate, rel=1e-15)
+            assert got[side, where]["median_shift"] == pytest.approx(np.median(shifts), rel=1e-12)
+            assert f"{where:<16}{rate:>8.4f}" in table
+
+    @pytest.mark.parametrize("row", ["q:0:0", "x:0:-1", "x:0:10", "x:2:0", "x:-1:0", "x:0"])
+    def test_malformed_corrections_is_io_error(self, sim_dir, finished_run, capsys, row):
+        # the 2x2 plan of the 20-row fixture puts 10 rows in each row block
+        (finished_run / "aggregate" / "corrections.json").write_text(
+            json.dumps({"count": 1, "events": [{"row": row, "where": "final", "shift": 1.0}]}))
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt")])
+        assert code == 4
+        assert "corrections.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [
         {"method": None}, {"partition_rows": None}, {"partition_cols": None},
         {"partition_rows": "2"}, {"partition_cols": 0}, [],
@@ -271,6 +312,9 @@ class TestEvaluateAndCost:
       "--workers", "1,x"], None, "--workers"),
     (["run"], {"factors": 2, "tau": 1.0, "save-chains": "false"}, "save-chains"),
     (["run"], {"factors": 2, "tau": 1.0, "workers": 2.7}, "workers"),
+    (["run"], {"factors": 2, "tau": float("nan")}, "tau"),
+    (["run", "--factors", "2", "--tau", "nan"], None, "tau"),
+    (["run"], {"factors": 2, "tau": 1.0, "nw-beta0": float("inf")}, "nw_beta0"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory

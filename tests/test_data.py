@@ -220,7 +220,7 @@ class TestLoadTriplets:
             partner = rng.standard_normal((n_partners, 5))
             suff, lin = sampler._side_stats(ind, val, partner)
             ref_suff, ref_lin = bincount_suff_stats(partner, *sorted_axis(loaded, axis), n)
-            assert np.array_equal(suff, ref_suff)
+            assert np.array_equal(suff, np.moveaxis(ref_suff, 0, -1))
             assert np.array_equal(lin, ref_lin)
 
     def test_movielens_whole_file_parse_matches_line_loop(self, tmp_path, monkeypatch):

@@ -228,6 +228,13 @@ class TestMetricReport:
         assert "n/a" in table          # empty bin marker
         assert "0.8700" in table
 
+    def test_repair_table(self):
+        rates = [evaluate.RepairRate("x", "subset 2", 0.25, 0.125)]
+        table = evaluate.MetricReport(0.9, repairs=rates).format_table()
+        assert "subset 2" in table and "0.2500" in table and "0.125" in table
+        assert "eigenvalue repairs: none" in evaluate.MetricReport(0.9, repairs=[]).format_table()
+        assert "repair" not in evaluate.MetricReport(0.9).format_table()
+
     def test_csv_row(self):
         row = evaluate.csv_row("5x5", "pp-mm", 3, 0.8512, 10398.0, 3.266)
         assert row == "5x5,pp-mm,3,0.851200,10398.000,3.266000"

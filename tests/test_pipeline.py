@@ -52,6 +52,12 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             quick_config(seed=-1)
 
+    @pytest.mark.parametrize("name", ["tau", "nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            quick_config(**{name: value})
+
     def test_chain_too_short_for_the_fits_rejected(self):
         # (206 - 200) / 1 = 6 retained samples, one short of K+2 = 7
         with pytest.raises(ValidationError, match="keeps 6 samples"):

@@ -153,6 +153,16 @@ class TestNormalWishart:
         with pytest.raises(ValidationError):
             sampler.NormalWishartPrior(np.zeros(2), 1.0, -np.eye(2), 2.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mu0", np.array([np.nan, 0.0])), ("beta0", np.nan), ("beta0", np.inf),
+        ("w0", np.array([[1.0, np.nan], [np.nan, 1.0]])), ("nu0", np.nan), ("nu0", np.inf)])
+    def test_non_finite_prior_rejected(self, field, value):
+        # np.linalg.cholesky factors a NaN matrix without error here, so
+        # the positive-definiteness test alone would not catch it.
+        args = {"mu0": np.zeros(2), "beta0": 1.0, "w0": np.eye(2), "nu0": 2.0, field: value}
+        with pytest.raises(ValidationError, match=field):
+            sampler.NormalWishartPrior(**args)
+
     def test_empty_rows_rejected(self):
         prior = nw_prior(2)
         with pytest.raises(ValidationError):
@@ -291,6 +301,9 @@ class TestGibbsRun:
             sampler.GibbsConfig(1, 1.0, n_iters=10, burn_in=5, thin=2)
         with pytest.raises(ValidationError):
             sampler.GibbsConfig(1, -1.0)
+        for tau in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="tau"):
+                sampler.GibbsConfig(1, tau)
 
 
 class TestBatchedSideAgainstReference:
@@ -320,6 +333,11 @@ class TestBatchedSideAgainstReference:
             np.testing.assert_allclose(batched[n], ref, rtol=1e-9, atol=1e-11)
 
 
+def kkr(mats):
+    """A ``(R, K, K)`` stack as a fresh C-ordered ``(K, K, R)`` array."""
+    return np.moveaxis(mats, 0, -1).copy()
+
+
 class TestCholeskyDraw:
     @staticmethod
     def assert_rows_close(got, ref, rtol):
@@ -338,8 +356,32 @@ class TestCholeskyDraw:
         chols = np.linalg.cholesky(precisions)
         noise = np.linalg.solve(np.swapaxes(chols, -1, -2), z[..., None])[..., 0]
         mean = np.linalg.solve(precisions, b[..., None])[..., 0]
-        self.assert_rows_close(sampler._chol_draw(chols, z, b), mean + noise, 1e-11)
-        self.assert_rows_close(sampler._chol_draw(chols, z), noise, 1e-11)
+        for rhs, ref in ((b, mean + noise), (None, noise)):
+            draws, bad = sampler._factor_draw(kkr(precisions), z, rhs)
+            assert not bad.any()
+            self.assert_rows_close(draws, ref, 1e-11)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_draw_moments(self, k):
+        # Over many draws at one precision, the sample mean and covariance
+        # are solve(P, b) and inv(P) within sampling error.
+        rng = np.random.default_rng(80 + k)
+        a = rng.standard_normal((k, 2 * k))
+        precision = a @ a.T + 0.5 * np.eye(k)
+        b = rng.standard_normal(k)
+        n = 40000
+        draws, bad = sampler._factor_draw(
+            kkr(np.broadcast_to(precision, (n, k, k))), rng.standard_normal((n, k)),
+            np.broadcast_to(b, (n, k)))
+        assert not bad.any()
+        cov = np.linalg.inv(precision)
+        se = np.sqrt(np.diag(cov) / n)
+        assert np.all(np.abs(draws.mean(axis=0) - np.linalg.solve(precision, b)) < 4 * se)
+        sd = np.sqrt(np.diag(cov))
+        # entry (i, j) of a sample covariance has standard error about
+        # sd_i sd_j sqrt(2 / n) or less
+        tol = 4 * np.outer(sd, sd) * np.sqrt(2 / n)
+        assert np.all(np.abs(np.cov(draws.T).reshape(k, k) - cov) < tol)
 
     @staticmethod
     def side_with_empty_row(row_prior):
@@ -363,6 +405,21 @@ class TestCholeskyDraw:
         assert np.all(np.isfinite(draws))
         others = [0, 1, 3, 4]
         assert np.array_equal(draws[others], plain[others])
+
+    def test_shared_prior_rows_are_jittered(self, caplog):
+        # With a zero shared prior, the empty row's precision is 0 and the
+        # one-entry row's is rank one: only those two rows are jittered.
+        rows = np.array([0, 0, 1, 3, 3, 4, 4])
+        cols = np.array([0, 2, 1, 0, 3, 1, 2])
+        ind, val = sampler._side_matrices(data.SparseMatrix(5, 4, rows, cols, np.ones(7)))[0]
+        partner = np.random.default_rng(72).standard_normal((4, 2))
+        with caplog.at_level("WARNING", logger="dbmf.sampler"):
+            draws = sampler._sample_side(np.random.default_rng(73), partner, ind, val, 1.0,
+                                         np.zeros((2, 2)), np.zeros(2), "X side")
+        assert np.all(np.isfinite(draws))
+        jittered = [rec.getMessage() for rec in caplog.records]
+        assert len(jittered) == 2
+        assert "X side, row 1" in jittered[0] and "X side, row 2" in jittered[1]
 
     def test_indefinite_row_raises_naming_it(self):
         with pytest.raises(NumericalError, match="X side, row 2"):
@@ -394,11 +451,11 @@ class TestSideStatistics:
                 suff, lin = sampler._side_stats(ind, val, partner)
                 ref_suff, ref_lin = bincount_suff_stats(
                     partner, *sorted_axis(mat, axis), n)
-                assert np.array_equal(suff, ref_suff)
+                assert np.array_equal(suff, kkr(ref_suff))
                 assert np.array_equal(lin, ref_lin)
                 # the empty row/column has exactly zero statistics, so its
                 # conditional is its prior
-                assert not suff[-1].any() and not lin[-1].any()
+                assert not suff[..., -1].any() and not lin[-1].any()
 
     def test_chain_independent_of_entry_order(self):
         mat, _ = data.simulate(30, 20, 2, 1.0, seed=41)

@@ -1,7 +1,10 @@
 """Guards on the shape of the package source itself."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dbmf"
 
@@ -36,3 +39,15 @@ def test_every_definition_is_used_by_the_package():
                 referenced.add(node.attr)
     unused = sorted(defined - referenced - ALLOWED_UNUSED)
     assert not unused, f"defined in src/dbmf but used only outside it: {unused}"
+
+
+def test_package_does_not_import_scipy_linalg():
+    """``scipy.linalg`` adds about 8 MB of resident memory to every run and
+    pool worker; the package's linear algebra is numpy's."""
+    code = ("import sys, dbmf.cli, dbmf.pipeline; "
+            "print('scipy.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
