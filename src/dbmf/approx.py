@@ -95,14 +95,12 @@ def non_spd_rows(mats: np.ndarray) -> np.ndarray:
 class Clustering:
     """Result of lambda-means on a stack of rows: assignments ``(R, S)``,
     centers ``(R, C, K)`` padded with zeros past each row's cluster count,
-    the counts, the lambdas used, the iterations run and whether the last
-    one changed nothing (False when the iteration cap or a repeated state
-    ended the loop)."""
+    the counts, the iterations run and whether the last one changed nothing
+    (False when the iteration cap or a repeated state ended the loop)."""
 
     assignments: np.ndarray
     centers: np.ndarray
     counts: np.ndarray
-    lam: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
 
@@ -305,7 +303,7 @@ def lambda_means(x: np.ndarray, lam: np.ndarray,
         if not active.size:
             break
     counts = result.max(axis=1) + 1
-    return Clustering(result, _group_means(x, result, counts.max()), counts, lam,
+    return Clustering(result, _group_means(x, result, counts.max()), counts,
                       iterations, converged)
 
 
@@ -491,7 +489,7 @@ def _fixed_lambda(lam_policy) -> float | None:
     if isinstance(lam_policy, str):
         if lam_policy == "median-pairwise":
             return None
-    else:
+    elif not isinstance(lam_policy, bool):
         try:
             if float(lam_policy) > 0:
                 return float(lam_policy)

@@ -28,8 +28,6 @@ from .sampler import predict
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("full", "pp-mm", "pp-dm", "pp-gmm", "ep-parametric")
-
 # Root of the default output directories of ``simulate`` and ``run``.
 OUTPUT_ROOT_ENV = "DBMF_OUTPUT_ROOT"
 
@@ -70,7 +68,7 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         merged.update(doc)
     for key in keys:
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
@@ -120,6 +118,11 @@ def cmd_simulate(args) -> int:
 # run
 # ---------------------------------------------------------------------------
 
+# Each ``run`` method: (runner, approximation kind).
+METHODS = {"full": (pipeline.run_full, "mm"), "pp-mm": (pipeline.run_pp, "mm"),
+           "pp-dm": (pipeline.run_pp, "dm"), "pp-gmm": (pipeline.run_pp, "gmm"),
+           "ep-parametric": (pipeline.run_ep, "mm")}
+
 # Each ``run`` key that maps onto one ``RunConfig`` field: (field, type).
 # ``method``, ``partition`` and ``lambda`` are read on their own.
 RUN_FIELDS = {"factors": ("n_factors", int), "tau": ("tau", float),
@@ -129,6 +132,10 @@ RUN_FIELDS = {"factors": ("n_factors", int), "tau": ("tau", float),
               "nw-mu0": ("nw_mu0", float), "nw-beta0": ("nw_beta0", float),
               "nw-w0-scale": ("nw_w0_scale", float), "nw-nu0": ("nw_nu0", float)}
 RUN_CONFIG_KEYS = [*RUN_FIELDS, "method", "partition", "lambda"]
+RUN_HELP = {"partition": "grid like 5x5",
+            "lambda": "fixed clustering radius (default: median-pairwise)",
+            "nw-mu0": "shared-prior mean (broadcast over factors)",
+            "nw-w0-scale": "isotropic Wishart scale"}
 
 
 def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
@@ -137,8 +144,6 @@ def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
     r, c = _parse_partition(merged.get("partition", "1x1"))
     if method == "full" and (r, c) != (1, 1):
         raise ValidationError("method 'full' requires --partition 1x1")
-    approx_kind = {"full": "mm", "pp-mm": "mm", "pp-dm": "dm", "pp-gmm": "gmm",
-                   "ep-parametric": "mm"}[method]
     fields = {name: _convert(kind, merged[key], key)
               for key, (name, kind) in RUN_FIELDS.items() if merged.get(key) is not None}
     lam = merged.get("lambda")
@@ -149,16 +154,8 @@ def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
             raise ValidationError(f"--lambda is 'median-pairwise' or a number, got {lam!r}") from exc
     if lam is not None:
         fields["lambda_policy"] = lam
-    return pipeline.RunConfig(approximation=approx_kind, partition_rows=r, partition_cols=c,
-                              **fields)
-
-
-def _execute_method(method: str, train, config: pipeline.RunConfig, run_dir):
-    if method == "full":
-        return pipeline.run_full(train, config, run_dir=run_dir)
-    if method == "ep-parametric":
-        return pipeline.run_ep(train, config, run_dir=run_dir)
-    return pipeline.run_pp(train, config, run_dir=run_dir)
+    return pipeline.RunConfig(approximation=METHODS[method][1], partition_rows=r,
+                              partition_cols=c, **fields)
 
 
 def cmd_run(args) -> int:
@@ -167,7 +164,7 @@ def cmd_run(args) -> int:
         raise ValidationError("--factors and --tau are required (flag or config file)")
     method = merged.get("method", "pp-mm")
     if method not in METHODS:
-        raise ValidationError(f"method must be one of {METHODS}")
+        raise ValidationError(f"method must be one of {list(METHODS)}")
     if args.replicates < 1:
         raise ValidationError(f"--replicates must be >= 1, got {args.replicates}")
     base_config = _run_config_from(merged, method)
@@ -182,7 +179,7 @@ def cmd_run(args) -> int:
     for rep, seed in enumerate(replicate_seeds):
         config = pipeline.RunConfig(**{**base_config.to_dict(), "seed": seed})
         run_dir = out if args.replicates == 1 else os.path.join(out, f"rep{rep}")
-        result = _execute_method(method, train, config, run_dir)
+        result = METHODS[method][0](train, config, run_dir=run_dir)
         times.append(result.timings["total"])
         line = (f"replicate {rep} (seed {seed}): "
                 f"ledger {times[-1]:.2f}s, real {result.timings['wall_seconds']:.2f}s")
@@ -216,7 +213,7 @@ def cmd_run(args) -> int:
 def cmd_evaluate(args) -> int:
     edges = ([_convert(float, e, "--bins") for e in args.bins.split(",")] + [math.inf]
              if args.bins else evaluate.DEFAULT_BIN_EDGES)
-    meta = pipeline.read_run_config(args.run)
+    pipeline.read_run_config(args.run)  # a finished run directory, checked first
     if not args.test:
         raise ValidationError("--test is required to compute RMSE")
     test = data.load_triplets(args.test)
@@ -230,9 +227,7 @@ def cmd_evaluate(args) -> int:
     bins = (evaluate.rmse_by_frequency(x_set.means, w_set.means, train, test, edges)
             if train is not None else [])
 
-    correlations = []
-    if meta["partition_rows"] * meta["partition_cols"] > 1:
-        correlations = evaluate.subset_mean_correlations(args.run)
+    correlations = evaluate.subset_mean_correlations(args.run)
 
     wts_value = None
     if args.baseline:
@@ -290,25 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--train", required=True)
     run.add_argument("--test", default=None)
     run.add_argument("--method", choices=METHODS, default=None)
-    run.add_argument("--partition", default=None, help="grid like 5x5")
-    run.add_argument("--order", choices=("decreasing", "random", "none"), default=None)
-    run.add_argument("--factors", type=int, default=None)
-    run.add_argument("--tau", type=float, default=None)
-    run.add_argument("--iters", type=int, default=None)
-    run.add_argument("--burn-in", type=int, default=None)
-    run.add_argument("--thin", type=int, default=None)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--top-n", type=int, default=None)
-    run.add_argument("--lambda", dest="lambda_", default=None,
-                     help="fixed clustering radius (default: median-pairwise)")
-    run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--nw-mu0", type=float, default=None,
-                     help="shared-prior mean (broadcast over factors)")
-    run.add_argument("--nw-beta0", type=float, default=None)
-    run.add_argument("--nw-w0-scale", type=float, default=None,
-                     help="isotropic Wishart scale")
-    run.add_argument("--nw-nu0", type=float, default=None)
-    run.add_argument("--save-chains", action="store_true", default=None)
+    for key in ("partition", "lambda"):
+        run.add_argument(f"--{key}", dest=key, default=None, help=RUN_HELP.get(key))
+    for key, (_, kind) in RUN_FIELDS.items():
+        run.add_argument(f"--{key}", dest=key, default=None, help=RUN_HELP.get(key),
+                         **({"action": "store_true"} if kind is bool else {"type": kind}))
     run.add_argument("--replicates", type=int, default=1)
     run.add_argument("--config", default=None, help="JSON config file")
     run.add_argument("--csv", default=None, help="append result rows to this CSV")
@@ -342,8 +323,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("DBMF_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "lambda_", None) is not None:
-        setattr(args, "lambda", args.lambda_)
     try:
         return args.func(args)
     except DbmfError as exc:

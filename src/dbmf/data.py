@@ -123,7 +123,8 @@ class PartitionPlan:
                 raise ValidationError(f"{name}_perm is not a permutation")
         for cuts, n, name in ((self.row_cuts, self.n_rows, "row"),
                               (self.col_cuts, self.n_cols, "col")):
-            if cuts[0] != 0 or cuts[-1] != n or np.any(np.diff(cuts) <= 0):
+            if (cuts.ndim != 1 or cuts.size < 2 or cuts[0] != 0 or cuts[-1] != n
+                    or np.any(np.diff(cuts) <= 0)):
                 raise ValidationError(f"{name}_cuts must be strictly increasing from 0 to {n}")
 
     @property

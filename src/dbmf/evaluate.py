@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import pipeline
 from .data import SparseMatrix
 from .errors import ArtifactError, ValidationError
 from .sampler import predict
@@ -134,23 +135,15 @@ class PairCorrelation:
 
 
 def sharing_pairs(n_row_blocks: int, n_col_blocks: int):
-    """Block pairs whose runs estimated the same parameter rows.
-
-    X pairs share a row block across column blocks; W pairs share a column
-    block across row blocks.  (0-based block coordinates.)
-    """
-    pairs = []
-    for j in range(1, n_col_blocks):
-        pairs.append(("x", (0, 0), (0, j)))
-    for i in range(1, n_row_blocks):
-        for j in range(1, n_col_blocks):
-            pairs.append(("x", (i, 0), (i, j)))
-    for i in range(1, n_row_blocks):
-        pairs.append(("w", (0, 0), (i, 0)))
-    for j in range(1, n_col_blocks):
-        for i in range(1, n_row_blocks):
-            pairs.append(("w", (0, j), (i, j)))
-    return pairs
+    """The staged pipeline's handoff edges ``(side, source, block)``: block
+    ``block`` took the ``side`` posterior of ``source`` as its prior, so the
+    two runs estimated the same parameter rows.  X edges first, then W,
+    each by (source, block); 0-based block coordinates."""
+    edges = [(side, source, block)
+             for _, entries in pipeline.pp_layers(n_row_blocks, n_col_blocks)
+             for block, *sources in entries
+             for side, source in zip("xw", sources) if source is not None]
+    return sorted(edges, key=lambda edge: (edge[0] != "x", edge))
 
 
 def subset_mean_correlations(run_dir) -> list[PairCorrelation]:
@@ -162,8 +155,6 @@ def subset_mean_correlations(run_dir) -> list[PairCorrelation]:
     aligned (permutation and sign of latent dimensions) before correlating;
     staged runs are correlated directly.
     """
-    from . import pipeline  # local import; pipeline does not import evaluate
-
     meta = pipeline.read_run_config(run_dir)
     r, c = meta["partition_rows"], meta["partition_cols"]
     out = []
@@ -203,8 +194,6 @@ def repair_rates(run_dir, precisions: dict[str, np.ndarray]) -> list[RepairRate]
     """Repair rates of a finished run directory, per side and per ``where``,
     from ``aggregate/corrections.json``.  ``precisions`` maps "x" and "w"
     to the aggregated precisions, in original index order."""
-    from . import pipeline  # local import; pipeline does not import evaluate
-
     plan = pipeline.read_plan(run_dir)
     axes = {"x": (plan.row_perm, plan.row_cuts), "w": (plan.col_perm, plan.col_cuts)}
     relative: dict[tuple[str, str], list[float]] = {}

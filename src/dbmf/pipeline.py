@@ -230,7 +230,14 @@ def read_run_config(run_dir) -> dict:
 
 
 def read_timings(run_dir) -> dict:
-    return _read_json(run_dir, "timings.json")
+    """The run's timing ledger; ``ArtifactError`` unless it is an object
+    with a positive, finite numeric ``total``."""
+    timings = _read_json(run_dir, "timings.json")
+    total = timings.get("total") if isinstance(timings, dict) else None
+    if not (type(total) in (int, float) and 0 < total < math.inf):
+        raise ArtifactError(f"{os.path.join(run_dir, 'timings.json')} has no positive, "
+                            "finite numeric total")
+    return timings
 
 
 def read_plan(run_dir) -> PartitionPlan:
@@ -452,7 +459,7 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
     return FactorizationResult(x_mean, w_mean, x_prec, w_prec, timings)
 
 
-def _pp_layers(r: int, c: int) -> list:
+def pp_layers(r: int, c: int) -> list:
     """Stage I is (0,0) under the shared priors; stage II is the first
     column and row, each with the stage-I posterior of the side it shares;
     stage III is the rest, with X's prior from its row's stage-II block and
@@ -470,7 +477,7 @@ def _staged_rule(stacks):
 def run_pp(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:
     """Three-stage pipeline with posterior handoff and per-row aggregation."""
     return _run("pp", train, config, run_dir,
-                _pp_layers(config.partition_rows, config.partition_cols), _staged_rule)
+                pp_layers(config.partition_rows, config.partition_cols), _staged_rule)
 
 
 def run_full(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:
@@ -479,7 +486,7 @@ def run_full(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationRe
     if config.partition_rows != 1 or config.partition_cols != 1:
         raise ValidationError("run_full requires a 1x1 partition")
     return _run("full", train, replace(config, approximation="mm"), run_dir,
-                _pp_layers(1, 1), _staged_rule)
+                pp_layers(1, 1), _staged_rule)
 
 
 def run_ep(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import logging
-import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,7 +44,7 @@ from scipy import sparse
 from .approx import PosteriorSet, _kstep_cholesky, _triangles, non_spd_rows
 from .artifacts import write_atomic
 from .data import SparseMatrix
-from .errors import ArtifactError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -125,27 +124,11 @@ class SampleChain:
     lambda_w: np.ndarray
     config: GibbsConfig
 
-    @property
-    def n_samples(self) -> int:
-        return self.x_samples.shape[0]
-
     def save(self, path) -> None:
         write_atomic(path, lambda fh: np.savez(
             fh, x_samples=self.x_samples, w_samples=self.w_samples,
             mu_x=self.mu_x, lambda_x=self.lambda_x, mu_w=self.mu_w, lambda_w=self.lambda_w,
             config=np.array(json.dumps(self.config.__dict__))))
-
-    @classmethod
-    def load(cls, path) -> "SampleChain":
-        try:
-            with np.load(path) as npz:
-                config = GibbsConfig(**json.loads(str(npz["config"])))
-                return cls(npz["x_samples"], npz["w_samples"], npz["mu_x"],
-                           npz["lambda_x"], npz["mu_w"], npz["lambda_w"], config)
-        except FileNotFoundError as exc:
-            raise ArtifactError(f"chain file not found: {path}") from exc
-        except (zipfile.BadZipFile, OSError, KeyError, ValueError, EOFError) as exc:
-            raise ArtifactError(f"corrupt chain file {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ integrals, extended-precision linear algebra, and exhaustive enumeration.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ from scipy.spatial.distance import pdist
 from dbmf.approx import COV_RIDGE, PosteriorSet
 from dbmf.approx import fit_rows as approx_fit_rows
 from dbmf.errors import NumericalError, ValidationError
-from dbmf.sampler import CHOL_JITTER
+from dbmf.sampler import CHOL_JITTER, GibbsConfig, SampleChain
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -261,9 +262,17 @@ def gmm_component_assign(row_value: np.ndarray, weights: np.ndarray, means: np.n
     return int(np.argmax(score))
 
 
+def load_chain(path) -> SampleChain:
+    """The chain of a file written by ``SampleChain.save``."""
+    with np.load(path) as npz:
+        return SampleChain(npz["x_samples"], npz["w_samples"], npz["mu_x"], npz["lambda_x"],
+                           npz["mu_w"], npz["lambda_w"],
+                           GibbsConfig(**json.loads(str(npz["config"]))))
+
+
 def chain_posterior_mean(chain) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise average of the retained factor samples."""
-    if chain.n_samples == 0:
+    if chain.x_samples.shape[0] == 0:
         raise ValidationError("empty chain")
     return chain.x_samples.mean(axis=0), chain.w_samples.mean(axis=0)
 

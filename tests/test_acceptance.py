@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from dbmf import aggregate, approx, data, evaluate, pipeline, sampler
-from dbmf.sampler import SampleChain, predict
+from dbmf.sampler import predict
 from oracles import (IdentityResolution, ProductDensityIdentity, batch_mcse, gmm_set,
-                     grid_factor_means, mixture_moments, mp_gaussian_product,
+                     grid_factor_means, load_chain, mixture_moments, mp_gaussian_product,
                      mp_staged_aggregate)
 
 pytestmark = pytest.mark.acceptance
@@ -309,7 +309,7 @@ def test_criterion_8_degenerate_equivalence(tmp_path):
     pipeline.run_full(train, cfg, run_dir=tmp_path / "full")
     pipeline.run_pp(train, cfg, run_dir=tmp_path / "pp")
     pipeline.run_ep(train, cfg, run_dir=tmp_path / "ep")
-    chains = {name: SampleChain.load(pipeline.chain_path(tmp_path / name, 0, 0))
+    chains = {name: load_chain(pipeline.chain_path(tmp_path / name, 0, 0))
               for name in ("full", "pp", "ep")}
     same = all(np.array_equal(chains["full"].x_samples, c.x_samples)
                and np.array_equal(chains["full"].w_samples, c.w_samples)

@@ -292,6 +292,7 @@ class TestFitRows:
         (dict(lam_policy=float("nan")), "lam_policy"),
         (dict(lam_policy=None), "lam_policy"),
         (dict(top_n=0), "top_n"),
+        (dict(lam_policy=True), "lam_policy"),
     ])
     def test_arguments_checked_before_row_work(self, monkeypatch, kind, args, message):
         def no_row_work(*_):

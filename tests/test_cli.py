@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dbmf import approx, cli
+from dbmf import approx, cli, pipeline
 
 
 def run_cli(argv):
@@ -266,6 +266,25 @@ class TestEvaluateAndCost:
         assert code == 4
         assert f"{path} does not name the method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timings", [{}, {"total": "x"}, {"total": True}, {"total": 0.0}])
+    def test_malformed_baseline_timings_is_io_error(self, sim_dir, finished_run, tmp_path,
+                                                    capsys, timings):
+        path = tmp_path / "baseline" / "timings.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(timings))
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt"), "--baseline", str(path.parent)])
+        assert code == 4
+        assert f"{path} has no positive, finite numeric total" in capsys.readouterr().err
+
+    def test_plan_without_cuts_is_io_error(self, sim_dir, finished_run, capsys):
+        path = finished_run / "plan.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "row_cuts": []}))
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt")])
+        assert code == 4
+        assert "invalid plan.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("header", [
         [1, 2], {"kind": "gaussian", "k": "2"}, {"kind": "gaussian", "k": 2.5},
         {"kind": "mixture", "k": 2},
@@ -315,6 +334,7 @@ class TestEvaluateAndCost:
     (["run"], {"factors": 2, "tau": float("nan")}, "tau"),
     (["run", "--factors", "2", "--tau", "nan"], None, "tau"),
     (["run"], {"factors": 2, "tau": 1.0, "nw-beta0": float("inf")}, "nw_beta0"),
+    (["run"], {"factors": 2, "tau": 1.0, "lambda": True}, "lam_policy"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory
@@ -329,6 +349,33 @@ def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, co
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert run_cli(argv) == 2
     assert name in capsys.readouterr().err
+
+
+# One value per ``RUN_FIELDS`` key, none of them the ``RunConfig`` default.
+RUN_VALUES = {"factors": 2, "tau": 1.5, "iters": 40, "burn-in": 10, "thin": 3, "seed": 7,
+              "order": "random", "top-n": 4, "workers": 3, "save-chains": True,
+              "nw-mu0": 0.5, "nw-beta0": 3.0, "nw-w0-scale": 2.0, "nw-nu0": 5.0}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_every_run_key_lands_in_its_config_field(tmp_path, source):
+    assert RUN_VALUES.keys() == cli.RUN_FIELDS.keys()
+    argv = ["run", "--train", str(tmp_path / "none.txt")]
+    if source == "flag":
+        for key, value in RUN_VALUES.items():
+            argv += [f"--{key}"] if value is True else [f"--{key}", str(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(RUN_VALUES))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    args = cli.build_parser().parse_args(argv)
+    config = cli._run_config_from(cli._merge_config(args, cli.RUN_CONFIG_KEYS), "pp-gmm")
+    for key, (name, kind) in cli.RUN_FIELDS.items():
+        assert type(getattr(config, name)) is kind, key
+        assert getattr(config, name) == RUN_VALUES[key], key
+    assert config.approximation == "gmm"
+    defaults = pipeline.RunConfig(n_factors=2, tau=1.5)
+    assert all(getattr(defaults, name) != RUN_VALUES[key]
+               for key, (name, _) in cli.RUN_FIELDS.items() if key not in ("factors", "tau"))
 
 
 class TestUnwritableOutputs:

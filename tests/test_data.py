@@ -472,6 +472,10 @@ class TestPartition:
         assert np.array_equal(loaded.col_cuts, plan.col_cuts)
 
     def test_invalid_plan_rejected(self):
-        with pytest.raises(ValidationError):
-            data.PartitionPlan(np.array([0, 0]), np.array([0]),
-                               np.array([0, 2]), np.array([0, 1]))
+        for row_perm, row_cuts in (([0, 0], [0, 2]),     # not a permutation
+                                   ([0, 1], []),         # no cuts
+                                   ([0, 1], [2]),        # one cut
+                                   ([0, 1], [[0, 2]])):  # not 1-D
+            with pytest.raises(ValidationError):
+                data.PartitionPlan(np.array(row_perm), np.array([0]),
+                                   np.array(row_cuts), np.array([0, 1]))

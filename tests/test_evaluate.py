@@ -183,6 +183,15 @@ class TestSharingPairs:
         assert len(w_pairs) == 2 + 3 * 2
         assert ("x", (0, 0), (0, 2)) in pairs
         assert ("w", (0, 3), (2, 3)) in pairs
+        # the report order: X first, then W, each by (source, block)
+        assert pairs == [
+            ("x", (0, 0), (0, 1)), ("x", (0, 0), (0, 2)), ("x", (0, 0), (0, 3)),
+            ("x", (1, 0), (1, 1)), ("x", (1, 0), (1, 2)), ("x", (1, 0), (1, 3)),
+            ("x", (2, 0), (2, 1)), ("x", (2, 0), (2, 2)), ("x", (2, 0), (2, 3)),
+            ("w", (0, 0), (1, 0)), ("w", (0, 0), (2, 0)),
+            ("w", (0, 1), (1, 1)), ("w", (0, 1), (2, 1)),
+            ("w", (0, 2), (1, 2)), ("w", (0, 2), (2, 2)),
+            ("w", (0, 3), (1, 3)), ("w", (0, 3), (2, 3))]
 
     def test_single_block_no_pairs(self):
         assert evaluate.sharing_pairs(1, 1) == []

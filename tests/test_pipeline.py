@@ -319,7 +319,7 @@ class TestDegenerateEquivalence:
         res_pp = pipeline.run_pp(train, cfg, run_dir=tmp_path / "pp")
         res_ep = pipeline.run_ep(train, cfg, run_dir=tmp_path / "ep")
 
-        chains = [SampleChain.load(pipeline.chain_path(tmp_path / name, 0, 0))
+        chains = [oracles.load_chain(pipeline.chain_path(tmp_path / name, 0, 0))
                   for name in ("full", "pp", "ep")]
         for other in chains[1:]:
             assert np.array_equal(chains[0].x_samples, other.x_samples)
