@@ -1,10 +1,11 @@
 """Combining per-row Gaussian subset posteriors into full-data marginals.
 
-Each rule is one batched function over the rows of a block, to which every
-subset contributes means ``(R, K)`` and precisions ``(R, K, K)``; a single
-subset comes back unchanged.  The staged-pipeline rule removes the
-multiply-counted propagated posterior before summing precisions, repairing
-indefinite differences by eigenvalue correction.  The independent-subsets
+Each rule is one batched function over a stack of rows (the pipeline passes
+all rows of a side at once), to which every subset contributes means
+``(R, K)`` and precisions ``(R, K, K)``; a single subset comes back
+unchanged.  The staged-pipeline rule removes the multiply-counted
+propagated posterior before summing precisions, repairing indefinite
+differences by eigenvalue correction.  The independent-subsets
 rule multiplies all subset Gaussians and divides away the multiply-counted
 prior.  There are no per-row forms: one row is a one-row stack.
 """
@@ -73,7 +74,7 @@ def _solve(precision: np.ndarray, weighted: np.ndarray, eps: np.ndarray, where: 
 
 def staged_aggregate(stage1: Stack, others: list[Stack]
                      ) -> tuple[np.ndarray, np.ndarray, list[Event]]:
-    """The staged rule over a block's rows.
+    """The staged rule over a stack of rows.
 
     For every later-stage subset j, the first-stage precision is subtracted;
     an indefinite difference is eigenvalue-corrected ("subset j") before the
@@ -106,7 +107,7 @@ def staged_aggregate(stage1: Stack, others: list[Stack]
 
 def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray, list[Event]]:
-    """The independent-subsets rule over a block's rows: the product of the
+    """The independent-subsets rule over a stack of rows: the product of the
     J subset Gaussians with J-1 copies of the shared prior ``(mean (K,),
     precision (K, K))`` divided away,
 

@@ -63,6 +63,9 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"unreadable config file {args.config}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object, "
+                                  f"got {doc!r}")
         unknown = set(doc) - set(keys)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")

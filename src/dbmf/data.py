@@ -104,7 +104,8 @@ class PartitionPlan:
     original row ``old``.  ``row_cuts`` has r+1 strictly increasing entries
     with ``row_cuts[0] == 0`` and ``row_cuts[-1] == n_rows``; block (i, j)
     covers permuted rows ``[row_cuts[i], row_cuts[i+1])`` and columns
-    ``[col_cuts[j], col_cuts[j+1])``.
+    ``[col_cuts[j], col_cuts[j+1])``.  Every entry is an integer: a float,
+    even a whole one, or a boolean is a ``ValidationError``.
     """
 
     row_perm: np.ndarray
@@ -113,10 +114,16 @@ class PartitionPlan:
     col_cuts: np.ndarray
 
     def __post_init__(self):
-        self.row_perm = np.asarray(self.row_perm, dtype=np.int64)
-        self.col_perm = np.asarray(self.col_perm, dtype=np.int64)
-        self.row_cuts = np.asarray(self.row_cuts, dtype=np.int64)
-        self.col_cuts = np.asarray(self.col_cuts, dtype=np.int64)
+        for name in ("row_perm", "col_perm", "row_cuts", "col_cuts"):
+            # A cast to int64 would truncate a fraction and read True as 1.
+            values = getattr(self, name)
+            array = np.asarray(values)
+            entries = (() if isinstance(values, np.ndarray)
+                       else np.ravel(np.asarray(values, dtype=object)))
+            if array.size and (array.dtype.kind not in "iu"
+                               or any(isinstance(v, (bool, np.bool_)) for v in entries)):
+                raise ValidationError(f"{name} must hold integers, not booleans or fractions")
+            setattr(self, name, np.asarray(array, dtype=np.int64))
         for perm, n, name in ((self.row_perm, self.n_rows, "row"),
                               (self.col_perm, self.n_cols, "col")):
             if not np.array_equal(np.sort(perm), np.arange(n)):

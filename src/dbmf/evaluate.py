@@ -98,16 +98,15 @@ def align_latent_dimensions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     k = a.shape[1]
     if k > 20:
         raise ValidationError("alignment supported up to 20 latent dimensions")
-    corr = np.abs(_column_correlations(a, b))
-    sign = np.sign(_column_correlations(a, b))
+    signed = _column_correlations(a, b)
     perm = np.empty(k, dtype=np.int64)
     signs = np.empty(k, dtype=np.int64)
-    remaining = corr.copy()
+    remaining = np.abs(signed)
     for _ in range(k):
         flat = int(np.argmax(remaining))
         ai, bi = divmod(flat, k)
         perm[ai] = bi
-        signs[ai] = 1 if sign[ai, bi] >= 0 else -1
+        signs[ai] = 1 if signed[ai, bi] >= 0 else -1
         remaining[ai, :] = -np.inf
         remaining[:, bi] = -np.inf
     return perm, signs
@@ -193,20 +192,16 @@ class RepairRate:
 def repair_rates(run_dir, precisions: dict[str, np.ndarray]) -> list[RepairRate]:
     """Repair rates of a finished run directory, per side and per ``where``,
     from ``aggregate/corrections.json``.  ``precisions`` maps "x" and "w"
-    to the aggregated precisions, in original index order."""
-    plan = pipeline.read_plan(run_dir)
-    axes = {"x": (plan.row_perm, plan.row_cuts), "w": (plan.col_perm, plan.col_cuts)}
+    to the aggregated precisions, in original index order, which is the
+    order of an event's ``row``."""
     relative: dict[tuple[str, str], list[float]] = {}
     try:
         for event in pipeline.read_corrections(run_dir)["events"]:
-            side, block, row = event["row"].split(":")
-            perm, cuts = axes[side]
-            block, row = int(block), int(row)
-            if not (0 <= block < cuts.size - 1 and 0 <= row < cuts[block + 1] - cuts[block]):
-                raise IndexError(f"row {event['row']!r} is outside the plan")
-            prec = precisions[side][perm[cuts[block] + row]]
+            side, row = event["side"], event["row"]
+            if type(row) is not int or not 0 <= row < precisions[side].shape[0]:
+                raise IndexError(f"{side} row {row!r} is not an index of the side")
             relative.setdefault((side, event["where"]), []).append(
-                float(event["shift"]) / np.diagonal(prec).mean())
+                float(event["shift"]) / np.diagonal(precisions[side][row]).mean())
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ArtifactError(f"malformed corrections.json in {run_dir}: {exc!r}") from exc
     return [RepairRate(side, where, len(shifts) / precisions[side].shape[0],

@@ -240,14 +240,6 @@ def read_timings(run_dir) -> dict:
     return timings
 
 
-def read_plan(run_dir) -> PartitionPlan:
-    """The run's partition plan; ``ArtifactError`` unless it is a valid one."""
-    try:
-        return PartitionPlan(**_read_json(run_dir, "plan.json"))
-    except (TypeError, ValueError, ValidationError) as exc:
-        raise ArtifactError(f"invalid plan.json in {run_dir}: {exc}") from exc
-
-
 def read_corrections(run_dir) -> dict:
     return _read_json(run_dir, os.path.join("aggregate", "corrections.json"))
 
@@ -307,26 +299,25 @@ def _run_block_task(task: _BlockTask) -> dict:
     config = task.config
     i, j = task.key
     stage = stage_of(i, j)
-    x_prior, w_prior = (None if source is None else load_posteriors(task.run_dir, side, *source)
-                        for side, source in (("x", task.x_from), ("w", task.w_from)))
+    priors = tuple(None if source is None else load_posteriors(task.run_dir, name, *source)
+                   for name, source in zip("xw", (task.x_from, task.w_from)))
     nw = config.nw_prior()
-
-    if task.block.m == 0:
-        # Nothing observed: priors pass through unchanged as posteriors.
-        x_pset = x_prior if x_prior is not None else _default_posteriors(task.block.n_rows, nw)
-        w_pset = w_prior if w_prior is not None else _default_posteriors(task.block.n_cols, nw)
-    else:
+    if task.block.m:
         gibbs = GibbsConfig(config.n_factors, config.tau, config.n_iters, config.burn_in,
                             config.thin, derive_seed(config.seed, stage, i, j))
-        chain = gibbs_run(task.block, (x_prior, w_prior), nw, gibbs)
+        chain = gibbs_run(task.block, priors, nw, gibbs)
         if config.save_chains:
             chain.save(chain_path(task.run_dir, i, j))
-        x_pset, w_pset = (fit_rows(samples, config.approximation,
-                                   lam_policy=config.lambda_policy, top_n=config.top_n,
-                                   seed=derive_seed(config.seed, stage, i, j, side))
-                          for side, samples in ((1, chain.x_samples), (2, chain.w_samples)))
-    persist_posteriors(task.run_dir, "x", i, j, x_pset, task.row_range)
-    persist_posteriors(task.run_dir, "w", i, j, w_pset, task.col_range)
+    for side, (name, prior, (lo, hi)) in enumerate(zip("xw", priors,
+                                                       (task.row_range, task.col_range))):
+        if not task.block.m:
+            # Nothing observed: priors pass through unchanged as posteriors.
+            pset = prior if prior is not None else _default_posteriors(hi - lo, nw)
+        else:
+            pset = fit_rows((chain.x_samples, chain.w_samples)[side], config.approximation,
+                            lam_policy=config.lambda_policy, top_n=config.top_n,
+                            seed=derive_seed(config.seed, stage, i, j, side + 1))
+        persist_posteriors(task.run_dir, name, i, j, pset, (lo, hi))
     return {"seconds": time.perf_counter() - t0, "started": started, "finished": time.time()}
 
 
@@ -376,36 +367,27 @@ def _make_run_dir(run_dir) -> None:
         raise ArtifactError(f"cannot create run directory {run_dir}: {exc}") from exc
 
 
-def _aggregate(run_dir, plan, rule) -> tuple[list, list, list]:
-    """Combine by ``rule`` the pooled posteriors of each row block of X and
-    each column block of W, from every block along it in grid order.
-    Returns X's and W's (means, precisions) in original index order and the
-    repair events, each labelled with the side, the row or column block and
-    the row within it."""
-    events = []
-
-    def side(name, lines, perm):
-        parts = []
-        for index, keys in enumerate(lines):
-            stacks = []
-            for i, j in keys:
-                pset = load_posteriors(run_dir, name, i, j).pooled()
-                stacks.append((pset.means, pset.precisions))
-            means, precs, line_events = rule(stacks)
-            parts.append((means, precs))
-            events.extend({"row": f"{name}:{index}:{row}", "where": where, "shift": shift}
-                          for row, where, shift in line_events)
-        placed = []
-        for arrays in zip(*parts):
-            stacked = np.concatenate(arrays)
-            placed.append(np.empty_like(stacked))
-            placed[-1][perm] = stacked
-        return placed
-
+def _aggregate(run_dir, plan, rule) -> tuple[list, list]:
+    """Combine by ``rule``, all rows of a side at once, the pooled
+    posteriors of X (lines: row blocks) and of W (lines: column blocks):
+    stack j holds the j-th block along every line, line after line, so it
+    covers the side's rows in permuted order.  Returns X's and W's (means,
+    precisions) in original index order and the repair events, each naming
+    the side and the original row of X or column of W."""
     r, c = plan.n_row_blocks, plan.n_col_blocks
-    x = side("x", [[(i, j) for j in range(c)] for i in range(r)], plan.row_perm)
-    w = side("w", [[(i, j) for i in range(r)] for j in range(c)], plan.col_perm)
-    return x, w, events
+    lines = {"x": [[(i, j) for j in range(c)] for i in range(r)],
+             "w": [[(i, j) for i in range(r)] for j in range(c)]}
+    placed, events = [], []
+    for name, perm, inverse in zip("xw", (plan.row_perm, plan.col_perm), plan.inverse_perms()):
+        psets = [[load_posteriors(run_dir, name, *key).pooled() for key in line]
+                 for line in lines[name]]
+        stacks = [(np.concatenate([p.means for p in blocks]),
+                   np.concatenate([p.precisions for p in blocks])) for blocks in zip(*psets)]
+        means, precs, side_events = rule(stacks)
+        placed.append((means[inverse], precs[inverse]))
+        events.extend({"side": name, "row": int(perm[row]), "where": where, "shift": shift}
+                      for row, where, shift in side_events)
+    return placed, events
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +423,11 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
                 stage_timings[label] = _run_layer(pool, label, tasks)
 
     agg_start = time.perf_counter()
-    (x_mean, x_prec), (w_mean, w_prec), events = _aggregate(run_dir, plan, rule)
+    placed, events = _aggregate(run_dir, plan, rule)
     agg_seconds = time.perf_counter() - agg_start
-    save_posterior_file(os.path.join(run_dir, "aggregate", "x.npz"),
-                        PosteriorSet("gaussian", x_mean, x_prec), "x", 0, plan.n_rows)
-    save_posterior_file(os.path.join(run_dir, "aggregate", "w.npz"),
-                        PosteriorSet("gaussian", w_mean, w_prec), "w", 0, plan.n_cols)
+    for name, (means, precs) in zip("xw", placed):
+        save_posterior_file(os.path.join(run_dir, "aggregate", f"{name}.npz"),
+                            PosteriorSet("gaussian", means, precs), name, 0, len(means))
     write_json(os.path.join(run_dir, "aggregate", "corrections.json"),
                {"count": len(events), "events": events})
     wall_seconds = time.perf_counter() - run_start
@@ -456,6 +437,7 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
     write_json(os.path.join(run_dir, "timings.json"), timings)
     logger.info("%s run finished (ledger total %.2fs, real %.2fs): %s",
                 method, total, wall_seconds, run_dir)
+    (x_mean, x_prec), (w_mean, w_prec) = placed
     return FactorizationResult(x_mean, w_mean, x_prec, w_prec, timings)
 
 

@@ -354,47 +354,37 @@ def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, Posterior
         raise ValidationError("normal-Wishart prior dimension != n_factors")
     rng = np.random.default_rng(config.seed)
 
-    (x_ind, x_val), (w_ind, w_val) = _side_matrices(subset)
-
-    x_prior, w_prior = priors
-    x_state = _SideState(x_prior, subset.n_rows, "X")
-    w_state = _SideState(w_prior, subset.n_cols, "W")
-
-    x = x_state.initial_values(rng, subset.n_rows, k, nw_prior)
-    w = w_state.initial_values(rng, subset.n_cols, k, nw_prior)
+    # Per side, X then W: its (indicator, value) pair, prior state and rows.
+    matrices = _side_matrices(subset)
+    sizes = (subset.n_rows, subset.n_cols)
+    states = [_SideState(prior, n, name) for prior, n, name in zip(priors, sizes, "XW")]
+    rows = [state.initial_values(rng, n, k, nw_prior) for state, n in zip(states, sizes)]
     # Constant placeholder hyperparameters for propagated sides.
-    mu_x, lambda_x = nw_prior.mu0.copy(), nw_prior.nu0 * nw_prior.w0
-    mu_w, lambda_w = nw_prior.mu0.copy(), nw_prior.nu0 * nw_prior.w0
-
+    hyper = [(nw_prior.mu0.copy(), nw_prior.nu0 * nw_prior.w0) for _ in sizes]
+    # Per side: the retained rows, mu and Lambda.
     n_keep = config.n_samples
-    kept_x = np.empty((n_keep, subset.n_rows, k))
-    kept_w = np.empty((n_keep, subset.n_cols, k))
-    kept_mu_x = np.empty((n_keep, k))
-    kept_lambda_x = np.empty((n_keep, k, k))
-    kept_mu_w = np.empty((n_keep, k))
-    kept_lambda_w = np.empty((n_keep, k, k))
+    kept = [(np.empty((n_keep, n, k)), np.empty((n_keep, k)), np.empty((n_keep, k, k)))
+            for n in sizes]
 
-    kept = 0
+    n_kept = 0
     for sweep in range(1, config.n_iters + 1):
         try:
-            if x_prior is None:
-                mu_x, lambda_x = sample_hyper_normal_wishart(x, nw_prior, rng)
-            if w_prior is None:
-                mu_w, lambda_w = sample_hyper_normal_wishart(w, nw_prior, rng)
-            precs, b = x_state.prior_terms(x, mu_x, lambda_x)
-            x = _sample_side(rng, w, x_ind, x_val, config.tau, precs, b, "X side")
-            precs, b = w_state.prior_terms(w, mu_w, lambda_w)
-            w = _sample_side(rng, x, w_ind, w_val, config.tau, precs, b, "W side")
+            for side, state in enumerate(states):
+                if state.prior is None:
+                    hyper[side] = sample_hyper_normal_wishart(rows[side], nw_prior, rng)
+            for side, (state, (ind, val)) in enumerate(zip(states, matrices)):
+                precs, b = state.prior_terms(rows[side], *hyper[side])
+                rows[side] = _sample_side(rng, rows[1 - side], ind, val, config.tau,
+                                          precs, b, f"{'XW'[side]} side")
         except NumericalError as exc:
             raise NumericalError(f"sweep {sweep}: {exc}") from exc
         if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
-            kept_x[kept] = x
-            kept_w[kept] = w
-            kept_mu_x[kept], kept_lambda_x[kept] = mu_x, lambda_x
-            kept_mu_w[kept], kept_lambda_w[kept] = mu_w, lambda_w
-            kept += 1
-    return SampleChain(kept_x, kept_w, kept_mu_x, kept_lambda_x,
-                       kept_mu_w, kept_lambda_w, replace(config))
+            for side, (samples, mus, lambdas) in enumerate(kept):
+                samples[n_kept] = rows[side]
+                mus[n_kept], lambdas[n_kept] = hyper[side]
+            n_kept += 1
+    (x_samples, mu_x, lambda_x), (w_samples, mu_w, lambda_w) = kept
+    return SampleChain(x_samples, w_samples, mu_x, lambda_x, mu_w, lambda_w, replace(config))
 
 
 def predict(x_mean: np.ndarray, w_mean: np.ndarray, rows: np.ndarray,

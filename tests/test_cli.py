@@ -217,17 +217,14 @@ class TestEvaluateAndCost:
                         "--json", str(report_path)]) == 0
         table = capsys.readouterr().out
         events = json.loads((finished_run / "aggregate" / "corrections.json").read_text())
-        plan = json.loads((finished_run / "plan.json").read_text())
-        axes = {"x": (plan["row_perm"], plan["row_cuts"]),
-                "w": (plan["col_perm"], plan["col_cuts"])}
         precisions = {side: approx.load_posterior_file(
-            finished_run / "aggregate" / f"{side}.npz")[1].precisions for side in axes}
+            finished_run / "aggregate" / f"{side}.npz")[1].precisions for side in "xw"}
         expected = {}
         for event in events["events"]:
-            side, block, row = event["row"].split(":")
-            perm, cuts = axes[side]
-            diag = np.diag(precisions[side][perm[cuts[int(block)] + int(row)]])
-            expected.setdefault((side, event["where"]), []).append(event["shift"] / diag.mean())
+            # an event's row is the original row of X or column of W
+            diag = np.diag(precisions[event["side"]][event["row"]])
+            expected.setdefault((event["side"], event["where"]), []).append(
+                event["shift"] / diag.mean())
         assert expected, "the fixture run has no repairs to report"
         report = json.loads(report_path.read_text())
         got = {(rr["side"], rr["where"]): rr for rr in report["repairs"]}
@@ -238,11 +235,23 @@ class TestEvaluateAndCost:
             assert got[side, where]["median_shift"] == pytest.approx(np.median(shifts), rel=1e-12)
             assert f"{where:<16}{rate:>8.4f}" in table
 
-    @pytest.mark.parametrize("row", ["q:0:0", "x:0:-1", "x:0:10", "x:2:0", "x:-1:0", "x:0"])
-    def test_malformed_corrections_is_io_error(self, sim_dir, finished_run, capsys, row):
-        # the 2x2 plan of the 20-row fixture puts 10 rows in each row block
-        (finished_run / "aggregate" / "corrections.json").write_text(
-            json.dumps({"count": 1, "events": [{"row": row, "where": "final", "shift": 1.0}]}))
+    @pytest.mark.parametrize("event", [
+        # rows labelled "<side>:<block>:<row within the block>", as runs once wrote them
+        "q:0:0", "x:0:-1", "x:0:10", "x:2:0", "x:-1:0", "x:0",
+        # the fixture has 20 rows and 12 columns
+        pytest.param({"side": "q", "row": 0}, id="unknown-side"),
+        pytest.param({"side": "x", "row": -1}, id="row-negative"),
+        pytest.param({"side": "x", "row": 20}, id="row-n"),
+        pytest.param({"side": "w", "row": 12}, id="column-n"),
+        pytest.param({"side": "x", "row": 2.0}, id="row-float"),
+        pytest.param({"side": "x", "row": True}, id="row-bool"),
+        pytest.param({"row": 0}, id="no-side"),
+    ])
+    def test_malformed_corrections_is_io_error(self, sim_dir, finished_run, capsys, event):
+        if isinstance(event, str):
+            event = {"side": "x", "row": event}
+        (finished_run / "aggregate" / "corrections.json").write_text(json.dumps(
+            {"count": 1, "events": [{**event, "where": "final", "shift": 1.0}]}))
         code = run_cli(["evaluate", "--run", str(finished_run),
                         "--test", str(sim_dir / "test.txt")])
         assert code == 4
@@ -277,13 +286,15 @@ class TestEvaluateAndCost:
         assert code == 4
         assert f"{path} has no positive, finite numeric total" in capsys.readouterr().err
 
-    def test_plan_without_cuts_is_io_error(self, sim_dir, finished_run, capsys):
-        path = finished_run / "plan.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "row_cuts": []}))
-        code = run_cli(["evaluate", "--run", str(finished_run),
-                        "--test", str(sim_dir / "test.txt")])
-        assert code == 4
-        assert "invalid plan.json" in capsys.readouterr().err
+    def test_evaluate_does_not_read_the_plan(self, sim_dir, finished_run, capsys):
+        argv = ["evaluate", "--run", str(finished_run), "--test", str(sim_dir / "test.txt"),
+                "--train", str(sim_dir / "train.txt")]
+        assert run_cli(argv) == 0
+        report = capsys.readouterr().out
+        assert "eigenvalue repairs: none" not in report
+        (finished_run / "plan.json").unlink()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == report
 
     @pytest.mark.parametrize("header", [
         [1, 2], {"kind": "gaussian", "k": "2"}, {"kind": "gaussian", "k": 2.5},
@@ -335,6 +346,9 @@ class TestEvaluateAndCost:
     (["run", "--factors", "2", "--tau", "nan"], None, "tau"),
     (["run"], {"factors": 2, "tau": 1.0, "nw-beta0": float("inf")}, "nw_beta0"),
     (["run"], {"factors": 2, "tau": 1.0, "lambda": True}, "lam_policy"),
+    (["run"], 5, "must hold a JSON object, got 5"),
+    (["run"], "abc", "must hold a JSON object, got 'abc'"),
+    (["run"], [1], "must hold a JSON object, got [1]"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory

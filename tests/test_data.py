@@ -472,10 +472,17 @@ class TestPartition:
         assert np.array_equal(loaded.col_cuts, plan.col_cuts)
 
     def test_invalid_plan_rejected(self):
-        for row_perm, row_cuts in (([0, 0], [0, 2]),     # not a permutation
-                                   ([0, 1], []),         # no cuts
-                                   ([0, 1], [2]),        # one cut
-                                   ([0, 1], [[0, 2]])):  # not 1-D
+        # Lists, as read from plan.json; a cast to int64 would hide the
+        # fractions and booleans.
+        for row_perm, row_cuts in (([0, 0], [0, 2]),                 # not a permutation
+                                   ([0, 1], []),                     # no cuts
+                                   ([0, 1], [2]),                    # one cut
+                                   ([0, 1], [[0, 2]]),               # not 1-D
+                                   ([0, 1, 2, 3, 4], [0, 2.5, 5]),   # fractional cut
+                                   ([0, 1, 2, 3, 4], [0, True, 5]),  # boolean cut
+                                   ([0, 1, 2, 3, 4], [0, 2.0, 5]),   # float cut
+                                   ([0, 1.7, 2, 3, 4], [0, 2, 5]),   # fractional perm entry
+                                   ([True, 0], [0, 2]),              # boolean perm entry
+                                   (np.array([False, True]), [0, 2])):  # boolean array
             with pytest.raises(ValidationError):
-                data.PartitionPlan(np.array(row_perm), np.array([0]),
-                                   np.array(row_cuts), np.array([0, 1]))
+                data.PartitionPlan(row_perm, [0], row_cuts, [0, 1])
