@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import data, evaluate, pipeline
 from .approx import load_posterior_file
 from .artifacts import write_atomic, write_json
 from .errors import ArtifactError, DbmfError, ValidationError
-from .sampler import predict
+from .sampler import GibbsConfig, predict
 
 logger = logging.getLogger(__name__)
 
@@ -173,6 +174,9 @@ def cmd_run(args) -> int:
     base_config = _run_config_from(merged, method)
     train = data.load_triplets(args.train)
     test = data.load_triplets(args.test) if args.test else None
+    if test is not None and (test.n_rows > train.n_rows or test.n_cols > train.n_cols):
+        raise ValidationError(f"test file {args.test} indexes a {test.n_rows}x{test.n_cols} "
+                              f"matrix, outside the {train.n_rows}x{train.n_cols} training matrix")
     out = _out_dir(args, "run")
 
     replicate_seeds = ([base_config.seed] if args.replicates == 1 else
@@ -180,7 +184,7 @@ def cmd_run(args) -> int:
                         for rep in range(args.replicates)])
     rmses, times = [], []
     for rep, seed in enumerate(replicate_seeds):
-        config = pipeline.RunConfig(**{**base_config.to_dict(), "seed": seed})
+        config = replace(base_config, seed=seed)
         run_dir = out if args.replicates == 1 else os.path.join(out, f"rep{rep}")
         result = METHODS[method][0](train, config, run_dir=run_dir)
         times.append(result.timings["total"])
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--n-cols", type=int, required=True)
     cost.add_argument("--n-obs", type=int, required=True)
     cost.add_argument("--factors", type=int, required=True)
-    cost.add_argument("--iters", type=int, default=1200)
+    cost.add_argument("--iters", type=int, default=GibbsConfig.n_iters)
     cost.add_argument("--workers", default="1,4,16,64")
     cost.add_argument("--approx", choices=("mm", "dm", "gmm"), default="mm")
     cost.add_argument("--components", type=int, default=1)

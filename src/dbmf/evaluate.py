@@ -46,13 +46,16 @@ def rmse_by_frequency(x_mean: np.ndarray, w_mean: np.ndarray, train: SparseMatri
     """RMSE of the point matrices' predictions, with test entries binned by
     their row's training observation count.
 
-    Every test entry must land in some bin, else a validation error.
+    Every test row must be a row of ``train`` and every test entry must
+    land in some bin, else a validation error.
     """
     edges = list(bin_edges)
     if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValidationError("bin edges must be strictly increasing")
-    counts = train.row_counts()
-    freq = counts[test.rows]
+    if test.m and test.rows.max() >= train.n_rows:
+        raise ValidationError(f"test row {test.rows.max()} is outside the training matrix "
+                              f"({train.n_rows} rows)")
+    freq = train.row_counts()[test.rows]
     if test.m and (freq.min() < edges[0] or freq.max() >= edges[-1]):
         raise ValidationError("a test entry falls outside the given bins")
     preds = predict(x_mean, w_mean, test.rows, test.cols)
@@ -96,8 +99,6 @@ def align_latent_dimensions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     if a.shape != b.shape:
         raise ValidationError("matrices must have the same shape")
     k = a.shape[1]
-    if k > 20:
-        raise ValidationError("alignment supported up to 20 latent dimensions")
     signed = _column_correlations(a, b)
     perm = np.empty(k, dtype=np.int64)
     signs = np.empty(k, dtype=np.int64)

@@ -41,15 +41,11 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class RunConfig:
-    """Everything one pipeline run needs besides the data."""
+class RunConfig(GibbsConfig):
+    """Everything one pipeline run needs besides the data: the chain
+    settings every block samples with (its seed being the run's master
+    seed), then the partition, posterior-fit and executor settings."""
 
-    n_factors: int
-    tau: float
-    n_iters: int = 1200
-    burn_in: int = 800
-    thin: int = 2
-    seed: int = 0
     approximation: str = "mm"            # mm | dm | gmm
     ordering: str = "decreasing"         # decreasing | random | none
     partition_rows: int = 1
@@ -65,14 +61,11 @@ class RunConfig:
     nw_nu0: float | None = None
 
     def __post_init__(self):
-        n_samples = GibbsConfig(self.n_factors, self.tau, self.n_iters, self.burn_in,
-                                self.thin, 0).n_samples  # reuse sweep-count validation
-        if n_samples < self.n_factors + 2:
+        super().__post_init__()
+        if self.n_samples < self.n_factors + 2:
             raise ValidationError(
-                f"the chain keeps {n_samples} samples ((n_iters - burn_in) / thin); the "
+                f"the chain keeps {self.n_samples} samples ((n_iters - burn_in) / thin); the "
                 f"posterior fits need at least n_factors + 2 = {self.n_factors + 2}")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
         if self.approximation not in ("mm", "dm", "gmm"):
             raise ValidationError(f"unknown approximation kind: {self.approximation!r}")
         if self.ordering not in ("decreasing", "random", "none"):
@@ -98,9 +91,6 @@ class RunConfig:
         nu0 = float(k) if self.nw_nu0 is None else float(self.nw_nu0)
         return NormalWishartPrior(np.full(k, self.nw_mu0), self.nw_beta0,
                                   self.nw_w0_scale * np.eye(k), nu0)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -284,15 +274,6 @@ class _BlockTask:
     col_range: tuple[int, int]
 
 
-def _default_posteriors(n_rows: int, nw: NormalWishartPrior) -> PosteriorSet:
-    """Per-row Gaussian matching the hyperprior's nominal row prior
-    (mean mu0, precision nu0 * w0); used as the pass-through posterior of a
-    side that an empty block never updated."""
-    means = np.tile(nw.mu0, (n_rows, 1))
-    precs = np.tile(nw.nu0 * nw.w0, (n_rows, 1, 1))
-    return PosteriorSet("gaussian", means, precs)
-
-
 def _run_block_task(task: _BlockTask) -> dict:
     started = time.time()
     t0 = time.perf_counter()
@@ -303,16 +284,16 @@ def _run_block_task(task: _BlockTask) -> dict:
                    for name, source in zip("xw", (task.x_from, task.w_from)))
     nw = config.nw_prior()
     if task.block.m:
-        gibbs = GibbsConfig(config.n_factors, config.tau, config.n_iters, config.burn_in,
-                            config.thin, derive_seed(config.seed, stage, i, j))
-        chain = gibbs_run(task.block, priors, nw, gibbs)
+        chain = gibbs_run(task.block, priors, nw,
+                          replace(config, seed=derive_seed(config.seed, stage, i, j)))
         if config.save_chains:
             chain.save(chain_path(task.run_dir, i, j))
     for side, (name, prior, (lo, hi)) in enumerate(zip("xw", priors,
                                                        (task.row_range, task.col_range))):
         if not task.block.m:
-            # Nothing observed: priors pass through unchanged as posteriors.
-            pset = prior if prior is not None else _default_posteriors(hi - lo, nw)
+            # Nothing observed: priors (the shared one's nominal row) pass through.
+            pset = prior if prior is not None else PosteriorSet(
+                "gaussian", *(np.broadcast_to(a, (hi - lo, *a.shape)) for a in nw.nominal_row))
         else:
             pset = fit_rows((chain.x_samples, chain.w_samples)[side], config.approximation,
                             lam_policy=config.lambda_policy, top_n=config.top_n,
@@ -406,7 +387,7 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
     """
     plan = build_plan(train, config)
     _make_run_dir(run_dir)
-    write_json(os.path.join(run_dir, "run_config.json"), {**config.to_dict(), "method": method})
+    write_json(os.path.join(run_dir, "run_config.json"), {**asdict(config), "method": method})
     plan.save(os.path.join(run_dir, "plan.json"))
     blocks = extract_blocks(train, plan)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy import sparse
@@ -73,8 +73,8 @@ class NormalWishartPrior:
             raise ValidationError("beta0 must be positive and finite")
         if not k <= self.nu0 < np.inf:
             raise ValidationError("nu0 must be finite and >= K")
-        if not np.isfinite(self.mu0).all():
-            raise ValidationError("mu0 must be finite")
+        if not (np.isfinite(self.mu0).all() and np.isfinite(self.w0).all()):
+            raise ValidationError("mu0 and w0 must be finite")
         if non_spd_rows(self.w0[None]).size:
             raise ValidationError("w0 must be symmetric positive definite")
         self.w0_inv = np.linalg.inv(self.w0)
@@ -82,6 +82,11 @@ class NormalWishartPrior:
     @property
     def k(self) -> int:
         return self.mu0.size
+
+    @property
+    def nominal_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nominal row Gaussian (mean mu0, precision nu0 * w0)."""
+        return self.mu0, self.nu0 * self.w0
 
 
 @dataclass
@@ -106,6 +111,8 @@ class GibbsConfig:
             raise ValidationError("thin must be >= 1")
         if (self.n_iters - self.burn_in) % self.thin:
             raise ValidationError("thin must divide n_iters - burn_in")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
     @property
     def n_samples(self) -> int:
@@ -128,7 +135,8 @@ class SampleChain:
         write_atomic(path, lambda fh: np.savez(
             fh, x_samples=self.x_samples, w_samples=self.w_samples,
             mu_x=self.mu_x, lambda_x=self.lambda_x, mu_w=self.mu_w, lambda_w=self.lambda_w,
-            config=np.array(json.dumps(self.config.__dict__))))
+            config=np.array(json.dumps({f.name: getattr(self.config, f.name)
+                                        for f in fields(GibbsConfig)}))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +323,7 @@ class _SideState:
 
     def initial_values(self, rng, n_rows, k, nw_prior):
         if self.prior is None:
-            means = np.broadcast_to(nw_prior.mu0, (n_rows, k))
-            precs = np.broadcast_to(nw_prior.nu0 * nw_prior.w0, (n_rows, k, k))
+            means, precs = (np.broadcast_to(a, (n_rows, *a.shape)) for a in nw_prior.nominal_row)
         elif self.prior.kind == "gaussian":
             means, precs = self.prior.means, self.prior.precisions
         else:
@@ -360,7 +367,7 @@ def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, Posterior
     states = [_SideState(prior, n, name) for prior, n, name in zip(priors, sizes, "XW")]
     rows = [state.initial_values(rng, n, k, nw_prior) for state, n in zip(states, sizes)]
     # Constant placeholder hyperparameters for propagated sides.
-    hyper = [(nw_prior.mu0.copy(), nw_prior.nu0 * nw_prior.w0) for _ in sizes]
+    hyper = [nw_prior.nominal_row for _ in sizes]
     # Per side: the retained rows, mu and Lambda.
     n_keep = config.n_samples
     kept = [(np.empty((n_keep, n, k)), np.empty((n_keep, k)), np.empty((n_keep, k, k)))

@@ -168,6 +168,16 @@ class TestRun:
         assert code == 2
         assert "train.txt:2:" in capsys.readouterr().err
 
+    def test_test_index_outside_train_rejected_before_the_run(self, tmp_path, capsys):
+        train, test, out = tmp_path / "train.txt", tmp_path / "test.txt", tmp_path / "run"
+        train.write_text("".join(f"{r} {r % 4} 1.0\n" for r in range(60)))
+        test.write_text("70 3 1.5\n")
+        code = run_cli(["run", "--train", str(train), "--test", str(test), "--factors", "1",
+                        "--tau", "1.0", "--partition", "2x2", "--out", str(out)])
+        assert code == 2
+        assert "test.txt" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateAndCost:
     @pytest.fixture()
@@ -311,6 +321,25 @@ class TestEvaluateAndCost:
                         "--test", str(sim_dir / "test.txt")])
         assert code == 4
         assert f"corrupt posterior file {path}" in capsys.readouterr().err
+
+    def test_evaluate_ep_run_with_more_than_20_factors(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "run-ep21"
+        assert run_cli(["run", "--train", str(sim_dir / "train.txt"),
+                        "--factors", "21", "--tau", "1.0", "--iters", "48",
+                        "--burn-in", "2", "--thin", "2", "--method", "ep-parametric",
+                        "--partition", "2x2", "--out", str(out)]) == 0
+        code = run_cli(["evaluate", "--run", str(out), "--test", str(sim_dir / "test.txt")])
+        assert code == 0
+        assert "correlation" in capsys.readouterr().out
+
+    def test_train_smaller_than_test_is_validation_error(self, sim_dir, finished_run,
+                                                         tmp_path, capsys):
+        small = tmp_path / "small.txt"
+        small.write_text("0 0 1.0\n1 1 1.0\n")
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt"), "--train", str(small)])
+        assert code == 2
+        assert "outside the training matrix" in capsys.readouterr().err
 
     def test_evaluate_requires_test(self, finished_run, capsys):
         code = run_cli(["evaluate", "--run", str(finished_run)])

@@ -83,6 +83,14 @@ class TestRmseByFrequency:
         with pytest.raises(ValidationError):
             evaluate.rmse_by_frequency(x, w, train, test, (1000, 2000))
 
+    def test_test_row_outside_train_rejected(self):
+        rng = np.random.default_rng(13)
+        x, w, train, test = self._setup(rng)
+        small = data.SparseMatrix(3, train.n_cols, np.array([0, 2]), np.array([0, 1]),
+                                  np.ones(2))
+        with pytest.raises(ValidationError, match="outside the training matrix"):
+            evaluate.rmse_by_frequency(x, w, small, test, (0, math.inf))
+
     def test_bin_weighted_mse_reproduces_global(self):
         rng = np.random.default_rng(5)
         x, w, train, test = self._setup(rng, n=30, d=10)
@@ -147,10 +155,17 @@ class TestAlignment:
         aligned = b[:, perm] * signs
         assert np.allclose(aligned[:, 1], a[:, 1])
 
-    def test_k_limit(self):
-        a = np.zeros((5, 21))
-        with pytest.raises(ValidationError):
-            evaluate.align_latent_dimensions(a, a)
+    def test_25_factors_known_permutation_and_signs(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((80, 25))
+        perm_true = rng.permutation(25)
+        signs_true = np.where(np.arange(25) % 3 == 0, -1, 1)
+        b = np.empty_like(a)
+        b[:, perm_true] = a * signs_true
+        perm, signs = evaluate.align_latent_dimensions(a, b)
+        assert perm.tolist() == perm_true.tolist()
+        assert signs.tolist() == signs_true.tolist()
+        np.testing.assert_array_equal(b[:, perm] * signs, a)
 
 
 class TestFlattenedCorrelation:

@@ -2,13 +2,14 @@ import glob
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from dbmf import artifacts, data, evaluate, pipeline
+from dbmf import aggregate, artifacts, data, evaluate, pipeline
 from dbmf.approx import PosteriorSet, load_posterior_file, save_posterior_file
 from dbmf.errors import ArtifactError, PipelineError, ValidationError
 from dbmf.sampler import GibbsConfig, SampleChain, predict
@@ -66,7 +67,7 @@ class TestRunConfig:
 
     def test_round_trip_dict(self):
         cfg = quick_config()
-        again = pipeline.RunConfig(**cfg.to_dict())
+        again = pipeline.RunConfig(**asdict(cfg))
         assert again == cfg
 
 
@@ -390,6 +391,50 @@ class TestIndependentSubsetsPipeline:
         assert np.sign(res_pp.x_mean[0, 0]) == np.sign(res_ep.x_mean[0, 0])
         np.testing.assert_allclose(res_pp.x_mean, res_ep.x_mean, atol=0.08)
         np.testing.assert_allclose(res_pp.w_mean, res_ep.w_mean, atol=0.25)
+
+    def test_repair_events_name_original_rows(self, small_data, tmp_path, monkeypatch):
+        # Weak block posteriors, precision s_r I with s_r in (0.3, 0.8) per
+        # row: in a 1x3 grid every X row is estimated by 3 blocks, so
+        # sum_j Lj - 2 I is indefinite exactly where 3 s_r < 2.  W rows have
+        # one block each and are never repaired.
+        def weak_fit(samples, kind, **kwargs):
+            means = samples.mean(axis=0)
+            scale = 0.3 + 0.5 * np.tanh(np.abs(means).sum(axis=1))
+            return PosteriorSet("gaussian", means, scale[:, None, None] * np.eye(means.shape[1]))
+
+        train, _ = small_data
+        monkeypatch.setattr(pipeline, "fit_rows", weak_fit)
+        cfg = quick_config(ordering="random", partition_rows=1, partition_cols=3)
+        run_dir = tmp_path / "ep13"
+        res = pipeline.run_ep(train, cfg, run_dir)
+
+        plan = pipeline.build_plan(train, cfg)
+        assert not np.array_equal(plan.row_perm, np.arange(train.n_rows))
+        stacks = [(p.means, p.precisions) for p in
+                  (pipeline.load_posteriors(run_dir, "x", 0, j) for j in range(3))]
+        _, _, side_events = aggregate.ep_aggregate(stacks, (np.zeros(2), np.eye(2)))
+        expected = [{"side": "x", "row": int(plan.row_perm[row]), "where": where,
+                     "shift": shift} for row, where, shift in side_events]
+        events = pipeline.read_corrections(run_dir)["events"]
+        assert events == expected
+        assert 0 < len(events) < train.n_rows
+
+        # Independently of the rule: a row is repaired iff its summed scale
+        # is below 2, and its aggregated precision's least eigenvalue is
+        # then the repair constant, in original row order.
+        summed = sum(np.linalg.eigvalsh(precs)[:, 0] for _, precs in stacks)
+        repaired = sorted(int(plan.row_perm[row]) for row in np.flatnonzero(summed < 2.0))
+        assert sorted(event["row"] for event in events) == repaired
+        eps = aggregate.EV_EPS_SCALE * np.trace(stacks[0][1], axis1=1, axis2=2)[
+            np.argsort(plan.row_perm)] / 2
+        np.testing.assert_allclose(np.linalg.eigvalsh(res.x_precisions[repaired])[:, 0],
+                                   eps[repaired], rtol=1e-6)
+
+        rates = evaluate.repair_rates(run_dir, {"x": res.x_precisions, "w": res.w_precisions})
+        shifts = [event["shift"] / np.diagonal(res.x_precisions[event["row"]]).mean()
+                  for event in events]
+        assert rates == [evaluate.RepairRate("x", "ep final", len(events) / train.n_rows,
+                                             float(np.median(shifts)))]
 
 
 class TestPersistence:

@@ -156,7 +156,8 @@ class TestNormalWishart:
 
     @pytest.mark.parametrize("field, value", [
         ("mu0", np.array([np.nan, 0.0])), ("beta0", np.nan), ("beta0", np.inf),
-        ("w0", np.array([[1.0, np.nan], [np.nan, 1.0]])), ("nu0", np.nan), ("nu0", np.inf)])
+        ("w0", np.array([[1.0, np.nan], [np.nan, 1.0]])), ("w0", np.diag([np.inf, 1.0])),
+        ("nu0", np.nan), ("nu0", np.inf)])
     def test_non_finite_prior_rejected(self, field, value):
         # np.linalg.cholesky factors a NaN matrix without error here, so
         # the positive-definiteness test alone would not catch it.
@@ -304,6 +305,8 @@ class TestGibbsRun:
         for tau in (np.nan, np.inf):
             with pytest.raises(ValidationError, match="tau"):
                 sampler.GibbsConfig(1, tau)
+        with pytest.raises(ValidationError, match="seed"):
+            sampler.GibbsConfig(1, 1.0, 10, 5, 1, -1)
 
 
 class TestBatchedSideAgainstReference:
