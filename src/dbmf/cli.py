@@ -27,8 +27,6 @@ from .artifacts import write_atomic, write_json
 from .errors import ArtifactError, DbmfError, ValidationError
 from .sampler import GibbsConfig, predict
 
-logger = logging.getLogger(__name__)
-
 # Root of the default output directories of ``simulate`` and ``run``.
 OUTPUT_ROOT_ENV = "DBMF_OUTPUT_ROOT"
 
@@ -85,16 +83,19 @@ def _out_dir(args, default_name: str) -> str:
     return os.path.join(root, default_name)
 
 
+def _check_test_indices(test: data.SparseMatrix, path, n_rows: int, n_cols: int,
+                        against: str) -> None:
+    """Reject a test file that indexes beyond an ``n_rows x n_cols`` matrix."""
+    if test.n_rows > n_rows or test.n_cols > n_cols:
+        raise ValidationError(f"test file {path} indexes a {test.n_rows}x{test.n_cols} "
+                              f"matrix, outside the {n_rows}x{n_cols} {against}")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args, f"sim-{args.seed}")
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ArtifactError(f"cannot create output directory {out}: {exc}") from exc
     matrix, truth = data.simulate(args.n_rows, args.n_cols, args.factors,
                                   args.tau, args.seed)
     if args.missing == "random":
@@ -103,6 +104,11 @@ def cmd_simulate(args) -> int:
         train, test = data.split_structured(matrix, args.seed,
                                             mode=args.structured_mode,
                                             target_fraction=args.test_fraction)
+    out = _out_dir(args, f"sim-{args.seed}")
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ArtifactError(f"cannot create output directory {out}: {exc}") from exc
     data.save_triplets(train, os.path.join(out, "train.txt"))
     data.save_triplets(test, os.path.join(out, "test.txt"))
     write_atomic(os.path.join(out, "truth.npz"), lambda fh: np.savez(
@@ -174,9 +180,8 @@ def cmd_run(args) -> int:
     base_config = _run_config_from(merged, method)
     train = data.load_triplets(args.train)
     test = data.load_triplets(args.test) if args.test else None
-    if test is not None and (test.n_rows > train.n_rows or test.n_cols > train.n_cols):
-        raise ValidationError(f"test file {args.test} indexes a {test.n_rows}x{test.n_cols} "
-                              f"matrix, outside the {train.n_rows}x{train.n_cols} training matrix")
+    if test is not None:
+        _check_test_indices(test, args.test, train.n_rows, train.n_cols, "training matrix")
     out = _out_dir(args, "run")
 
     replicate_seeds = ([base_config.seed] if args.replicates == 1 else
@@ -228,6 +233,8 @@ def cmd_evaluate(args) -> int:
 
     _, x_set = load_posterior_file(os.path.join(args.run, "aggregate", "x.npz"))
     _, w_set = load_posterior_file(os.path.join(args.run, "aggregate", "w.npz"))
+    _check_test_indices(test, args.test, x_set.means.shape[0], w_set.means.shape[0],
+                        f"matrix of run {args.run}")
     preds = predict(x_set.means, w_set.means, test.rows, test.cols)
     report_rmse = evaluate.rmse(preds, test.vals)
 

@@ -39,9 +39,10 @@ class SparseMatrix:
 
     Entries are stored as three parallel arrays (row index, column index,
     value).  Every (row, col) pair appears at most once; indices are
-    0-based and in range.  Every construction checks this, derived
-    matrices (splits, blocks) included: the check is a bounds test plus one
-    sort of the flattened keys, and a violation raises ``ValidationError``.
+    0-based and in range; values are finite.  Every construction checks
+    this, derived matrices (splits, blocks) included: the check is a bounds
+    test, a finiteness test plus one sort of the flattened keys, and a
+    violation raises ``ValidationError``.
     File syntax is checked before, by ``load_triplets``.
     """
 
@@ -50,10 +51,6 @@ class SparseMatrix:
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    # Original identifiers when indices were compacted (e.g. MovieLens ids);
-    # row_ids[i] is the source id of compacted row index i.
-    row_ids: np.ndarray | None = None
-    col_ids: np.ndarray | None = None
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.int64)
@@ -70,6 +67,11 @@ class SparseMatrix:
                 raise ValidationError("row index out of range")
             if self.cols.min() < 0 or self.cols.max() >= self.n_cols:
                 raise ValidationError("column index out of range")
+            finite = np.isfinite(self.vals)
+            if not finite.all():
+                i = np.argmin(finite)
+                raise ValidationError(f"non-finite value {self.vals[i]} at entry "
+                                      f"({self.rows[i]}, {self.cols[i]})")
             keys = np.sort(self.rows * self.n_cols + self.cols)
             if np.any(keys[1:] == keys[:-1]):
                 raise ValidationError("duplicate (row, col) entries")
@@ -174,13 +176,6 @@ class PartitionPlan:
 # Loading and saving triplet files
 # ---------------------------------------------------------------------------
 
-def _open_data(path):
-    try:
-        return open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ArtifactError(f"cannot read data file {path}: {exc}") from exc
-
-
 def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
     """Read a sparse matrix from disk.
 
@@ -189,16 +184,29 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
     Dimensions are inferred as max index + 1.
 
     ``movielens-dat``: ``user::item::rating::timestamp`` with 1-based ids;
-    ids are compacted to dense 0-based indices (sorted id order) and the
-    id maps are attached as ``row_ids`` / ``col_ids``.
+    ids are compacted to dense 0-based indices (sorted id order).
+    A ``ValidationError`` of the matrix built names the file.
     """
-    loaders = {"plain": _load_plain, "movielens-dat": _load_movielens}
-    if fmt not in loaders:
+    if fmt not in _FORMATS:
         raise ValidationError(f"unknown triplet format: {fmt!r}")
+    parse_text, parse_lines, build = _FORMATS[fmt]
     try:
-        return loaders[fmt](path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise _not_utf8(path) from exc
+    except OSError as exc:
+        raise ArtifactError(f"cannot read data file {path}: {exc}") from exc
+    parsed = parse_text(text)
+    if parsed is None:
+        # Text mode has already mapped CRLF and CR line ends to "\n".
+        parsed = parse_lines(path, text.split("\n"))
+    try:
+        mat = build(*parsed)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    logger.info("loaded %s: %d x %d with %d entries", path, mat.n_rows, mat.n_cols, mat.m)
+    return mat
 
 
 def _not_utf8(path) -> TripletParseError:
@@ -215,19 +223,33 @@ def _not_utf8(path) -> TripletParseError:
     return TripletParseError(path, 1, "file is not UTF-8 text")
 
 
-def _load_plain(path) -> SparseMatrix:
-    with _open_data(path) as fh:
-        text = fh.read()
-    parsed = _parse_plain_text(text)
-    if parsed is None:
-        # Text mode has already mapped CRLF and CR line ends to "\n".
-        parsed = _parse_plain_lines(path, text.split("\n"))
-    rows, cols, vals = parsed
-    n_rows = int(rows.max()) + 1 if rows.size else 0
-    n_cols = int(cols.max()) + 1 if cols.size else 0
-    mat = SparseMatrix(n_rows, n_cols, rows, cols, vals)
-    logger.info("loaded %s: %d x %d with %d entries", path, mat.n_rows, mat.n_cols, mat.m)
-    return mat
+def _loadtxt(text: str, dtype: np.dtype, delimiter=None):
+    """The first three columns of one ``np.loadtxt`` read of ``text`` as
+    contiguous arrays, or ``None`` when numpy rejects the text."""
+    try:
+        with warnings.catch_warnings():
+            # A file with no entries is valid.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=1,
+                               delimiter=delimiter)
+    except ValueError:
+        return None
+    return tuple(np.ascontiguousarray(table[name]) for name in dtype.names[:3])
+
+
+def _fields(path, lineno: int, parts: list[str]) -> tuple[int, int, float]:
+    """A line's first three fields as (int64, int64, float)."""
+    try:
+        return _int64(parts[0]), _int64(parts[1]), float(parts[2])
+    except ValueError as exc:
+        raise TripletParseError(path, lineno, str(exc)) from exc
+
+
+def _int64(field: str) -> int:
+    value = int(field)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"integer {field} is outside the int64 range")
+    return value
 
 
 def _parse_plain_text(text: str):
@@ -244,18 +266,11 @@ def _parse_plain_text(text: str):
     """
     if _outside_comment_lines(text, "#"):
         return None
-    try:
-        with warnings.catch_warnings():
-            # An empty or comment-only file is valid and has no entries.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(io.StringIO(text), dtype=_PLAIN_DTYPE, comments="#", ndmin=1,
-                               delimiter="," if _outside_comment_lines(text, ",") else None)
-    except ValueError:
+    parsed = _loadtxt(text, _PLAIN_DTYPE,
+                      delimiter="," if _outside_comment_lines(text, ",") else None)
+    if parsed is None or np.any(parsed[0] < 0) or np.any(parsed[1] < 0):
         return None
-    rows, cols, vals = (np.ascontiguousarray(table[name]) for name in _PLAIN_DTYPE.names)
-    if np.any(rows < 0) or np.any(cols < 0):
-        return None
-    return rows, cols, vals
+    return parsed
 
 
 def _outside_comment_lines(text: str, char: str) -> bool:
@@ -287,10 +302,7 @@ def _parse_plain_lines(path, lines: Iterable[str]):
         parts = text.replace(",", " ").split()
         if len(parts) != 3:
             raise TripletParseError(path, lineno, f"expected 3 fields, got {len(parts)}")
-        try:
-            r, c, v = _int64(parts[0]), _int64(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise TripletParseError(path, lineno, str(exc)) from exc
+        r, c, v = _fields(path, lineno, parts)
         if r < 0 or c < 0:
             raise TripletParseError(path, lineno, "negative index")
         rows.append(r)
@@ -300,30 +312,9 @@ def _parse_plain_lines(path, lines: Iterable[str]):
             np.array(vals, dtype=np.float64))
 
 
-def _int64(field: str) -> int:
-    value = int(field)
-    if not _INT64.min <= value <= _INT64.max:
-        raise ValueError(f"integer {field} is outside the int64 range")
-    return value
-
-
-def _load_movielens(path) -> SparseMatrix:
-    with _open_data(path) as fh:
-        text = fh.read()
-    parsed = _parse_movielens_text(text)
-    if parsed is None:
-        # Text mode has already mapped CRLF and CR line ends to "\n".
-        parsed = _parse_movielens_lines(path, text.split("\n"))
-    users, items, ratings = parsed
-    if not users.size:
-        return SparseMatrix(0, 0, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    user_ids, rows = np.unique(users, return_inverse=True)
-    item_ids, cols = np.unique(items, return_inverse=True)
-    mat = SparseMatrix(user_ids.size, item_ids.size, rows, cols, ratings,
-                       row_ids=user_ids, col_ids=item_ids)
-    logger.info("loaded %s: %d x %d with %d entries (ids compacted)",
-                path, mat.n_rows, mat.n_cols, mat.m)
-    return mat
+def _plain_matrix(rows, cols, vals) -> SparseMatrix:
+    return SparseMatrix(int(rows.max()) + 1 if rows.size else 0,
+                        int(cols.max()) + 1 if cols.size else 0, rows, cols, vals)
 
 
 def _parse_movielens_text(text: str):
@@ -343,17 +334,10 @@ def _parse_movielens_text(text: str):
     raw = text.encode("utf-8")
     if raw.translate(None, b"0123456789.:\n"):
         return None
-    try:
-        with warnings.catch_warnings():
-            # An empty or blank-line-only file is valid and has no entries.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(io.StringIO(text.replace("::", " ")), dtype=_MOVIELENS_DTYPE,
-                               ndmin=1)
-    except ValueError:
+    parsed = _loadtxt(text.replace("::", " "), _MOVIELENS_DTYPE)
+    if parsed is None or raw.count(b":") != 6 * parsed[0].size:
         return None
-    if raw.count(b":") != 6 * table.size:
-        return None
-    return tuple(np.ascontiguousarray(table[name]) for name in _MOVIELENS_DTYPE.names[:3])
+    return parsed
 
 
 def _parse_movielens_lines(path, lines: Iterable[str]):
@@ -371,14 +355,23 @@ def _parse_movielens_lines(path, lines: Iterable[str]):
         parts = text.split("::")
         if len(parts) != 4:
             raise TripletParseError(path, lineno, f"expected 4 '::' fields, got {len(parts)}")
-        try:
-            users.append(_int64(parts[0]))
-            items.append(_int64(parts[1]))
-            ratings.append(float(parts[2]))
-        except ValueError as exc:
-            raise TripletParseError(path, lineno, str(exc)) from exc
+        user, item, rating = _fields(path, lineno, parts)
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
     return (np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
             np.array(ratings, dtype=np.float64))
+
+
+def _movielens_matrix(users, items, ratings) -> SparseMatrix:
+    user_ids, rows = np.unique(users, return_inverse=True)
+    item_ids, cols = np.unique(items, return_inverse=True)
+    return SparseMatrix(user_ids.size, item_ids.size, rows, cols, ratings)
+
+
+# Each triplet format: (whole-text parser, line loop, matrix builder).
+_FORMATS = {"plain": (_parse_plain_text, _parse_plain_lines, _plain_matrix),
+            "movielens-dat": (_parse_movielens_text, _parse_movielens_lines, _movielens_matrix)}
 
 
 def save_triplets(matrix: SparseMatrix, path) -> None:
@@ -403,8 +396,8 @@ def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,
     """
     if n_rows < 1 or n_cols < 1 or n_factors < 1:
         raise ValidationError("n_rows, n_cols and n_factors must be >= 1")
-    if tau <= 0:
-        raise ValidationError("tau must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValidationError(f"tau must be positive and finite, got {tau}")
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal((n_rows, n_factors))
     w_true = rng.standard_normal((n_cols, n_factors))
@@ -422,8 +415,7 @@ def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,
 
 def _subset(matrix: SparseMatrix, mask: np.ndarray) -> SparseMatrix:
     return SparseMatrix(matrix.n_rows, matrix.n_cols,
-                        matrix.rows[mask], matrix.cols[mask], matrix.vals[mask],
-                        row_ids=matrix.row_ids, col_ids=matrix.col_ids)
+                        matrix.rows[mask], matrix.cols[mask], matrix.vals[mask])
 
 
 def split_random(matrix: SparseMatrix, test_fraction: float,
@@ -450,9 +442,10 @@ def structured_weights(n: int) -> np.ndarray:
 def structured_rescale_factor(probs: np.ndarray, target_fraction: float) -> float:
     """Scale factor s such that mean(min(1, s * probs)) == target_fraction.
 
-    Solved by bisection; the expected fraction is continuous and
-    nondecreasing in s and saturates at 1, so a root exists whenever
-    ``target_fraction < 1`` and some prob is positive.
+    Solved by bisection until the bracket can no longer shrink in floating
+    point; the expected fraction is continuous and nondecreasing in s and
+    saturates at 1, so a root exists whenever ``target_fraction < 1`` and
+    some prob is positive.
     """
     if not 0.0 < target_fraction < 1.0:
         raise ValidationError("target_fraction must lie in (0, 1)")
@@ -467,13 +460,14 @@ def structured_rescale_factor(probs: np.ndarray, target_fraction: float) -> floa
         hi *= 2.0
         if hi > 1e12:
             raise ValidationError("target fraction unattainable")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if frac(mid) < target_fraction:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def split_structured(matrix: SparseMatrix, seed: int, mode: str = "raw",

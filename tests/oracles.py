@@ -278,6 +278,30 @@ def chain_posterior_mean(chain) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Structured-missingness rescale factor by a fixed-length bisection
+# ---------------------------------------------------------------------------
+
+def structured_rescale_factor(probs: np.ndarray, target_fraction: float) -> float:
+    """The scale s with mean(min(1, s * probs)) == target_fraction by 200
+    bisection steps after doubling an upper bound from 1; no step stops
+    early.  The package stops once the bracket can no longer shrink, which
+    must give the same bits."""
+    def frac(s):
+        return float(np.minimum(1.0, s * probs).mean())
+
+    lo, hi = 0.0, 1.0
+    while frac(hi) < target_fraction:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if frac(mid) < target_fraction:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
 # Sampler sufficient statistics by per-component bincount
 # ---------------------------------------------------------------------------
 

@@ -56,6 +56,16 @@ class TestSimulate:
         assert abs(frac - 0.8) < 0.1
 
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "0"])
+    def test_tau_must_be_positive_and_finite(self, tmp_path, capsys, tau):
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--n-rows", "4", "--n-cols", "3", "--factors", "1",
+                        "--tau", tau, "--out", str(out)])
+        assert code == 2
+        assert "tau" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRun:
     def common(self, sim_dir, extra):
         return ["run", "--train", str(sim_dir / "train.txt"),
@@ -176,6 +186,18 @@ class TestRun:
                         "--tau", "1.0", "--partition", "2x2", "--out", str(out)])
         assert code == 2
         assert "test.txt" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_is_validation_error(self, tmp_path, capsys, value):
+        train, out = tmp_path / "train.txt", tmp_path / "run"
+        train.write_text("".join(f"{r} {r % 4} 1.0\n" for r in range(8)) + f"3 1 {value}\n")
+        code = run_cli(["run", "--train", str(train), "--factors", "1", "--tau", "1.0",
+                        "--partition", "2x2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(train) in err and "non-finite" in err
         assert not out.exists()
 
 
@@ -340,6 +362,15 @@ class TestEvaluateAndCost:
                         "--test", str(sim_dir / "test.txt"), "--train", str(small)])
         assert code == 2
         assert "outside the training matrix" in capsys.readouterr().err
+
+    def test_test_index_outside_run_is_validation_error(self, finished_run, tmp_path,
+                                                         capsys):
+        test = tmp_path / "t.txt"
+        test.write_text("500 3 1.0\n")
+        code = run_cli(["evaluate", "--run", str(finished_run), "--test", str(test)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(test) in err and "501x4" in err and "20x12" in err
 
     def test_evaluate_requires_test(self, finished_run, capsys):
         code = run_cli(["evaluate", "--run", str(finished_run)])

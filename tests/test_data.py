@@ -5,6 +5,7 @@ import pytest
 
 from dbmf import data, sampler
 from dbmf.errors import ArtifactError, TripletParseError, ValidationError
+import oracles
 from oracles import bincount_suff_stats, sorted_axis, to_dense
 
 
@@ -28,6 +29,14 @@ def line_loop(path):
         return data._parse_plain_lines(path, fh)
 
 
+def whole_text_only(monkeypatch, fmt):
+    """Make ``load_triplets`` fail if it falls back to ``fmt``'s line loop."""
+    def line_loop(path, lines):
+        raise AssertionError(f"{fmt} line loop called for {path}")
+    parse_text, _, build = data._FORMATS[fmt]
+    monkeypatch.setitem(data._FORMATS, fmt, (parse_text, line_loop, build))
+
+
 # (file bytes, line of the expected TripletParseError or None, whether the
 # whole-file parse takes the file without the line loop)
 PLAIN_CASES = [
@@ -39,8 +48,6 @@ PLAIN_CASES = [
     pytest.param(b"0 1 2.5\r\n1 0 -1\r\n", None, True, id="crlf"),
     pytest.param(b"+0 +1 +2.5\n", None, True, id="leading-plus"),
     pytest.param(b"1_0 0 1.0\n0 2 1_5.0\n", None, False, id="underscore-digits"),
-    pytest.param(b"0 0 nan\n0 1 -nan\n1 0 inf\n1 1 -inf\n2 0 1e400\n", None, True,
-                 id="nan-inf-overflow"),
     pytest.param("0\u00a01 2\x0c\n".encode(), None, True, id="unicode-whitespace"),
     pytest.param(b"0 0 1.0\n0 1 2.5 # note\n", 2, False, id="trailing-comment"),
     pytest.param(b"0 0 1.0\n1 -1 2.0\n2 2 3.0\n", 2, False, id="negative-index"),
@@ -71,6 +78,14 @@ class TestSparseMatrix:
             make_matrix(2, 2, [0, 2], [0, 0], [1.0, 1.0])
         with pytest.raises(ValidationError):
             make_matrix(2, 2, [0, 0], [0, -1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf],
+                             ids=["nan", "-nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValidationError, match="non-finite"):
+            data.SparseMatrix(1, 1, [0], [0], [value])
+        with pytest.raises(ValidationError, match=r"at entry \(2, 1\)"):
+            make_matrix(3, 2, [0, 2, 1], [0, 1, 1], [1.0, value, 2.0])
 
     def test_counts(self):
         m = make_matrix(3, 2, [0, 1, 1], [0, 0, 1], [1, 2, 3])
@@ -119,8 +134,9 @@ class TestLoadTriplets:
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("0 0 1.0\n0 0 2.0\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="duplicate") as err:
             data.load_triplets(path)
+        assert str(path) in str(err.value)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
@@ -132,8 +148,6 @@ class TestLoadTriplets:
                         "3::7::3::978301968\n")
         m = data.load_triplets(path, fmt="movielens-dat")
         assert (m.n_rows, m.n_cols, m.m) == (2, 2, 3)
-        assert m.row_ids.tolist() == [1, 3]
-        assert m.col_ids.tolist() == [7, 10]
         # user 3 -> row 1, item 10 -> col 1
         dense = to_dense(m, fill=0.0)
         assert dense[1, 1] == 4 and dense[0, 1] == 5 and dense[1, 0] == 3
@@ -157,12 +171,38 @@ class TestLoadTriplets:
         rows, cols, vals = line_loop(path)
         if whole_file:
             # the loader takes these files without the line loop
-            monkeypatch.delattr(data, "_parse_plain_lines")
+            whole_text_only(monkeypatch, "plain")
         loaded = data.load_triplets(path)
         for got, want in ((loaded.rows, rows), (loaded.cols, cols), (loaded.vals, vals)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert loaded.n_rows == (rows.max() + 1 if rows.size else 0)
         assert loaded.n_cols == (cols.max() + 1 if cols.size else 0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"0 0 nan\n", id="nan"), pytest.param(b"0 1 -nan\n", id="-nan"),
+        pytest.param(b"1 0 inf\n", id="inf"), pytest.param(b"1 1 -inf\n", id="-inf"),
+        pytest.param(b"2 0 1e400\n", id="overflow"),
+        pytest.param(b"0 0 nan\n0 1 -nan\n1 0 inf\n1 1 -inf\n2 0 1e400\n",
+                     id="nan-inf-overflow")])
+    def test_non_finite_value_rejected_naming_file(self, tmp_path, content):
+        # Both parsers read these values, bit for bit; the matrix rejects them.
+        path = tmp_path / "m.txt"
+        path.write_bytes(content)
+        parsed = data._parse_plain_text(path.read_text(encoding="utf-8"))
+        assert parsed is not None
+        for got, want in zip(parsed, line_loop(path)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            data.load_triplets(path)
+        assert str(path) in str(err.value)
+
+    def test_movielens_non_finite_rating_rejected(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::2::5::978300760\n3::2::nan::978300761\n")
+        with pytest.raises(ValidationError, match="non-finite") as err:
+            data.load_triplets(path, fmt="movielens-dat")
+        assert str(path) in str(err.value)
 
     @pytest.mark.parametrize("fmt, content, error_line", [
         ("plain", b"0 0 1.0\n# caf\xe9\n1 1 2.0\n", 2),
@@ -228,13 +268,12 @@ class TestLoadTriplets:
         path.write_bytes(b"3::10::4::978300760\r\n\n1::0010::4.5::978302109\r\n"
                          b"3::7::.5::0\r\n18::7::3.::978301968")
         text = path.read_text(encoding="utf-8")
-        want = data._parse_movielens_lines(path, text.split("\n"))
+        users, items, ratings = data._parse_movielens_lines(path, text.split("\n"))
         # the loader takes this file without the line loop
-        monkeypatch.delattr(data, "_parse_movielens_lines")
+        whole_text_only(monkeypatch, "movielens-dat")
         loaded = data.load_triplets(path, fmt="movielens-dat")
-        users, items, ratings = want
-        assert loaded.row_ids[loaded.rows].tobytes() == users.tobytes()
-        assert loaded.col_ids[loaded.cols].tobytes() == items.tobytes()
+        assert loaded.rows.tobytes() == np.unique(users, return_inverse=True)[1].tobytes()
+        assert loaded.cols.tobytes() == np.unique(items, return_inverse=True)[1].tobytes()
         assert loaded.vals.tobytes() == ratings.tobytes()
 
     def test_movielens_whole_file_parse_accepts_only_what_line_loop_accepts(self):
@@ -290,6 +329,11 @@ class TestLoadTriplets:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    def test_tau_must_be_positive_and_finite(self, tau):
+        with pytest.raises(ValidationError, match="tau"):
+            data.simulate(3, 2, 1, tau, seed=0)
+
     def test_shapes_and_determinism(self):
         m1, t1 = data.simulate(20, 10, 2, 4.0, seed=3)
         m2, t2 = data.simulate(20, 10, 2, 4.0, seed=3)
@@ -389,6 +433,17 @@ class TestSplitStructured:
         probs = np.outer(data.structured_weights(50), data.structured_weights(40)).ravel()
         s = data.structured_rescale_factor(probs, 0.8)
         assert abs(np.minimum(1.0, s * probs).mean() - 0.8) < 1e-9
+
+    def test_rescale_factor_bitwise_equal_fixed_length_bisection(self):
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            probs = rng.random(rng.integers(1, 200)) * 10.0 ** rng.uniform(-6, np.log10(5))
+            probs[rng.random(probs.size) < 0.3] = 0.0
+            probs[0] = max(probs[0], 1e-6)
+            target = rng.uniform(0.001, 0.999) * float(np.mean(probs > 0))
+            got = data.structured_rescale_factor(probs, target)
+            want = oracles.structured_rescale_factor(probs, target)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
 
     def test_unknown_mode(self):
         m = make_matrix(1, 2, [0, 0], [0, 1], [1.0, 2.0])

@@ -49,6 +49,34 @@ def test_every_definition_is_used_by_the_package():
     assert not unused, f"defined in src/dbmf but used only outside it: {unused}"
 
 
+def test_every_module_level_name_is_read():
+    """A module-level assignment in ``src/dbmf`` must be read in its own
+    module, or referenced from another package module as ``module.NAME`` or
+    through ``from .module import NAME``; dunder names are exempt."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert trees, f"no modules under {SRC}"
+    reads = {stem: {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+             for stem, tree in trees.items()}
+    mentions = {stem: {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                | {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+                for stem, tree in trees.items()}
+    unused = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            targets = ([node.target] if isinstance(node, ast.AnnAssign)
+                       else node.targets if isinstance(node, ast.Assign) else [])
+            for name in (leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name)):
+                if (name.startswith("__") or name in reads[stem]
+                        or any(name in mentions[other] for other in trees if other != stem)):
+                    continue
+                unused.append(f"{stem}.{name}")
+    assert not unused, f"assigned at module level in src/dbmf but never read: {unused}"
+
+
 def test_package_does_not_import_scipy_linalg():
     """``scipy.linalg`` adds about 8 MB of resident memory to every run and
     pool worker; the package's linear algebra is numpy's."""
