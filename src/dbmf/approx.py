@@ -274,7 +274,8 @@ def lambda_means(x: np.ndarray, lam: np.ndarray,
     iterations = np.full(n_rows, max(max_iters, 0), dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
     start = result[0].tobytes()
-    history = [[start] for _ in range(n_rows)]
+    # Each row's states by the iteration that first reached them; a row adds
+    # one per iteration until it stops, so dict order is iteration order.
     seen = [{start: 0} for _ in range(n_rows)]
     active = np.arange(n_rows)
     n_c = np.ones(n_rows, dtype=np.int64)
@@ -291,13 +292,12 @@ def lambda_means(x: np.ndarray, lam: np.ndarray,
             key = assign[i].tobytes()
             first = seen[row].setdefault(key, it)
             if first == it:
-                history[row].append(key)
                 continue
             period = it - first
             going[i] = False
             iterations[row] = it
             converged[row] = period == 1 and not (spawned[i] or merged[i])
-            result[row] = np.frombuffer(history[row][first + (max_iters - first) % period],
+            result[row] = np.frombuffer(list(seen[row])[first + (max_iters - first) % period],
                                         dtype=np.int64)
         active, centers, n_c = active[going], centers[going], n_c[going]
         if not active.size:
@@ -363,13 +363,6 @@ def _fit_gaussians(x: np.ndarray, labels: np.ndarray, n_labels: int):
     return means, precisions
 
 
-def _check_contract(pset: "PosteriorSet", what: str) -> "PosteriorSet":
-    problem = _contract_violation(pset, pset.k)
-    if problem:
-        raise ValidationError(f"{what}: {problem}")
-    return pset
-
-
 def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "PosteriorSet":
     """Dominant-mode ("dm") or mixture ("gmm") fits of every row of
     ``x (R, S, K)`` from its lambda-means clusters."""
@@ -395,13 +388,11 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
         if whole.any():
             logger.warning("%d of %d rows: dominant cluster has < K+2 samples; "
                            "fitted to the full cloud", whole.sum(), n_rows)
-        return _check_contract(PosteriorSet("gaussian", means[:, 0], precisions[:, 0]),
-                               "row posterior")
+        return PosteriorSet(means[:, 0], precisions[:, 0])
     weights = np.where(kept, top, 0).astype(np.float64)
     weights /= weights.sum(axis=1, keepdims=True)
     precisions[~kept[:, :slots]] = np.eye(k)
-    return _check_contract(PosteriorSet("gmm", means, precisions, weights[:, :slots]),
-                           "mixture posterior")
+    return PosteriorSet(means, precisions, weights[:, :slots])
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +403,21 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
 class PosteriorSet:
     """Approximations for a contiguous range of rows of one factor matrix.
 
-    ``kind`` is "gaussian" or "gmm".  Gaussian sets hold ``means (R, K)``
-    and ``precisions (R, K, K)``.  Mixture sets hold ``C`` component slots
-    per row: ``means (R, C, K)``, ``precisions (R, C, K, K)`` and
-    ``weights (R, C)``, C being the most components any row has.  A slot of
-    weight 0 holds no component, with mean 0 and the identity precision.
+    A Gaussian set holds ``means (R, K)`` and ``precisions (R, K, K)``.  A
+    mixture set holds ``C`` component slots per row: ``means (R, C, K)``,
+    ``precisions (R, C, K, K)`` and ``weights (R, C)``, C being the most
+    components any row has.  A slot of weight 0 holds no component, with
+    mean 0 and the identity precision.
     """
 
-    kind: str
     means: np.ndarray
     precisions: np.ndarray
     weights: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "gmm"):
-            raise ValidationError(f"unknown posterior set kind: {self.kind!r}")
-        if self.kind == "gmm" and self.weights is None:
-            raise ValidationError("gmm posterior set requires weights")
+    @property
+    def kind(self) -> str:
+        """The set's kind: "gmm" when it holds weights, else "gaussian"."""
+        return "gaussian" if self.weights is None else "gmm"
 
     @property
     def n_rows(self) -> int:
@@ -454,16 +443,16 @@ class PosteriorSet:
         weights = weights[..., None]
         cov = np.add.reduceat(weights * np.linalg.inv(self.precisions.reshape(-1, k, k)), starts)
         cov = cov + np.add.reduceat(weights * diffs[:, :, None] * diffs[:, None, :], starts)
-        return PosteriorSet("gaussian", mean, _symmetrize(np.linalg.inv(_symmetrize(cov))))
+        return PosteriorSet(mean, _symmetrize(np.linalg.inv(_symmetrize(cov))))
 
 
 def _contract_violation(pset: PosteriorSet, k: int) -> str | None:
     """The first way a set breaks the posterior contract, naming the row, or
     None.  The contract: K-dimensional finite means, finite precisions with
     a Cholesky factor in every slot and, for mixtures, finite nonnegative
-    weights summing to 1 (to 1e-9) per row.  ``fit_rows`` (for dm and gmm
-    fits) and ``load_posterior_file`` enforce it; each check runs once over
-    the whole stack."""
+    weights summing to 1 (to 1e-9) per row.  ``save_posterior_file`` and
+    ``load_posterior_file`` enforce it; each check runs once over the whole
+    stack."""
     slots = pset.means.shape[:-1]
     if (pset.means.ndim != (3 if pset.kind == "gmm" else 2) or pset.means.shape[-1] != k
             or pset.precisions.shape != (*slots, k, k)
@@ -530,7 +519,7 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
 
     x = np.ascontiguousarray(samples.transpose(1, 0, 2))
     if kind == "mm":
-        return PosteriorSet("gaussian", *_gaussian_fits(x))
+        return PosteriorSet(*_gaussian_fits(x))
     if lam is not None:
         lams = np.full(n_rows, lam)
     elif n_samples > LAMBDA_SUBSAMPLE:
@@ -563,13 +552,14 @@ def _unpack_ut(packed: np.ndarray, k: int) -> np.ndarray:
     return np.take(packed, _triangles(k)[1], axis=-1).reshape(*packed.shape[:-1], k, k)
 
 
-def save_posterior_file(path, posteriors: PosteriorSet, side: str,
-                        row_start: int, row_stop: int, extra: dict | None = None) -> None:
-    """Persist one side's approximations for a block run."""
-    header = {"kind": posteriors.kind, "k": int(posteriors.k), "side": side,
-              "row_start": int(row_start), "row_stop": int(row_stop)}
-    if extra:
-        header.update(extra)
+def save_posterior_file(path, posteriors: PosteriorSet, **header) -> None:
+    """Write ``posteriors`` under the header ``{"kind", "k", **header}``.
+    A set that breaks the posterior contract is a ``NumericalError`` naming
+    the path and the row, and nothing is written."""
+    problem = _contract_violation(posteriors, posteriors.k)
+    if problem:
+        raise NumericalError(f"invalid posteriors for {path}: {problem}")
+    header = {"kind": posteriors.kind, "k": int(posteriors.k), **header}
     means, precisions = posteriors.means, posteriors.precisions
     arrays = {"header": np.array(json.dumps(header))}
     if posteriors.kind == "gmm":
@@ -580,7 +570,7 @@ def save_posterior_file(path, posteriors: PosteriorSet, side: str,
     write_atomic(path, lambda fh: np.savez(fh, **arrays))
 
 
-def load_posterior_file(path) -> tuple[dict, PosteriorSet]:
+def load_posterior_file(path) -> PosteriorSet:
     """Load a posterior file; raises ArtifactError on missing or corrupt
     input, and on arrays that break the posterior contract."""
     try:
@@ -593,11 +583,11 @@ def load_posterior_file(path) -> tuple[dict, PosteriorSet]:
             k = header["k"]
             means, precisions = npz["means"], _unpack_ut(npz["prec_ut"], k)
             if header["kind"] == "gaussian":
-                pset = PosteriorSet("gaussian", means, precisions)
+                pset = PosteriorSet(means, precisions)
             else:
                 weights = npz["weights"]
                 present = weights > 0
-                pset = PosteriorSet("gmm", np.zeros((*weights.shape, k)),
+                pset = PosteriorSet(np.zeros((*weights.shape, k)),
                                     np.tile(np.eye(k), (*weights.shape, 1, 1)), weights)
                 pset.means[present] = means
                 pset.precisions[present] = precisions
@@ -608,4 +598,4 @@ def load_posterior_file(path) -> tuple[dict, PosteriorSet]:
     problem = _contract_violation(pset, k)
     if problem:
         raise ArtifactError(f"invalid posterior file {path}: {problem}")
-    return header, pset
+    return pset

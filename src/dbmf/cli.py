@@ -29,6 +29,8 @@ from .sampler import GibbsConfig, predict
 
 # Root of the default output directories of ``simulate`` and ``run``.
 OUTPUT_ROOT_ENV = "DBMF_OUTPUT_ROOT"
+# Logging level name, in any case (default: warning).
+LOG_ENV = "DBMF_LOG"
 
 
 def _parse_partition(text: str) -> tuple[int, int]:
@@ -173,8 +175,8 @@ def cmd_run(args) -> int:
     if merged.get("factors") is None or merged.get("tau") is None:
         raise ValidationError("--factors and --tau are required (flag or config file)")
     method = merged.get("method", "pp-mm")
-    if method not in METHODS:
-        raise ValidationError(f"method must be one of {list(METHODS)}")
+    if not isinstance(method, str) or method not in METHODS:
+        raise ValidationError(f"method must be one of {list(METHODS)}, got {method!r}")
     if args.replicates < 1:
         raise ValidationError(f"--replicates must be >= 1, got {args.replicates}")
     base_config = _run_config_from(merged, method)
@@ -231,8 +233,8 @@ def cmd_evaluate(args) -> int:
     test = data.load_triplets(args.test)
     train = data.load_triplets(args.train) if args.train else None
 
-    _, x_set = load_posterior_file(os.path.join(args.run, "aggregate", "x.npz"))
-    _, w_set = load_posterior_file(os.path.join(args.run, "aggregate", "w.npz"))
+    x_set = load_posterior_file(os.path.join(args.run, "aggregate", "x.npz"))
+    w_set = load_posterior_file(os.path.join(args.run, "aggregate", "w.npz"))
     _check_test_indices(test, args.test, x_set.means.shape[0], w_set.means.shape[0],
                         f"matrix of run {args.run}")
     preds = predict(x_set.means, w_set.means, test.rows, test.cols)
@@ -333,11 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> int:
+    """The level that ``DBMF_LOG`` names, in any case; ``ValidationError``
+    unless it names one of logging's levels."""
+    name = os.environ.get(LOG_ENV, "WARNING")
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ValidationError(f"{LOG_ENV} must name a logging level (debug, info, warning, "
+                              f"error or critical), got {name!r}")
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("DBMF_LOG", "WARNING"))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level())
         return args.func(args)
     except DbmfError as exc:
         print(f"error: {exc}", file=sys.stderr)

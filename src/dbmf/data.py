@@ -364,6 +364,12 @@ def _parse_movielens_lines(path, lines: Iterable[str]):
 
 
 def _movielens_matrix(users, items, ratings) -> SparseMatrix:
+    # Checked before compaction, so the message names the file's ids.
+    finite = np.isfinite(ratings)
+    if not finite.all():
+        i = np.argmin(finite)
+        raise ValidationError(f"non-finite rating {ratings[i]} of user {users[i]}, "
+                              f"item {items[i]}")
     user_ids, rows = np.unique(users, return_inverse=True)
     item_ids, cols = np.unique(items, return_inverse=True)
     return SparseMatrix(user_ids.size, item_ids.size, rows, cols, ratings)

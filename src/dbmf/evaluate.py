@@ -50,7 +50,7 @@ def rmse_by_frequency(x_mean: np.ndarray, w_mean: np.ndarray, train: SparseMatri
     land in some bin, else a validation error.
     """
     edges = list(bin_edges)
-    if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
         raise ValidationError("bin edges must be strictly increasing")
     if test.m and test.rows.max() >= train.n_rows:
         raise ValidationError(f"test row {test.rows.max()} is outside the training matrix "

@@ -234,23 +234,13 @@ def read_corrections(run_dir) -> dict:
     return _read_json(run_dir, os.path.join("aggregate", "corrections.json"))
 
 
-def persist_posteriors(run_dir, side: str, i: int, j: int,
-                       posteriors: PosteriorSet, row_range: tuple[int, int]) -> str:
-    """Write one side's block approximations into the run layout."""
-    path = posterior_path(run_dir, side, i, j)
-    save_posterior_file(path, posteriors, side, row_range[0], row_range[1],
-                        extra={"stage": stage_of(i, j), "block": [i, j]})
-    return path
-
-
 def load_posteriors(run_dir, side: str, i: int, j: int) -> PosteriorSet:
     """Read one side's block approximations; names the stage/block on failure."""
     try:
-        _, pset = load_posterior_file(posterior_path(run_dir, side, i, j))
+        return load_posterior_file(posterior_path(run_dir, side, i, j))
     except ArtifactError as exc:
         raise PipelineError(
             f"stage {stage_of(i, j)} block ({i},{j}) {side}-posteriors: {exc}") from exc
-    return pset
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +283,13 @@ def _run_block_task(task: _BlockTask) -> dict:
         if not task.block.m:
             # Nothing observed: priors (the shared one's nominal row) pass through.
             pset = prior if prior is not None else PosteriorSet(
-                "gaussian", *(np.broadcast_to(a, (hi - lo, *a.shape)) for a in nw.nominal_row))
+                *(np.broadcast_to(a, (hi - lo, *a.shape)) for a in nw.nominal_row))
         else:
             pset = fit_rows((chain.x_samples, chain.w_samples)[side], config.approximation,
                             lam_policy=config.lambda_policy, top_n=config.top_n,
                             seed=derive_seed(config.seed, stage, i, j, side + 1))
-        persist_posteriors(task.run_dir, name, i, j, pset, (lo, hi))
+        save_posterior_file(posterior_path(task.run_dir, name, i, j), pset, side=name,
+                            row_start=lo, row_stop=hi, stage=stage, block=[i, j])
     return {"seconds": time.perf_counter() - t0, "started": started, "finished": time.time()}
 
 
@@ -408,7 +399,8 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
     agg_seconds = time.perf_counter() - agg_start
     for name, (means, precs) in zip("xw", placed):
         save_posterior_file(os.path.join(run_dir, "aggregate", f"{name}.npz"),
-                            PosteriorSet("gaussian", means, precs), name, 0, len(means))
+                            PosteriorSet(means, precs), side=name, row_start=0,
+                            row_stop=len(means))
     write_json(os.path.join(run_dir, "aggregate", "corrections.json"),
                {"count": len(events), "events": events})
     wall_seconds = time.perf_counter() - run_start

@@ -465,7 +465,32 @@ def gmm_set(rows) -> PosteriorSet:
         p = np.asarray(p, dtype=np.float64)
         weights[i, :counts[i]], means[i, :counts[i]] = w, m
         precisions[i, :counts[i]] = 0.5 * (p + np.swapaxes(p, -1, -2))
-    return PosteriorSet("gmm", means, precisions, weights)
+    return PosteriorSet(means, precisions, weights)
+
+
+def write_posterior_file(path, posteriors: PosteriorSet, **header) -> None:
+    """Write README's posterior file schema straight to ``path`` with
+    ``np.savez``, checking nothing: the JSON header (kind, k, then
+    ``header``'s fields), a mixture's padded weights, the means and the
+    upper triangles of the precisions, row by row, each triangle's entries
+    row-major.  A mixture keeps only its slots of positive weight."""
+    means, precisions, weights = posteriors.means, posteriors.precisions, posteriors.weights
+    k = means.shape[-1]
+    arrays = {"header": np.array(json.dumps(
+        {"kind": "gaussian" if weights is None else "gmm", "k": k, **header}))}
+    if weights is not None:
+        arrays["weights"] = weights
+        slots = [(r, c) for r in range(weights.shape[0]) for c in range(weights.shape[1])
+                 if weights[r, c] > 0]
+        means = np.array([means[r, c] for r, c in slots]).reshape(-1, k)
+        precisions = np.array([precisions[r, c] for r, c in slots]).reshape(-1, k, k)
+    arrays["means"] = means
+    # Stored in column-major memory order, as np.savez stores the package's
+    # fancy-indexed packing; np.load reads either order back the same.
+    arrays["prec_ut"] = np.asfortranarray(np.array(
+        [[p[i, j] for i in range(k) for j in range(i, k)] for p in precisions]
+    ).reshape(len(precisions), -1))
+    np.savez(path, **arrays)
 
 
 def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
@@ -487,7 +512,7 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
     if kind == "dm":
         means, precisions = zip(*[fit_dominant_mode(samples[:, i, :], row_lambda(i))
                                   for i in rows])
-        return PosteriorSet("gaussian", np.array(means), np.array(precisions))
+        return PosteriorSet(np.array(means), np.array(precisions))
     return gmm_set([fit_gmm(samples[:, i, :], row_lambda(i), top_n=top_n) for i in rows])
 
 

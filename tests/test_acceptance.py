@@ -236,8 +236,8 @@ def test_criterion_5_sampler_grid_oracle():
 
     mat = data.SparseMatrix(n, d, np.repeat(np.arange(n), d),
                             np.tile(np.arange(d), n), y.ravel())
-    priors = (approx.PosteriorSet("gaussian", x_mean0[:, None], x_prec0[:, None, None]),
-              approx.PosteriorSet("gaussian", w_mean0[:, None], w_prec0[:, None, None]))
+    priors = (approx.PosteriorSet(x_mean0[:, None], x_prec0[:, None, None]),
+              approx.PosteriorSet(w_mean0[:, None], w_prec0[:, None, None]))
 
     worst = 0.0
     for seed in SEEDS:

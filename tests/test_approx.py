@@ -1,12 +1,14 @@
 import json
 import logging
+import os
+import zipfile
 
 import numpy as np
 import pytest
 
 import oracles
 from dbmf import approx
-from dbmf.errors import ArtifactError, ValidationError
+from dbmf.errors import ArtifactError, NumericalError, ValidationError
 from oracles import gmm_set, mixture_moments
 
 
@@ -467,10 +469,12 @@ class TestPosteriorFiles:
         samples = rng.standard_normal((50, 4, 3))
         pset = approx.fit_rows(samples, "mm")
         path = tmp_path / "post.npz"
-        approx.save_posterior_file(path, pset, "x", 0, 4)
-        header, loaded = approx.load_posterior_file(path)
-        assert header["side"] == "x" and header["kind"] == "gaussian"
-        assert header["row_start"] == 0 and header["row_stop"] == 4
+        approx.save_posterior_file(path, pset, side="x", row_start=0, row_stop=4)
+        loaded = approx.load_posterior_file(path)
+        with np.load(path) as npz:
+            header = json.loads(str(npz["header"]))
+        assert header == {"kind": "gaussian", "k": 3, "side": "x", "row_start": 0,
+                          "row_stop": 4}
         assert np.array_equal(loaded.means, pset.means)
         assert np.array_equal(loaded.precisions, pset.precisions)
         # C order, as fitted: the stacked products that take loaded
@@ -485,12 +489,12 @@ class TestPosteriorFiles:
                  np.array([random_spd(rng, 2) for _ in range(c)])) for c in (2, 1, 3)]
         pset = gmm_set(rows)
         path = tmp_path / "gmm.npz"
-        approx.save_posterior_file(path, pset, "w", 5, 8)
+        approx.save_posterior_file(path, pset, side="w", row_start=5, row_stop=8)
         with np.load(path) as npz:
             assert sorted(npz.files) == ["header", "means", "prec_ut", "weights"]
             assert npz["weights"].shape == (3, 3)
             assert npz["means"].shape == (6, 2) and npz["prec_ut"].shape == (6, 3)
-        _, loaded = approx.load_posterior_file(path)
+        loaded = approx.load_posterior_file(path)
         for field in ("weights", "means", "precisions"):
             assert getattr(loaded, field).tobytes() == getattr(pset, field).tobytes()
 
@@ -498,7 +502,7 @@ class TestPosteriorFiles:
         rng = np.random.default_rng(10)
         pset = approx.fit_rows(rng.standard_normal((30, 2, 2)), "mm")
         path = tmp_path / "post.npz"
-        approx.save_posterior_file(path, pset, "x", 0, 2)
+        approx.save_posterior_file(path, pset, side="x", row_start=0, row_stop=2)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ArtifactError):
@@ -530,7 +534,7 @@ class TestPosteriorFiles:
         """Five Gaussian rows, or three mixture rows with 2, 1 and 2
         components in two slots."""
         if kind == "gaussian":
-            return dict(kind=kind, means=rng.standard_normal((5, 2)),
+            return dict(means=rng.standard_normal((5, 2)),
                         precisions=np.array([random_spd(rng, 2) for _ in range(5)]))
         return vars(gmm_set([(np.array([0.5, 0.5]), rng.standard_normal((2, 2)),
                          np.array([random_spd(rng, 2) for _ in range(2)])),
@@ -558,7 +562,8 @@ class TestPosteriorFiles:
         rng = np.random.default_rng(12)
         arrays = self._arrays(kind, rng)
         path = tmp_path / "post.npz"
-        approx.save_posterior_file(path, approx.PosteriorSet(**arrays), "x", 0, 5)
+        approx.save_posterior_file(path, approx.PosteriorSet(**arrays), side="x", row_start=0,
+                                   row_stop=5)
         approx.load_posterior_file(path)  # the untouched file is valid
         if field == "stored means":  # edit the file, not the set
             with np.load(path) as npz:
@@ -571,15 +576,59 @@ class TestPosteriorFiles:
             if field == "precisions":  # keep the stored upper triangle symmetric
                 mat = arrays[field][index[:-2]]
                 arrays[field][index[:-2]] = np.triu(mat) + np.triu(mat, 1).T
-            approx.save_posterior_file(path, approx.PosteriorSet(**arrays), "x", 0, 5)
+            # the checked writer refuses an invalid set
+            oracles.write_posterior_file(path, approx.PosteriorSet(**arrays), side="x",
+                                         row_start=0, row_stop=5)
         if message is None:
-            _, loaded = approx.load_posterior_file(path)
+            loaded = approx.load_posterior_file(path)
             assert loaded.weights.tobytes() == arrays["weights"].tobytes()
             return
         with pytest.raises(ArtifactError) as info:
             approx.load_posterior_file(path)
         assert str(path) in str(info.value)
         assert message in str(info.value)
+
+    @pytest.mark.parametrize("kind, field, index, value, message", [
+        ("gaussian", "means", (2, 1), np.nan, "row 2: non-finite mean"),
+        ("gaussian", "precisions", (1, 0, 0), np.inf, "row 1: non-finite precision"),
+        ("gaussian", "precisions", (3, 1, 1), -50.0, "row 3: precision not positive definite"),
+        ("gmm", "means", (2, 1, 0), np.nan, "row 2: non-finite mean"),
+        ("gmm", "precisions", (2, 1, 0, 0), -50.0, "row 2: precision not positive definite"),
+        ("gmm", "weights", (0, 1), np.nan, "row 0: negative or non-finite weight"),
+        ("gmm", "weights", (2, 1), 0.7, "row 2: weights do not sum to 1"),
+    ])
+    def test_invalid_posteriors_refused_at_write(self, tmp_path, kind, field, index, value,
+                                                 message):
+        arrays = self._arrays(kind, np.random.default_rng(14))
+        arrays[field][index] = value
+        path = tmp_path / "post.npz"
+        with pytest.raises(NumericalError) as info:
+            approx.save_posterior_file(path, approx.PosteriorSet(**arrays), side="x",
+                                       row_start=0, row_stop=5)
+        assert str(path) in str(info.value) and message in str(info.value)
+        assert info.value.exit_code == 3
+        assert os.listdir(tmp_path) == []  # neither the target nor a temporary file
+
+    @pytest.mark.parametrize("kind", ["gaussian", "gmm"])
+    def test_independent_writer_writes_the_same_bytes(self, tmp_path, kind):
+        # Every archive member, name and bytes, in order; the zip container
+        # also holds each member's write time, which is left out.
+        arrays = self._arrays(kind, np.random.default_rng(15))
+        if kind == "gmm":
+            arrays["weights"][1] = [0.0, 1.0]  # a padded row whose first slot is empty
+        pset = approx.PosteriorSet(**arrays)
+        header = dict(side="w", row_start=3, row_stop=6, stage=2, block=[0, 1])
+        approx.save_posterior_file(tmp_path / "checked.npz", pset, **header)
+        oracles.write_posterior_file(tmp_path / "direct.npz", pset, **header)
+        members = []
+        for name in ("checked.npz", "direct.npz"):
+            with zipfile.ZipFile(tmp_path / name) as archive:
+                members.append([(info.filename, archive.read(info))
+                                for info in archive.infolist()])
+        assert members[0] == members[1]
+        assert [name for name, _ in members[0]] == (
+            ["header.npy", "means.npy", "prec_ut.npy"] if kind == "gaussian"
+            else ["header.npy", "weights.npy", "means.npy", "prec_ut.npy"])
 
     @pytest.mark.parametrize("header", [
         [1, 2], "gmm", {"kind": "gaussian"}, {"kind": "gaussian", "k": "2"},
@@ -590,7 +639,7 @@ class TestPosteriorFiles:
         rng = np.random.default_rng(13)
         path = tmp_path / "post.npz"
         approx.save_posterior_file(path, approx.PosteriorSet(**self._arrays("gaussian", rng)),
-                                   "x", 0, 5)
+                                   side="x", row_start=0, row_stop=5)
         with np.load(path) as npz:
             stored = dict(npz)
         stored["header"] = np.array(json.dumps(header))

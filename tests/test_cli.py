@@ -1,9 +1,12 @@
 import json
+import logging
+import os
 
 import numpy as np
 import pytest
 
 from dbmf import approx, cli, pipeline
+from dbmf.errors import ValidationError
 
 
 def run_cli(argv):
@@ -200,6 +203,26 @@ class TestRun:
         assert str(train) in err and "non-finite" in err
         assert not out.exists()
 
+    def test_fitted_posterior_breaking_the_contract_is_numerical_error(
+            self, sim_dir, tmp_path, capsys, monkeypatch):
+        # A moment-matched fit with a NaN mean is refused when its file is
+        # written, naming the file; no later stage reads it.
+        fit_rows = pipeline.fit_rows
+
+        def nan_mean(*args, **kwargs):
+            pset = fit_rows(*args, **kwargs)
+            pset.means[0, 0] = np.nan
+            return pset
+
+        monkeypatch.setattr(pipeline, "fit_rows", nan_mean)
+        out = tmp_path / "run-nan"
+        code = run_cli(self.common(sim_dir, ["--method", "full", "--workers", "1",
+                                             "--out", str(out)]))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert os.path.join("stage1", "x_0_0.npz") in err and "row 0: non-finite mean" in err
+        assert os.listdir(out / "stage1") == []
+
 
 class TestEvaluateAndCost:
     @pytest.fixture()
@@ -239,6 +262,14 @@ class TestEvaluateAndCost:
             [p for p in __import__("dbmf").evaluate.sharing_pairs(2, 2)])
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bins", ["nan", "0,nan,20"])
+    def test_nan_bin_edge_is_validation_error(self, sim_dir, finished_run, capsys, bins):
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt"),
+                        "--train", str(sim_dir / "train.txt"), "--bins", bins])
+        assert code == 2
+        assert "strictly increasing" in capsys.readouterr().err
+
     def test_evaluate_reports_repair_rates(self, sim_dir, finished_run, tmp_path, capsys):
         # Per side and per step: the share of the side's rows repaired, and
         # the median shift over the mean diagonal of the row's aggregated
@@ -250,7 +281,7 @@ class TestEvaluateAndCost:
         table = capsys.readouterr().out
         events = json.loads((finished_run / "aggregate" / "corrections.json").read_text())
         precisions = {side: approx.load_posterior_file(
-            finished_run / "aggregate" / f"{side}.npz")[1].precisions for side in "xw"}
+            finished_run / "aggregate" / f"{side}.npz").precisions for side in "xw"}
         expected = {}
         for event in events["events"]:
             # an event's row is the original row of X or column of W
@@ -409,6 +440,8 @@ class TestEvaluateAndCost:
     (["run"], 5, "must hold a JSON object, got 5"),
     (["run"], "abc", "must hold a JSON object, got 'abc'"),
     (["run"], [1], "must hold a JSON object, got [1]"),
+    (["run"], {"method": ["pp-mm"], "factors": 2, "tau": 1.0}, "method"),
+    (["run"], {"method": {"a": 1}, "factors": 2, "tau": 1.0}, "method"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory
@@ -423,6 +456,25 @@ def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, co
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert run_cli(argv) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, level", [
+    ("debug", logging.DEBUG), ("Info", logging.INFO), ("WARNING", logging.WARNING),
+    ("verbose", None), ("10", None), ("", None),
+])
+def test_log_level_named_in_any_case(monkeypatch, capsys, name, level):
+    # The name itself is checked: ``logging.basicConfig`` skips its own
+    # check when the root logger has handlers, as it has under pytest.
+    monkeypatch.setenv("DBMF_LOG", name)
+    code = run_cli(["cost-model", "--n-rows", "6", "--n-cols", "5", "--n-obs", "9",
+                    "--factors", "2", "--workers", "1"])
+    err = capsys.readouterr().err
+    if level is None:
+        assert code == 2 and "DBMF_LOG" in err
+        with pytest.raises(ValidationError, match="DBMF_LOG"):
+            cli._log_level()
+    else:
+        assert code == 0 and cli._log_level() == level
 
 
 # One value per ``RUN_FIELDS`` key, none of them the ``RunConfig`` default.

@@ -202,7 +202,9 @@ class TestLoadTriplets:
         path.write_text("1::2::5::978300760\n3::2::nan::978300761\n")
         with pytest.raises(ValidationError, match="non-finite") as err:
             data.load_triplets(path, fmt="movielens-dat")
+        # the file's ids, not the compacted (row, col) = (1, 0)
         assert str(path) in str(err.value)
+        assert "user 3" in str(err.value) and "item 2" in str(err.value)
 
     @pytest.mark.parametrize("fmt, content, error_line", [
         ("plain", b"0 0 1.0\n# caf\xe9\n1 1 2.0\n", 2),

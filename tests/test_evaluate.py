@@ -83,6 +83,14 @@ class TestRmseByFrequency:
         with pytest.raises(ValidationError):
             evaluate.rmse_by_frequency(x, w, train, test, (1000, 2000))
 
+    @pytest.mark.parametrize("edges", [(0, math.nan, math.inf), (math.nan, math.inf),
+                                       (0, 5, 5, math.inf), (0, 10, 5, math.inf)])
+    def test_edges_not_strictly_increasing_rejected(self, edges):
+        # A NaN edge compares false both ways, so it too must fail.
+        x, w, train, test = self._setup(np.random.default_rng(14))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            evaluate.rmse_by_frequency(x, w, train, test, edges)
+
     def test_test_row_outside_train_rejected(self):
         rng = np.random.default_rng(13)
         x, w, train, test = self._setup(rng)

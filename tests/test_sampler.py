@@ -258,8 +258,7 @@ class TestGibbsRun:
     def test_hyper_constant_when_propagated(self):
         rng = np.random.default_rng(12)
         mat = tiny_matrix(rng)
-        pset = approx.PosteriorSet("gaussian", np.zeros((4, 1)),
-                                   np.ones((4, 1, 1)))
+        pset = approx.PosteriorSet(np.zeros((4, 1)), np.ones((4, 1, 1)))
         priors = (pset, None)
         chain = sampler.gibbs_run(mat, priors,
                                   nw_prior(1), self.config())
@@ -289,7 +288,7 @@ class TestGibbsRun:
     def test_coverage_validation(self):
         rng = np.random.default_rng(14)
         mat = tiny_matrix(rng)
-        pset = approx.PosteriorSet("gaussian", np.zeros((2, 1)), np.ones((2, 1, 1)))
+        pset = approx.PosteriorSet(np.zeros((2, 1)), np.ones((2, 1, 1)))
         priors = (pset, None)
         with pytest.raises(ValidationError, match="covers"):
             sampler.gibbs_run(mat, priors, nw_prior(1),
