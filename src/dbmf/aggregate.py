@@ -1,13 +1,12 @@
 """Combining per-row Gaussian subset posteriors into full-data marginals.
 
-Each rule is one batched function over a stack of rows (the pipeline passes
-all rows of a side at once), to which every subset contributes means
-``(R, K)`` and precisions ``(R, K, K)``; a single subset comes back
-unchanged.  The staged-pipeline rule removes the multiply-counted
-propagated posterior before summing precisions, repairing indefinite
-differences by eigenvalue correction.  The independent-subsets
-rule multiplies all subset Gaussians and divides away the multiply-counted
-prior.  There are no per-row forms: one row is a one-row stack.
+Each rule is one batched function over a side's stacks (all rows of the
+side at once), to which every subset contributes means ``(R, K)`` and
+precisions ``(R, K, K)``; a single subset comes back unchanged.  The
+staged-pipeline rule removes the multiply-counted propagated posterior,
+repairing indefinite differences by eigenvalue correction; the
+independent-subsets rule divides away the multiply-counted prior.  Both then
+share one Gaussian product step.  One row is a one-row stack.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ def _repair(mats: np.ndarray, eps: np.ndarray, where: str,
     without a Cholesky factor, and those matrices with ``|lambda_min| +
     eps`` added to their diagonals.  Appends one event per repair."""
     bad = non_spd_rows(mats)
-    if not bad.size:
-        return bad, mats[bad]
     lam_min = np.linalg.eigvalsh(mats[bad])[:, 0]
     repaired = mats[bad] + (np.abs(lam_min) + eps[bad])[:, None, None] * np.eye(mats.shape[-1])
     shifts = repaired[:, 0, 0] - mats[bad, 0, 0]
@@ -56,10 +53,14 @@ def _matvec(precisions: np.ndarray, means: np.ndarray) -> np.ndarray:
     return (precisions @ means[..., None])[..., 0]
 
 
-def _solve(precision: np.ndarray, weighted: np.ndarray, eps: np.ndarray, where: str,
-           events: list[Event]) -> tuple[np.ndarray, np.ndarray, list[Event]]:
-    """Symmetrize and repair the combined precisions, then solve for the
-    means; events come back ordered by row."""
+def _product(precision: np.ndarray, weighted: np.ndarray, stacks: list[Stack], eps: np.ndarray,
+             where: str, events: list[Event]) -> tuple[np.ndarray, np.ndarray, list[Event]]:
+    """Add each stack's precision and precision-weighted mean to the base
+    ``precision`` and ``weighted``, symmetrize and repair the sum, then solve
+    for the means; events come back ordered by row."""
+    for means_j, precs_j in stacks:
+        precision += precs_j
+        weighted += _matvec(precs_j, means_j)
     precision = _symmetrize(precision)
     bad, repaired = _repair(precision, eps, where, events)
     precision[bad] = repaired
@@ -72,9 +73,8 @@ def _solve(precision: np.ndarray, weighted: np.ndarray, eps: np.ndarray, where: 
     return means, precision, events
 
 
-def staged_aggregate(stage1: Stack, others: list[Stack]
-                     ) -> tuple[np.ndarray, np.ndarray, list[Event]]:
-    """The staged rule over a stack of rows.
+def staged_aggregate(stacks: list[Stack]) -> tuple[np.ndarray, np.ndarray, list[Event]]:
+    """The staged rule over a side's stacks, ``stacks[0]`` from stage I.
 
     For every later-stage subset j, the first-stage precision is subtracted;
     an indefinite difference is eigenvalue-corrected ("subset j") before the
@@ -87,27 +87,26 @@ def staged_aggregate(stage1: Stack, others: list[Stack]
     row's repair constant is ``EV_EPS_SCALE`` times its mean first-stage
     precision diagonal.  Returns means, precisions and repair events.
     """
-    means1, precs1 = stage1
-    if not others:
+    means1, precs1 = stacks[0]
+    if len(stacks) == 1:
         return means1, precs1, []
-    n_subsets = 1 + len(others)
     eps = _row_eps(precs1)
     events: list[Event] = []
-    precision = (2.0 - n_subsets) * precs1
-    weighted = (2.0 - n_subsets) * _matvec(precs1, means1)
-    for j, (means_j, precs_j) in enumerate(others, start=2):
+    corrected = []
+    for j, (means_j, precs_j) in enumerate(stacks[1:], start=2):
         bad, repaired = _repair(_symmetrize(precs_j - precs1), eps, f"subset {j}", events)
         if bad.size:
             precs_j = precs_j.copy()
             precs_j[bad] = repaired + precs1[bad]
-        precision += precs_j
-        weighted += _matvec(precs_j, means_j)
-    return _solve(precision, weighted, eps, "final", events)
+        corrected.append((means_j, precs_j))
+    coef = 2.0 - len(stacks)
+    return _product(coef * precs1, coef * _matvec(precs1, means1), corrected,
+                    eps, "final", events)
 
 
-def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray]
+def ep_aggregate(stacks: list[Stack], prior: tuple[np.ndarray, np.ndarray]
                  ) -> tuple[np.ndarray, np.ndarray, list[Event]]:
-    """The independent-subsets rule over a stack of rows: the product of the
+    """The independent-subsets rule over a side's stacks: the product of the
     J subset Gaussians with J-1 copies of the shared prior ``(mean (K,),
     precision (K, K))`` divided away,
 
@@ -117,14 +116,11 @@ def ep_aggregate(subsets: list[Stack], prior: tuple[np.ndarray, np.ndarray]
     An indefinite precision* is eigenvalue-corrected ("ep final"), with the
     repair constant scaled by the first subset's precision.
     """
-    means0, precs0 = subsets[0]
-    if len(subsets) == 1:
+    means0, precs0 = stacks[0]
+    if len(stacks) == 1:
         return means0, precs0, []
     prior_mean, prior_precision = prior
-    copies = len(subsets) - 1.0
-    precision = -copies * prior_precision + precs0
-    weighted = -copies * (prior_precision @ prior_mean) + _matvec(precs0, means0)
-    for means_j, precs_j in subsets[1:]:
-        precision += precs_j
-        weighted += _matvec(precs_j, means_j)
-    return _solve(precision, weighted, _row_eps(precs0), "ep final", [])
+    copies = len(stacks) - 1.0
+    return _product(-copies * prior_precision + precs0,
+                    -copies * (prior_precision @ prior_mean) + _matvec(precs0, means0),
+                    stacks[1:], _row_eps(precs0), "ep final", [])

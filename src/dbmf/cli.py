@@ -225,8 +225,13 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    edges = ([_convert(float, e, "--bins") for e in args.bins.split(",")] + [math.inf]
-             if args.bins else evaluate.DEFAULT_BIN_EDGES)
+    edges = evaluate.DEFAULT_BIN_EDGES
+    if args.bins:
+        if not args.train:
+            raise ValidationError("--bins needs --train: the bins count each test row's "
+                                  "training entries")
+        edges = evaluate.check_bin_edges(
+            [_convert(float, e, "--bins") for e in args.bins.split(",")] + [math.inf], "--bins")
     pipeline.read_run_config(args.run)  # a finished run directory, checked first
     if not args.test:
         raise ValidationError("--test is required to compute RMSE")

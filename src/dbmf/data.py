@@ -393,6 +393,13 @@ def save_triplets(matrix: SparseMatrix, path) -> None:
 # Simulation
 # ---------------------------------------------------------------------------
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of ``seed``, which must be a nonnegative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,
              seed: int) -> tuple[SparseMatrix, GroundTruth]:
     """Fully observed low-rank matrix plus Gaussian noise of precision ``tau``.
@@ -404,7 +411,7 @@ def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,
         raise ValidationError("n_rows, n_cols and n_factors must be >= 1")
     if not 0.0 < tau < np.inf:
         raise ValidationError(f"tau must be positive and finite, got {tau}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     x_true = rng.standard_normal((n_rows, n_factors))
     w_true = rng.standard_normal((n_cols, n_factors))
     y = x_true @ w_true.T
@@ -432,7 +439,7 @@ def split_random(matrix: SparseMatrix, test_fraction: float,
     if not 0.0 < test_fraction < 1.0:
         raise ValidationError("test_fraction must lie in (0, 1)")
     n_test = int(test_fraction * matrix.m)
-    order = np.random.default_rng(seed).permutation(matrix.m)
+    order = _rng(seed).permutation(matrix.m)
     mask = np.zeros(matrix.m, dtype=bool)
     mask[order[:n_test]] = True
     return _subset(matrix, ~mask), _subset(matrix, mask)
@@ -440,8 +447,6 @@ def split_random(matrix: SparseMatrix, test_fraction: float,
 
 def structured_weights(n: int) -> np.ndarray:
     """Equally spaced decreasing weights from 0.9 down to 0.005."""
-    if n == 1:
-        return np.array([STRUCTURED_WEIGHT_HIGH])
     return np.linspace(STRUCTURED_WEIGHT_HIGH, STRUCTURED_WEIGHT_LOW, n)
 
 
@@ -496,7 +501,7 @@ def split_structured(matrix: SparseMatrix, seed: int, mode: str = "raw",
         probs = np.minimum(1.0, structured_rescale_factor(probs, target_fraction) * probs)
     elif mode != "raw":
         raise ValidationError(f"unknown structured-missingness mode: {mode!r}")
-    mask = np.random.default_rng(seed).random(matrix.m) < probs
+    mask = _rng(seed).random(matrix.m) < probs
     realized = float(mask.mean())
     logger.info("structured split (%s): realized test fraction %.4f", mode, realized)
     return _subset(matrix, ~mask), _subset(matrix, mask)
@@ -518,7 +523,7 @@ def order_matrix(matrix: SparseMatrix, scheme: str,
         return (np.arange(matrix.n_rows, dtype=np.int64),
                 np.arange(matrix.n_cols, dtype=np.int64))
     if scheme == "random":
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         return (rng.permutation(matrix.n_rows).astype(np.int64),
                 rng.permutation(matrix.n_cols).astype(np.int64))
     if scheme == "decreasing":

@@ -41,6 +41,15 @@ class FrequencyBin:
     count: int
 
 
+def check_bin_edges(bin_edges, name: str = "bin edges") -> list:
+    """``bin_edges`` as a list; ``ValidationError`` naming ``name`` unless
+    there are at least two and they are strictly increasing."""
+    edges = list(bin_edges)
+    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
+        raise ValidationError(f"{name} must be strictly increasing, got {edges}")
+    return edges
+
+
 def rmse_by_frequency(x_mean: np.ndarray, w_mean: np.ndarray, train: SparseMatrix,
                       test: SparseMatrix, bin_edges=DEFAULT_BIN_EDGES) -> list[FrequencyBin]:
     """RMSE of the point matrices' predictions, with test entries binned by
@@ -49,9 +58,7 @@ def rmse_by_frequency(x_mean: np.ndarray, w_mean: np.ndarray, train: SparseMatri
     Every test row must be a row of ``train`` and every test entry must
     land in some bin, else a validation error.
     """
-    edges = list(bin_edges)
-    if len(edges) < 2 or not all(a < b for a, b in zip(edges, edges[1:])):
-        raise ValidationError("bin edges must be strictly increasing")
+    edges = check_bin_edges(bin_edges)
     if test.m and test.rows.max() >= train.n_rows:
         raise ValidationError(f"test row {test.rows.max()} is outside the training matrix "
                               f"({train.n_rows} rows)")
@@ -164,8 +171,8 @@ def subset_mean_correlations(run_dir) -> list[PairCorrelation]:
         if meta["method"] == "ep":
             perm, signs = align_latent_dimensions(mean_a, mean_b)
             mean_b = mean_b[:, perm] * signs
-        per_dim = [float(np.nan_to_num(_column_correlations(
-            mean_a[:, [k]], mean_b[:, [k]])[0, 0])) for k in range(mean_a.shape[1])]
+        per_dim = [float(_column_correlations(mean_a[:, [k]], mean_b[:, [k]])[0, 0])
+                   for k in range(mean_a.shape[1])]
         out.append(PairCorrelation(side, blk_a, blk_b,
                                    flattened_correlation(mean_a, mean_b), per_dim))
     return out

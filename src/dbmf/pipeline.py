@@ -425,14 +425,10 @@ def pp_layers(r: int, c: int) -> list:
             ("3", [((i, j), (i, 0), (0, j)) for i in range(1, r) for j in range(1, c)])]
 
 
-def _staged_rule(stacks):
-    return staged_aggregate(stacks[0], stacks[1:])
-
-
 def run_pp(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:
     """Three-stage pipeline with posterior handoff and per-row aggregation."""
     return _run("pp", train, config, run_dir,
-                pp_layers(config.partition_rows, config.partition_cols), _staged_rule)
+                pp_layers(config.partition_rows, config.partition_cols), staged_aggregate)
 
 
 def run_full(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:
@@ -441,7 +437,7 @@ def run_full(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationRe
     if config.partition_rows != 1 or config.partition_cols != 1:
         raise ValidationError("run_full requires a 1x1 partition")
     return _run("full", train, replace(config, approximation="mm"), run_dir,
-                pp_layers(1, 1), _staged_rule)
+                pp_layers(1, 1), staged_aggregate)
 
 
 def run_ep(train: SparseMatrix, config: RunConfig, run_dir) -> FactorizationResult:

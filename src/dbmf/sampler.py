@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy import sparse
 
-from .approx import PosteriorSet, _kstep_cholesky, _triangles, non_spd_rows
+from .approx import PosteriorSet, _kstep_cholesky, _symmetrize, _triangles, non_spd_rows
 from .artifacts import write_atomic
 from .data import SparseMatrix
 from .errors import NumericalError, ValidationError
@@ -152,8 +152,7 @@ def _wishart_draw(rng: np.random.Generator, scale: np.ndarray, df: float) -> np.
     chol = np.linalg.cholesky(scale)
     bart = np.zeros((k, k))
     bart[diag] = np.sqrt(rng.chisquare(df - np.arange(k)))
-    if k > 1:
-        bart[lower] = rng.standard_normal(k * (k - 1) // 2)
+    bart[lower] = rng.standard_normal(k * (k - 1) // 2)
     return chol @ bart
 
 
@@ -180,12 +179,12 @@ def sample_hyper_normal_wishart(rows: np.ndarray, prior: NormalWishartPrior,
     diff = prior.mu0 - xbar
     winv_star = (prior.w0_inv + n * scatter
                  + (prior.beta0 * n / beta_star) * np.outer(diff, diff))
-    winv_star = 0.5 * (winv_star + winv_star.T)
+    winv_star = _symmetrize(winv_star)
     try:
         w_star = np.linalg.inv(winv_star)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("posterior Wishart scale not invertible") from exc
-    w_star = 0.5 * (w_star + w_star.T)
+    w_star = _symmetrize(w_star)
     try:
         factor = _wishart_draw(rng, w_star, prior.nu0 + n)
     except np.linalg.LinAlgError as exc:

@@ -190,7 +190,7 @@ def test_criterion_4_aggregation_oracles():
         p1 = row(2 * rng.standard_normal(k), random_spd(rng, k))
         others = [row(2 * rng.standard_normal(k), p1[1][0] + random_spd(rng, k))
                   for _ in range(int(rng.integers(1, 4)))]
-        out_means, out_precs, _ = aggregate.staged_aggregate(p1, others)
+        out_means, out_precs, _ = aggregate.staged_aggregate([p1, *others])
         mean, prec = mp_staged_aggregate(p1[0][0], p1[1][0],
                                          [o[0][0] for o in others],
                                          [o[1][0] for o in others])

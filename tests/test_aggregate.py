@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dbmf import aggregate
+from dbmf.errors import NumericalError
 from oracles import mp_ep_aggregate, mp_gaussian_product, mp_staged_aggregate
 
 
@@ -107,7 +108,7 @@ class TestStagedAggregation:
     def test_single_subset_unchanged(self):
         rng = np.random.default_rng(5)
         p = random_posterior(rng, 2)
-        means, precs, events = aggregate.staged_aggregate(p, [])
+        means, precs, events = aggregate.staged_aggregate([p])
         assert means is p[0] and precs is p[1] and events == []
 
     def test_two_subset_algebra(self):
@@ -116,7 +117,7 @@ class TestStagedAggregation:
         rng = np.random.default_rng(6)
         p1 = random_posterior(rng, 3)
         p2 = row(p1[0][0].copy(), 2.0 * p1[1][0])
-        means, precs, _ = aggregate.staged_aggregate(p1, [p2])
+        means, precs, _ = aggregate.staged_aggregate([p1, p2])
         np.testing.assert_allclose(precs, 2.0 * p1[1], rtol=1e-12)
         np.testing.assert_allclose(means, p1[0], rtol=1e-10)
 
@@ -127,7 +128,7 @@ class TestStagedAggregation:
             p1 = random_posterior(rng, k)
             others = [row(2 * rng.standard_normal(k), p1[1][0] + random_spd(rng, k))
                       for _ in range(int(rng.integers(1, 4)))]
-            means, precs, events = aggregate.staged_aggregate(p1, others)
+            means, precs, events = aggregate.staged_aggregate([p1, *others])
             assert not events  # all differences SPD by construction
             mean, prec = mp_staged_aggregate(p1[0][0], p1[1][0],
                                              [o[0][0] for o in others],
@@ -144,7 +145,7 @@ class TestStagedAggregation:
             # negative definite, the adversarial case
             others = [row(rng.standard_normal(k), 0.25 * random_spd(rng, k))
                       for _ in range(3)]
-            means, precs, events = aggregate.staged_aggregate(p1, others)
+            means, precs, events = aggregate.staged_aggregate([p1, *others])
             assert events
             np.linalg.cholesky(precs[0])
             assert np.all(np.isfinite(means[0]))
@@ -154,10 +155,10 @@ class TestStagedAggregation:
         p1 = random_posterior(rng, 3)
         others = [row(rng.standard_normal(3), p1[1][0] + random_spd(rng, 3))
                   for _ in range(2)]
-        base_means, base_precs, _ = aggregate.staged_aggregate(p1, others)
+        base_means, base_precs, _ = aggregate.staged_aggregate([p1, *others])
         c = 7.0
         means, precs, _ = aggregate.staged_aggregate(
-            row(p1[0][0], c * p1[1][0]), [row(o[0][0], c * o[1][0]) for o in others])
+            [row(p1[0][0], c * p1[1][0]), *(row(o[0][0], c * o[1][0]) for o in others)])
         np.testing.assert_allclose(precs, c * base_precs, rtol=1e-10)
         np.testing.assert_allclose(means, base_means, rtol=1e-9)
 
@@ -213,6 +214,13 @@ class TestIndependentSubsetAggregation:
         assert events
         np.linalg.cholesky(precs[0])
 
+    def test_overflowing_mean_is_numerical_error(self):
+        # The precision-weighted means sum to inf; numpy's overflow warning
+        # is silenced so the finiteness check is what stops the product.
+        posts = [row([1e308], [[1.0]]), row([1e308], [[1.0]])]
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            aggregate.ep_aggregate(posts, (np.zeros(1), np.zeros((1, 1))))
+
 
 class TestProductOracleBattery:
     def test_thousand_instance_oracle_battery(self):
@@ -260,7 +268,7 @@ class TestBatchedRules:
                 else _with_eigenvalues(rng, [0.2, 0.5, 1.0]) for kind in kinds])
             others.append((rng.standard_normal((n_rows, k)), precs1 + diffs))
 
-        means, precs, events = aggregate.staged_aggregate((means1, precs1), others)
+        means, precs, events = aggregate.staged_aggregate([(means1, precs1), *others])
 
         expected_events = []
         for row in range(n_rows):
@@ -319,6 +327,6 @@ class TestBatchedRules:
         rng = np.random.default_rng(19)
         stack = (rng.standard_normal((5, 2)), np.array([random_spd(rng, 2) for _ in range(5)]))
         prior = (np.zeros(2), np.eye(2))
-        for means, precs, events in (aggregate.staged_aggregate(stack, []),
+        for means, precs, events in (aggregate.staged_aggregate([stack]),
                                      aggregate.ep_aggregate([stack], prior)):
             assert means is stack[0] and precs is stack[1] and events == []

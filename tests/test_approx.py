@@ -512,6 +512,21 @@ class TestPosteriorFiles:
         with pytest.raises(ArtifactError):
             approx.load_posterior_file(tmp_path / "absent.npz")
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_packed_precisions_of_wrong_width_error(self, tmp_path, extra):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "post.npz"
+        approx.save_posterior_file(path, approx.fit_rows(rng.standard_normal((30, 2, 2)), "mm"),
+                                   side="x", row_start=0, row_stop=2)
+        with np.load(path) as npz:
+            arrays = dict(npz)
+        width = arrays["prec_ut"].shape[1] + extra
+        arrays["prec_ut"] = np.ones((2, width))
+        np.savez(path, **arrays)
+        with pytest.raises(ArtifactError, match="corrupt posterior file") as info:
+            approx.load_posterior_file(path)
+        assert str(path) in str(info.value)
+
     def test_pooled_set(self):
         rng = np.random.default_rng(11)
         rows = []

@@ -68,6 +68,14 @@ class TestSimulate:
         assert "tau" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--n-rows", "20", "--n-cols", "10", "--factors", "2",
+                        "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def common(self, sim_dir, extra):
@@ -442,6 +450,12 @@ class TestEvaluateAndCost:
     (["run"], [1], "must hold a JSON object, got [1]"),
     (["run"], {"method": ["pp-mm"], "factors": 2, "tau": 1.0}, "method"),
     (["run"], {"method": {"a": 1}, "factors": 2, "tau": 1.0}, "method"),
+    (["evaluate", "--test", "test.txt", "--bins", "nan"], None, "--bins needs --train"),
+    (["evaluate", "--test", "test.txt", "--bins", "0,10"], None, "--bins needs --train"),
+    (["evaluate", "--test", "test.txt", "--train", "train.txt", "--bins", "nan"], None,
+     "--bins must be strictly increasing"),
+    (["run", "--tau", "1.0"], None, "--factors and --tau are required"),
+    (["run"], {"factors": 2}, "--factors and --tau are required"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory
@@ -456,6 +470,16 @@ def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, co
         argv += ["--config", str(tmp_path / "cfg.json")]
     assert run_cli(argv) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+def test_unreadable_config_file_is_validation_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    code = run_cli(["run", "--train", str(tmp_path / "none.txt"), "--config", str(path)])
+    assert code == 2
+    assert f"unreadable config file {path}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, level", [

@@ -492,6 +492,18 @@ class TestOrderMatrix:
             assert np.all(np.diff(m.col_counts()[cp]) <= 0)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda m: data.simulate(3, 2, 1, 1.0, seed=-1),
+    lambda m: data.split_random(m, 0.5, seed=-1),
+    lambda m: data.split_structured(m, seed=-1),
+    lambda m: data.order_matrix(m, "random", seed=-1),
+], ids=["simulate", "split_random", "split_structured", "order_matrix"])
+def test_negative_seed_is_validation_error(draw):
+    matrix, _ = data.simulate(3, 2, 1, 1.0, seed=0)
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got -1"):
+        draw(matrix)
+
+
 class TestPartition:
     def test_remainder_spread_over_leading_blocks(self):
         m, _ = data.simulate(10, 9, 1, 1.0, seed=0)

@@ -307,6 +307,30 @@ class TestGibbsRun:
         with pytest.raises(ValidationError, match="seed"):
             sampler.GibbsConfig(1, 1.0, 10, 5, 1, -1)
 
+    def test_side_failure_names_the_sweep(self, monkeypatch):
+        # Flag every row from the third factorization on: the two initial
+        # draws pass, and sweep 1's X side fails even after jitter.
+        real, calls = sampler._factor_draw, []
+
+        def failing(precs, noise, b=None):
+            calls.append(None)
+            draws, bad = real(precs, noise, b)
+            return draws, (np.ones_like(bad) if len(calls) > 2 else bad)
+
+        monkeypatch.setattr(sampler, "_factor_draw", failing)
+        mat = tiny_matrix(np.random.default_rng(15))
+        with pytest.raises(NumericalError,
+                           match=r"^sweep 1: Cholesky failed after jitter \(X side, row 0\)"):
+            sampler.gibbs_run(mat, (None, None), nw_prior(1), self.config())
+
+    def test_indefinite_handed_in_prior_names_the_row(self):
+        mat = tiny_matrix(np.random.default_rng(16))
+        precisions = np.ones((4, 1, 1))
+        precisions[2] = -1.0
+        pset = approx.PosteriorSet(np.zeros((4, 1)), precisions)
+        with pytest.raises(NumericalError, match="row 2 is not positive definite"):
+            sampler.gibbs_run(mat, (pset, None), nw_prior(1), self.config())
+
 
 class TestBatchedSideAgainstReference:
     def test_batched_equals_per_row_reference(self):
