@@ -25,12 +25,15 @@ logger = logging.getLogger(__name__)
 STRUCTURED_WEIGHT_HIGH = 0.9
 STRUCTURED_WEIGHT_LOW = 0.005
 
-# One plain-format line, as parsed by the whole-file pass ``_parse_plain_text``.
+# One plain-format line, as parsed by the one-call parse ``_parse_plain_text``.
 _PLAIN_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
 # One MovieLens line, as parsed by ``_parse_movielens_text``.
 _MOVIELENS_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64),
                              ("timestamp", np.int64)])
 _INT64 = np.iinfo(np.int64)
+# Bytes per read of a triplet file: the text and tables ``load_triplets``
+# holds at once beside the entry arrays scale with this, not with the file.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -72,7 +75,9 @@ class SparseMatrix:
                 i = np.argmin(finite)
                 raise ValidationError(f"non-finite value {self.vals[i]} at entry "
                                       f"({self.rows[i]}, {self.cols[i]})")
-            keys = np.sort(self.rows * self.n_cols + self.cols)
+            keys = self.rows * self.n_cols
+            keys += self.cols
+            keys.sort()
             if np.any(keys[1:] == keys[:-1]):
                 raise ValidationError("duplicate (row, col) entries")
 
@@ -185,22 +190,24 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
 
     ``movielens-dat``: ``user::item::rating::timestamp`` with 1-based ids;
     ids are compacted to dense 0-based indices (sorted id order).
-    A ``ValidationError`` of the matrix built names the file.
+
+    The file is read in pieces of about ``_CHUNK_BYTES`` that end at line
+    ends.  Each piece is parsed by the format's one-call ``np.loadtxt`` parse
+    when that is certain to be valid, and otherwise by its line loop, which
+    names the file's bad line; the two give bitwise-equal arrays.  So a load
+    holds one piece's text, the parsed pieces and their concatenation, about
+    twice the entry arrays, whatever the size of the file.  A byte that is not UTF-8 is reported before a bad line, as
+    when the file is decoded whole.  A ``ValidationError`` of the matrix
+    built names the file.
     """
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown triplet format: {fmt!r}")
     parse_text, parse_lines, build = _FORMATS[fmt]
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path) from exc
+        with open(path, "rb") as fh:
+            parsed = _parse_pieces(path, fh, parse_text, parse_lines)
     except OSError as exc:
         raise ArtifactError(f"cannot read data file {path}: {exc}") from exc
-    parsed = parse_text(text)
-    if parsed is None:
-        # Text mode has already mapped CRLF and CR line ends to "\n".
-        parsed = parse_lines(path, text.split("\n"))
     try:
         mat = build(*parsed)
     except ValidationError as exc:
@@ -209,23 +216,63 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
     return mat
 
 
-def _not_utf8(path) -> TripletParseError:
-    """The error naming the line of the first byte of ``path`` that is not
-    UTF-8; lines end at LF, CRLF or CR, as in text mode."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _parse_pieces(path, fh, parse_text, parse_lines) -> list[np.ndarray]:
+    """The three entry arrays of the open file ``fh``, parsed piece by piece
+    and concatenated once; the pieces' arrays are freed on return, before
+    the matrix is built."""
+    pieces = _text_pieces(path, fh)
+    parts = []
     try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return TripletParseError(path, line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 text")
-    return TripletParseError(path, 1, "file is not UTF-8 text")
+        for lineno, text in pieces:
+            parsed = parse_text(text)
+            parts.append(parse_lines(path, text.split("\n"), lineno) if parsed is None
+                         else parsed)
+    except TripletParseError:
+        # A byte that is not UTF-8 in a later piece outranks this bad line,
+        # as when the file is decoded whole: decoding the rest raises it.
+        for _ in pieces:
+            pass
+        raise
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _text_pieces(path, fh):
+    """The open binary file ``fh`` as text, in pieces with their first line's
+    number.  A piece is a read of ``_CHUNK_BYTES`` cut after its last line
+    end, plus what earlier reads left over, so no piece splits a line or a
+    character; the last piece, possibly empty, runs to the end of the file.
+    Each is decoded as UTF-8 and its CRLF and CR line ends become ``"\\n"``,
+    as in text mode; a byte that is not UTF-8 raises ``TripletParseError``
+    naming its line.
+    """
+    lineno, left = 1, []
+    while True:
+        block = fh.read(_CHUNK_BYTES)
+        # A CR that ends the block may be the first half of a CRLF.
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if block and not cut:
+            left.append(block)
+            continue
+        raw = b"".join([*left, block[:cut]])
+        left = [block[cut:]]
+        if b"\r" in raw:
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            message = f"byte 0x{raw[exc.start]:02x} is not UTF-8 text"
+            raise TripletParseError(path, lineno + raw.count(b"\n", 0, exc.start),
+                                    message) from exc
+        yield lineno, text
+        if not block:
+            return
+        # numpy counts the line ends several times faster than bytes.count
+        lineno += int(np.count_nonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")))
 
 
 def _loadtxt(text: str, dtype: np.dtype, delimiter=None):
-    """The first three columns of one ``np.loadtxt`` read of ``text`` as
-    contiguous arrays, or ``None`` when numpy rejects the text."""
+    """The first three columns of one ``np.loadtxt`` read of ``text``, or
+    ``None`` when numpy rejects the text."""
     try:
         with warnings.catch_warnings():
             # A file with no entries is valid.
@@ -234,7 +281,7 @@ def _loadtxt(text: str, dtype: np.dtype, delimiter=None):
                                delimiter=delimiter)
     except ValueError:
         return None
-    return tuple(np.ascontiguousarray(table[name]) for name in dtype.names[:3])
+    return tuple(table[name] for name in dtype.names[:3])
 
 
 def _fields(path, lineno: int, parts: list[str]) -> tuple[int, int, float]:
@@ -253,14 +300,14 @@ def _int64(field: str) -> int:
 
 
 def _parse_plain_text(text: str):
-    """The whole text of a plain-format file parsed in one numpy call into
-    ``(rows, cols, vals)``.
+    """Whole lines of a plain-format file, a piece or all of it, parsed in one
+    numpy call into ``(rows, cols, vals)``.
 
     Returns ``None`` whenever the text is not certain to be valid, so that
     ``_parse_plain_lines`` decides and names the bad line.  Anything
     accepted here is accepted by the line loop with bitwise-equal arrays.
     ``np.loadtxt`` strips a trailing ``# note``, a line error in the loop,
-    so every ``#`` must start its line; and a file with commas in its data
+    so every ``#`` must start its line; and a text with commas in its data
     lines is split on commas only, because mapping them to blanks would
     turn a comma-only line, also a line error, into a skipped one.
     """
@@ -287,15 +334,16 @@ def _outside_comment_lines(text: str, char: str) -> bool:
     return False
 
 
-def _parse_plain_lines(path, lines: Iterable[str]):
+def _parse_plain_lines(path, lines: Iterable[str], start: int = 1):
     """The plain format, one line at a time: its reference definition.
 
     One ``row col value`` per line, separated by whitespace or commas;
     blank lines and lines whose first non-blank is ``#`` are skipped.
-    Raises ``TripletParseError`` naming the first bad line.
+    Raises ``TripletParseError`` naming the first bad line, counting the
+    first of ``lines`` as line ``start``.
     """
     rows, cols, vals = [], [], []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -318,8 +366,8 @@ def _plain_matrix(rows, cols, vals) -> SparseMatrix:
 
 
 def _parse_movielens_text(text: str):
-    """The whole text of a MovieLens file parsed in one numpy call into
-    ``(users, items, ratings)``.
+    """Whole lines of a MovieLens file, a piece or all of it, parsed in one
+    numpy call into ``(users, items, ratings)``.
 
     Returns ``None`` whenever the text is not certain to be valid, so that
     ``_parse_movielens_lines`` decides and names the bad line.  Anything
@@ -340,15 +388,15 @@ def _parse_movielens_text(text: str):
     return parsed
 
 
-def _parse_movielens_lines(path, lines: Iterable[str]):
+def _parse_movielens_lines(path, lines: Iterable[str], start: int = 1):
     """The MovieLens format, one line at a time: its reference definition.
 
     One ``user::item::rating::timestamp`` per line; blank lines are skipped
     and the timestamp is not read.  Raises ``TripletParseError`` naming the
-    first bad line.
+    first bad line, counting the first of ``lines`` as line ``start``.
     """
     users, items, ratings = [], [], []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=start):
         text = line.strip()
         if not text:
             continue
@@ -370,12 +418,31 @@ def _movielens_matrix(users, items, ratings) -> SparseMatrix:
         i = np.argmin(finite)
         raise ValidationError(f"non-finite rating {ratings[i]} of user {users[i]}, "
                               f"item {items[i]}")
-    user_ids, rows = np.unique(users, return_inverse=True)
-    item_ids, cols = np.unique(items, return_inverse=True)
+    user_ids, rows = _compact_ids(users)
+    item_ids, cols = _compact_ids(items)
     return SparseMatrix(user_ids.size, item_ids.size, rows, cols, ratings)
 
 
-# Each triplet format: (whole-text parser, line loop, matrix builder).
+def _compact_ids(ids):
+    """``np.unique(ids, return_inverse=True)``: the distinct ids in sorted
+    order and each entry's index among them.  Written out because numpy's
+    holds 41 bytes of temporaries per int64 id and this 25: it copies no input,
+    and the sorted ids are overwritten by their running count of distinct
+    values."""
+    order = np.argsort(ids)
+    ranked = ids[order]
+    new = np.empty(ranked.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    distinct = ranked[new]
+    np.cumsum(new, out=ranked)
+    ranked -= 1
+    index = np.empty_like(order)
+    index[order] = ranked
+    return distinct, index
+
+
+# Each triplet format: (one-call parser, line loop, matrix builder).
 _FORMATS = {"plain": (_parse_plain_text, _parse_plain_lines, _plain_matrix),
             "movielens-dat": (_parse_movielens_text, _parse_movielens_lines, _movielens_matrix)}
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +30,34 @@ def line_loop(path):
         return data._parse_plain_lines(path, fh)
 
 
+# The loader's chunk size, then sizes at which every line straddles chunks or
+# is longer than one, so that results and errors must not depend on the cut.
+CHUNK_SIZES = (data._CHUNK_BYTES, 3, 16)
+
+
+def chunk_sizes(monkeypatch):
+    """Yield each of ``CHUNK_SIZES`` with the loader set to read chunks of it."""
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(data, "_CHUNK_BYTES", size)
+        yield size
+
+
+def load_error(monkeypatch, path, fmt="plain"):
+    """The ``TripletParseError`` of loading ``path`` as (class, message,
+    line), the same at every one of ``CHUNK_SIZES``."""
+    seen = set()
+    for _ in chunk_sizes(monkeypatch):
+        with pytest.raises(TripletParseError) as err:
+            data.load_triplets(path, fmt)
+        assert type(err.value.line_number) is int
+        seen.add((type(err.value), str(err.value), err.value.line_number))
+    assert len(seen) == 1, seen
+    return seen.pop()
+
+
 def whole_text_only(monkeypatch, fmt):
     """Make ``load_triplets`` fail if it falls back to ``fmt``'s line loop."""
-    def line_loop(path, lines):
+    def line_loop(path, lines, start=1):
         raise AssertionError(f"{fmt} line loop called for {path}")
     parse_text, _, build = data._FORMATS[fmt]
     monkeypatch.setitem(data._FORMATS, fmt, (parse_text, line_loop, build))
@@ -46,10 +72,16 @@ PLAIN_CASES = [
     pytest.param(b"# a, b\n0 1 2.5\n", None, True, id="comma-in-comment"),
     pytest.param(b"0 1 2.5\n\n   \n\t\n1 0 -1\n", None, True, id="blank-lines"),
     pytest.param(b"0 1 2.5\r\n1 0 -1\r\n", None, True, id="crlf"),
+    pytest.param(b"0 1 2.5\r1 0 -1\r\r2 2 3\r", None, True, id="cr-only"),
+    pytest.param(b"0 1 2.5\r1 0 -1\r\n2 2 3\n\r3 3 4", None, True, id="mixed-line-ends"),
+    pytest.param(b"# " + b"x" * 40 + b"\n0 1 " + b"0" * 30 + b"2.5\n1 0 -1", None, True,
+                 id="long-lines"),
     pytest.param(b"+0 +1 +2.5\n", None, True, id="leading-plus"),
     pytest.param(b"1_0 0 1.0\n0 2 1_5.0\n", None, False, id="underscore-digits"),
     pytest.param("0\u00a01 2\x0c\n".encode(), None, True, id="unicode-whitespace"),
     pytest.param(b"0 0 1.0\n0 1 2.5 # note\n", 2, False, id="trailing-comment"),
+    pytest.param(b"".join(b"%d 0 1.0\r\n" % i for i in range(30)) + b"30 0 x\r\n31 0 1.0",
+                 31, False, id="bad-line-late"),
     pytest.param(b"0 0 1.0\n1 -1 2.0\n2 2 3.0\n", 2, False, id="negative-index"),
     pytest.param(b"0 0 1.0\n\n0 1\n", 3, False, id="two-fields"),
     pytest.param(b"0 0 1.0 7\n", 1, False, id="four-fields"),
@@ -118,18 +150,15 @@ class TestLoadTriplets:
         assert m.m == 2
         assert m.vals.tolist() == [2.5, -1.0]
 
-    def test_malformed_line_reports_number(self, tmp_path):
+    def test_malformed_line_reports_number(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 1.0\n0 nope 2.0\n")
-        with pytest.raises(TripletParseError) as err:
-            data.load_triplets(path)
-        assert err.value.line_number == 2
+        assert load_error(monkeypatch, path)[2] == 2
 
-    def test_wrong_field_count(self, tmp_path):
+    def test_wrong_field_count(self, tmp_path, monkeypatch):
         path = tmp_path / "bad.txt"
         path.write_text("0 0\n")
-        with pytest.raises(TripletParseError):
-            data.load_triplets(path)
+        assert "expected 3 fields, got 2" in load_error(monkeypatch, path)[1]
 
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
@@ -163,20 +192,20 @@ class TestLoadTriplets:
         if error_line is not None:
             with pytest.raises(TripletParseError) as expected:
                 line_loop(path)
-            with pytest.raises(TripletParseError) as err:
-                data.load_triplets(path)
-            assert type(err.value) is type(expected.value)
-            assert err.value.line_number == expected.value.line_number == error_line
+            cls, message, line = load_error(monkeypatch, path)
+            assert (cls, message) == (type(expected.value), str(expected.value))
+            assert line == expected.value.line_number == error_line
             return
         rows, cols, vals = line_loop(path)
         if whole_file:
             # the loader takes these files without the line loop
             whole_text_only(monkeypatch, "plain")
-        loaded = data.load_triplets(path)
-        for got, want in ((loaded.rows, rows), (loaded.cols, cols), (loaded.vals, vals)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert loaded.n_rows == (rows.max() + 1 if rows.size else 0)
-        assert loaded.n_cols == (cols.max() + 1 if cols.size else 0)
+        for _ in chunk_sizes(monkeypatch):
+            loaded = data.load_triplets(path)
+            for got, want in ((loaded.rows, rows), (loaded.cols, cols), (loaded.vals, vals)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert loaded.n_rows == (rows.max() + 1 if rows.size else 0)
+            assert loaded.n_cols == (cols.max() + 1 if cols.size else 0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("content", [
@@ -213,13 +242,15 @@ class TestLoadTriplets:
         ("plain", b"\xe9", 1),
         ("movielens-dat", b"".join(b"%d::1::3::0\n" % u for u in range(1, 2001))
          + b"2001::\xe9::3::0\n", 2001),
+        # a bad line before the byte: the byte is reported, as from a whole-file decode
+        ("plain", b"0 0 1.0\n0 nope 2.0\r\n" + b"1 1 2.0\n" * 20 + b"# caf\xe9\n", 23),
     ])
-    def test_non_utf8_file_names_line(self, tmp_path, fmt, content, error_line):
+    def test_non_utf8_file_names_line(self, tmp_path, monkeypatch, fmt, content, error_line):
         path = tmp_path / "m.txt"
         path.write_bytes(content)
-        with pytest.raises(TripletParseError, match="not UTF-8") as err:
-            data.load_triplets(path, fmt)
-        assert err.value.line_number == error_line and str(path) in str(err.value)
+        _, message, line = load_error(monkeypatch, path, fmt)
+        assert "not UTF-8" in message and str(path) in message
+        assert line == error_line
 
     def test_whole_file_parse_accepts_only_what_line_loop_accepts(self):
         # Seeded random texts built from the tokens the two parsers could
@@ -273,10 +304,11 @@ class TestLoadTriplets:
         users, items, ratings = data._parse_movielens_lines(path, text.split("\n"))
         # the loader takes this file without the line loop
         whole_text_only(monkeypatch, "movielens-dat")
-        loaded = data.load_triplets(path, fmt="movielens-dat")
-        assert loaded.rows.tobytes() == np.unique(users, return_inverse=True)[1].tobytes()
-        assert loaded.cols.tobytes() == np.unique(items, return_inverse=True)[1].tobytes()
-        assert loaded.vals.tobytes() == ratings.tobytes()
+        for _ in chunk_sizes(monkeypatch):
+            loaded = data.load_triplets(path, fmt="movielens-dat")
+            assert loaded.rows.tobytes() == np.unique(users, return_inverse=True)[1].tobytes()
+            assert loaded.cols.tobytes() == np.unique(items, return_inverse=True)[1].tobytes()
+            assert loaded.vals.tobytes() == ratings.tobytes()
 
     def test_movielens_whole_file_parse_accepts_only_what_line_loop_accepts(self):
         # Seeded random texts built from the tokens and separators the two
@@ -315,6 +347,41 @@ class TestLoadTriplets:
         else:
             with pytest.raises(TripletParseError):
                 data._parse_movielens_lines("odd", text.split("\n"))
+
+    @pytest.mark.parametrize("fmt, end", [("plain", "\n"), ("movielens-dat", "\r\n"),
+                                          ("plain", "\r")], ids=["plain-lf", "movielens-crlf",
+                                                                  "plain-cr"])
+    def test_load_memory_bounded_by_entry_arrays(self, tmp_path, monkeypatch, fmt, end):
+        # A file of about 40 chunks: a load holds one chunk's text, the parsed
+        # chunks and their concatenation, about twice the entry arrays (a
+        # whole-text read held about seven times).
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 1 << 16)
+        rng = np.random.default_rng(12)
+        cells = rng.choice(3000 * 1000, size=100_000, replace=False)
+        vals = rng.standard_normal(cells.size)
+        if fmt == "plain":
+            lines = (f"{c // 1000} {c % 1000} {float(v)!r}{end}" for c, v in zip(cells, vals))
+        else:
+            lines = (f"{c // 1000 + 1}::{c % 1000 + 1}::{int(v > 0) + 3}::{978300760 + c}{end}"
+                     for c, v in zip(cells, vals))
+        path = tmp_path / "big.txt"
+        path.write_bytes("".join(lines).encode())
+        tracemalloc.start()
+        try:
+            loaded = data.load_triplets(path, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.m == cells.size
+        assert peak <= 3 * (loaded.rows.nbytes + loaded.cols.nbytes + loaded.vals.nbytes)
+
+    def test_compact_ids_equals_numpy_unique(self):
+        rng = np.random.default_rng(13)
+        int64 = np.iinfo(np.int64)
+        for ids in (np.zeros(0, dtype=np.int64), np.array([7]), rng.integers(1, 50, 1000),
+                    rng.integers(int64.min, int64.max, 200, endpoint=True)):
+            for got, want in zip(data._compact_ids(ids), np.unique(ids, return_inverse=True)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_movielens_id_beyond_int64(self, tmp_path):
         path = tmp_path / "ratings.dat"
