@@ -41,13 +41,16 @@ def _parse_partition(text: str) -> tuple[int, int]:
         raise ValidationError(f"partition must look like '3x4', got {text!r}") from exc
 
 
-def _convert(kind, value, name: str):
+def _convert(kind, value, name: str, typed: bool = False):
     """``kind(value)``, or a ``ValidationError`` naming the flag or key.
     A ``bool`` must be a boolean, and no other kind takes one; an ``int``
-    takes no number with a fractional part, which ``int()`` would truncate."""
+    takes no number with a fractional part, which ``int()`` would truncate.
+    A ``typed`` value (a JSON config value, or a flag argparse converted)
+    may be a string only when ``kind`` is ``str``."""
     error = ValidationError(f"{name} must be {kind.__name__}, got {value!r}")
     if isinstance(value, bool) != (kind is bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()):
+            kind is int and isinstance(value, float) and not value.is_integer()) or (
+            typed and isinstance(value, str) and kind is not str):
         raise error
     try:
         return kind(value)
@@ -156,7 +159,7 @@ def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
     r, c = _parse_partition(merged.get("partition", "1x1"))
     if method == "full" and (r, c) != (1, 1):
         raise ValidationError("method 'full' requires --partition 1x1")
-    fields = {name: _convert(kind, merged[key], key)
+    fields = {name: _convert(kind, merged[key], key, typed=True)
               for key, (name, kind) in RUN_FIELDS.items() if merged.get(key) is not None}
     lam = merged.get("lambda")
     if isinstance(lam, str) and lam != "median-pairwise":
@@ -213,8 +216,8 @@ def cmd_run(args) -> int:
             with open(args.csv, "a", encoding="utf-8") as fh:
                 for rep, seed in enumerate(replicate_seeds):
                     value = rmses[rep] if rmses else math.nan
-                    fh.write(evaluate.csv_row(partition, method, seed, value,
-                                              times[rep], None) + "\n")
+                    fh.write(evaluate.csv_row(partition, method, seed, value, times[rep])
+                             + "\n")
         except OSError as exc:
             raise ArtifactError(f"cannot append to {args.csv}: {exc}") from exc
     return 0

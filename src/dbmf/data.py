@@ -31,8 +31,8 @@ _PLAIN_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float6
 _MOVIELENS_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64),
                              ("timestamp", np.int64)])
 _INT64 = np.iinfo(np.int64)
-# Bytes per read of a triplet file: the text and tables ``load_triplets``
-# holds at once beside the entry arrays scale with this, not with the file.
+# Characters (bytes, for ASCII) per read of a triplet file: the text and tables
+# ``load_triplets`` holds at once beside the entry arrays scale with this.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -191,21 +191,26 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
     ``movielens-dat``: ``user::item::rating::timestamp`` with 1-based ids;
     ids are compacted to dense 0-based indices (sorted id order).
 
-    The file is read in pieces of about ``_CHUNK_BYTES`` that end at line
-    ends.  Each piece is parsed by the format's one-call ``np.loadtxt`` parse
-    when that is certain to be valid, and otherwise by its line loop, which
-    names the file's bad line; the two give bitwise-equal arrays.  So a load
-    holds one piece's text, the parsed pieces and their concatenation, about
-    twice the entry arrays, whatever the size of the file.  A byte that is not UTF-8 is reported before a bad line, as
-    when the file is decoded whole.  A ``ValidationError`` of the matrix
-    built names the file.
+    The file is read as UTF-8 text with universal newlines, in reads of
+    ``_CHUNK_BYTES`` characters, each finished to its line end by one
+    ``readline``.  Each piece is parsed by the format's one-call
+    ``np.loadtxt`` parse when that is certain to be valid, and otherwise by
+    its line loop, which names the file's bad line; the two give
+    bitwise-equal arrays.  So a load holds one piece's text, the parsed
+    pieces and their concatenation, about twice the entry arrays, whatever
+    the size of the file.  A byte that is not UTF-8 anywhere in the file is
+    reported, naming its line, before a bad line.  A ``ValidationError`` of
+    the matrix built names the file.
     """
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown triplet format: {fmt!r}")
     parse_text, parse_lines, build = _FORMATS[fmt]
     try:
-        with open(path, "rb") as fh:
-            parsed = _parse_pieces(path, fh, parse_text, parse_lines)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parsed = _parse_pieces(path, fh, parse_text, parse_lines)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
     except OSError as exc:
         raise ArtifactError(f"cannot read data file {path}: {exc}") from exc
     try:
@@ -217,57 +222,40 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
 
 
 def _parse_pieces(path, fh, parse_text, parse_lines) -> list[np.ndarray]:
-    """The three entry arrays of the open file ``fh``, parsed piece by piece
-    and concatenated once; the pieces' arrays are freed on return, before
-    the matrix is built."""
-    pieces = _text_pieces(path, fh)
-    parts = []
+    """The three entry arrays of the open text file ``fh``, parsed piece by
+    piece and concatenated once; the pieces' arrays are freed on return,
+    before the matrix is built.  The parse of no text types the arrays of a
+    file without entries."""
+    parts, lineno = [parse_text("")], 1
     try:
-        for lineno, text in pieces:
+        for text in iter(lambda: fh.read(_CHUNK_BYTES), ""):
+            if text[-1] != "\n":
+                text += fh.readline()
             parsed = parse_text(text)
             parts.append(parse_lines(path, text.split("\n"), lineno) if parsed is None
                          else parsed)
+            lineno += text.count("\n")
     except TripletParseError:
-        # A byte that is not UTF-8 in a later piece outranks this bad line,
-        # as when the file is decoded whole: decoding the rest raises it.
-        for _ in pieces:
+        # A byte that is not UTF-8 later in the file outranks this bad line:
+        # reading the rest raises it.
+        while fh.read(_CHUNK_BYTES):
             pass
         raise
     return [np.concatenate(column) for column in zip(*parts)]
 
 
-def _text_pieces(path, fh):
-    """The open binary file ``fh`` as text, in pieces with their first line's
-    number.  A piece is a read of ``_CHUNK_BYTES`` cut after its last line
-    end, plus what earlier reads left over, so no piece splits a line or a
-    character; the last piece, possibly empty, runs to the end of the file.
-    Each is decoded as UTF-8 and its CRLF and CR line ends become ``"\\n"``,
-    as in text mode; a byte that is not UTF-8 raises ``TripletParseError``
-    naming its line.
-    """
-    lineno, left = 1, []
-    while True:
-        block = fh.read(_CHUNK_BYTES)
-        # A CR that ends the block may be the first half of a CRLF.
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-        if block and not cut:
-            left.append(block)
-            continue
-        raw = b"".join([*left, block[:cut]])
-        left = [block[cut:]]
-        if b"\r" in raw:
-            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            message = f"byte 0x{raw[exc.start]:02x} is not UTF-8 text"
-            raise TripletParseError(path, lineno + raw.count(b"\n", 0, exc.start),
-                                    message) from exc
-        yield lineno, text
-        if not block:
-            return
-        # numpy counts the line ends several times faster than bytes.count
-        lineno += int(np.count_nonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n")))
+def _not_utf8(path) -> TripletParseError:
+    """The error naming the first byte of ``path`` that is not UTF-8 and its
+    line, found by rereading the file a line at a time; lines end at LF,
+    CRLF or CR, as in text mode."""
+    with open(path, encoding="latin-1") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return TripletParseError(path, lineno, f"byte 0x{ord(line[exc.start]):02x} "
+                                                       "is not UTF-8 text")
+    return TripletParseError(path, 1, "file is not UTF-8 text")
 
 
 def _loadtxt(text: str, dtype: np.dtype, delimiter=None):
@@ -460,11 +448,16 @@ def save_triplets(matrix: SparseMatrix, path) -> None:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def _rng(seed: int) -> np.random.Generator:
-    """The generator of ``seed``, which must be a nonnegative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+def check_seed(seed) -> int:
+    """``seed`` as an ``int``; it must be a nonnegative integer, and a bool
+    is not one."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return int(seed)
+
+
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.default_rng(check_seed(seed))
 
 
 def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,

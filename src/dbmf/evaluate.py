@@ -121,12 +121,8 @@ def align_latent_dimensions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
 
 
 def flattened_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation of the flattened matrices."""
-    av, bv = a.ravel(), b.ravel()
-    sa, sb = av.std(), bv.std()
-    if sa == 0 or sb == 0:
-        return 0.0
-    return float(np.corrcoef(av, bv)[0, 1])
+    """Pearson correlation of the flattened matrices; 0 when one is constant."""
+    return float(_column_correlations(a.reshape(-1, 1), b.reshape(-1, 1))[0, 0])
 
 
 @dataclass
@@ -171,8 +167,7 @@ def subset_mean_correlations(run_dir) -> list[PairCorrelation]:
         if meta["method"] == "ep":
             perm, signs = align_latent_dimensions(mean_a, mean_b)
             mean_b = mean_b[:, perm] * signs
-        per_dim = [float(_column_correlations(mean_a[:, [k]], mean_b[:, [k]])[0, 0])
-                   for k in range(mean_a.shape[1])]
+        per_dim = np.diag(_column_correlations(mean_a, mean_b)).tolist()
         out.append(PairCorrelation(side, blk_a, blk_b,
                                    flattened_correlation(mean_a, mean_b), per_dim))
     return out
@@ -268,7 +263,7 @@ class MetricReport:
 
 
 def csv_row(partition: str, method: str, seed: int, rmse_value: float,
-            wall_clock: float, wts_value: float | None) -> str:
-    """One plotting-friendly CSV line (header: partition,method,seed,rmse,seconds,wts)."""
-    wts_text = f"{wts_value:.6f}" if wts_value is not None else ""
-    return f"{partition},{method},{seed},{rmse_value:.6f},{wall_clock:.3f},{wts_text}"
+            wall_clock: float) -> str:
+    """One plotting-friendly CSV line (header: partition,method,seed,rmse,seconds,wts);
+    the ``wts`` field is left empty."""
+    return f"{partition},{method},{seed},{rmse_value:.6f},{wall_clock:.3f},"

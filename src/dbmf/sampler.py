@@ -43,7 +43,7 @@ from scipy import sparse
 
 from .approx import PosteriorSet, _kstep_cholesky, _symmetrize, _triangles, non_spd_rows
 from .artifacts import write_atomic
-from .data import SparseMatrix
+from .data import SparseMatrix, check_seed
 from .errors import NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -111,8 +111,7 @@ class GibbsConfig:
             raise ValidationError("thin must be >= 1")
         if (self.n_iters - self.burn_in) % self.thin:
             raise ValidationError("thin must divide n_iters - burn_in")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        self.seed = check_seed(self.seed)
 
     @property
     def n_samples(self) -> int:

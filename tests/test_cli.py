@@ -456,6 +456,7 @@ class TestEvaluateAndCost:
      "--bins must be strictly increasing"),
     (["run", "--tau", "1.0"], None, "--factors and --tau are required"),
     (["run"], {"factors": 2}, "--factors and --tau are required"),
+    (["run"], {"factors": 2, "tau": "1.0"}, "tau"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory

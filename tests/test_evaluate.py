@@ -268,5 +268,5 @@ class TestMetricReport:
         assert "repair" not in evaluate.MetricReport(0.9).format_table()
 
     def test_csv_row(self):
-        row = evaluate.csv_row("5x5", "pp-mm", 3, 0.8512, 10398.0, 3.266)
-        assert row == "5x5,pp-mm,3,0.851200,10398.000,3.266000"
+        row = evaluate.csv_row("5x5", "pp-mm", 3, 0.8512, 10398.0)
+        assert row == "5x5,pp-mm,3,0.851200,10398.000,"

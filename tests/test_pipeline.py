@@ -1,5 +1,6 @@
 import glob
 import hashlib
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -50,8 +51,13 @@ class TestRunConfig:
             quick_config(workers=0)
         with pytest.raises(ValidationError):
             quick_config(lambda_policy=-1.0)
-        with pytest.raises(ValidationError):
-            quick_config(seed=-1)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+                quick_config(seed=seed)
+
+    def test_numpy_integer_seed_recorded_as_int(self):
+        cfg = quick_config(seed=np.int64(3))
+        assert json.loads(json.dumps(asdict(cfg)))["seed"] == 3
 
     @pytest.mark.parametrize("name", ["tau", "nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
