@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import numbers
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -27,9 +28,6 @@ STRUCTURED_WEIGHT_LOW = 0.005
 
 # One plain-format line, as parsed by the one-call parse ``_parse_plain_text``.
 _PLAIN_DTYPE = np.dtype([("row", np.int64), ("col", np.int64), ("val", np.float64)])
-# One MovieLens line, as parsed by ``_parse_movielens_text``.
-_MOVIELENS_DTYPE = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64),
-                             ("timestamp", np.int64)])
 _INT64 = np.iinfo(np.int64)
 # Characters (bytes, for ASCII) per read of a triplet file: the text and tables
 # ``load_triplets`` holds at once beside the entry arrays scale with this.
@@ -193,14 +191,14 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
 
     The file is read as UTF-8 text with universal newlines, in reads of
     ``_CHUNK_BYTES`` characters, each finished to its line end by one
-    ``readline``.  Each piece is parsed by the format's one-call
-    ``np.loadtxt`` parse when that is certain to be valid, and otherwise by
-    its line loop, which names the file's bad line; the two give
-    bitwise-equal arrays.  So a load holds one piece's text, the parsed
-    pieces and their concatenation, about twice the entry arrays, whatever
-    the size of the file.  A byte that is not UTF-8 anywhere in the file is
-    reported, naming its line, before a bad line.  A ``ValidationError`` of
-    the matrix built names the file.
+    ``readline``.  A plain piece is parsed by one ``np.loadtxt`` call when
+    that is certain to be valid, and otherwise by the format's line loop,
+    which names the file's bad line; the two give bitwise-equal arrays.  A
+    MovieLens piece is parsed by its line loop.  So a load holds one piece's
+    text, the parsed pieces and their concatenation, about twice the entry
+    arrays, whatever the size of the file.  A byte that is not UTF-8
+    anywhere in the file is reported, naming its line, before a bad line.
+    A ``ValidationError`` of the matrix built names the file.
     """
     if fmt not in _FORMATS:
         raise ValidationError(f"unknown triplet format: {fmt!r}")
@@ -224,14 +222,15 @@ def load_triplets(path, fmt: str = "plain") -> SparseMatrix:
 def _parse_pieces(path, fh, parse_text, parse_lines) -> list[np.ndarray]:
     """The three entry arrays of the open text file ``fh``, parsed piece by
     piece and concatenated once; the pieces' arrays are freed on return,
-    before the matrix is built.  The parse of no text types the arrays of a
-    file without entries."""
-    parts, lineno = [parse_text("")], 1
+    before the matrix is built.  Typed empty arrays come first, for a file
+    without entries.  A format without a one-call parse (``parse_text``
+    None) is read by its line loop alone."""
+    parts, lineno = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))], 1
     try:
         for text in iter(lambda: fh.read(_CHUNK_BYTES), ""):
             if text[-1] != "\n":
                 text += fh.readline()
-            parsed = parse_text(text)
+            parsed = parse_text(text) if parse_text else None
             parts.append(parse_lines(path, text.split("\n"), lineno) if parsed is None
                          else parsed)
             lineno += text.count("\n")
@@ -256,20 +255,6 @@ def _not_utf8(path) -> TripletParseError:
                 return TripletParseError(path, lineno, f"byte 0x{ord(line[exc.start]):02x} "
                                                        "is not UTF-8 text")
     return TripletParseError(path, 1, "file is not UTF-8 text")
-
-
-def _loadtxt(text: str, dtype: np.dtype, delimiter=None):
-    """The first three columns of one ``np.loadtxt`` read of ``text``, or
-    ``None`` when numpy rejects the text."""
-    try:
-        with warnings.catch_warnings():
-            # A file with no entries is valid.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(io.StringIO(text), dtype=dtype, comments="#", ndmin=1,
-                               delimiter=delimiter)
-    except ValueError:
-        return None
-    return tuple(table[name] for name in dtype.names[:3])
 
 
 def _fields(path, lineno: int, parts: list[str]) -> tuple[int, int, float]:
@@ -301,11 +286,17 @@ def _parse_plain_text(text: str):
     """
     if _outside_comment_lines(text, "#"):
         return None
-    parsed = _loadtxt(text, _PLAIN_DTYPE,
-                      delimiter="," if _outside_comment_lines(text, ",") else None)
-    if parsed is None or np.any(parsed[0] < 0) or np.any(parsed[1] < 0):
+    try:
+        with warnings.catch_warnings():
+            # A piece with no entries is valid.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(io.StringIO(text), dtype=_PLAIN_DTYPE, comments="#", ndmin=1,
+                               delimiter="," if _outside_comment_lines(text, ",") else None)
+    except ValueError:
         return None
-    return parsed
+    if np.any(table["row"] < 0) or np.any(table["col"] < 0):
+        return None
+    return table["row"], table["col"], table["val"]
 
 
 def _outside_comment_lines(text: str, char: str) -> bool:
@@ -351,29 +342,6 @@ def _parse_plain_lines(path, lines: Iterable[str], start: int = 1):
 def _plain_matrix(rows, cols, vals) -> SparseMatrix:
     return SparseMatrix(int(rows.max()) + 1 if rows.size else 0,
                         int(cols.max()) + 1 if cols.size else 0, rows, cols, vals)
-
-
-def _parse_movielens_text(text: str):
-    """Whole lines of a MovieLens file, a piece or all of it, parsed in one
-    numpy call into ``(users, items, ratings)``.
-
-    Returns ``None`` whenever the text is not certain to be valid, so that
-    ``_parse_movielens_lines`` decides and names the bad line.  Anything
-    accepted here is accepted by the line loop with bitwise-equal arrays.
-    Only digits, ``.``, ``:`` and line ends may occur, so no field holds a
-    blank, and every ``::`` becomes the blank ``np.loadtxt`` splits on.  A
-    colon left over fails the parse, so each of the four fields of a line
-    is non-empty and colon-free; six colons per parsed line then leave
-    exactly three ``::`` on each, as the loop's ``split("::")`` needs.
-    Timestamps must be int64 here, though the loop ignores them.
-    """
-    raw = text.encode("utf-8")
-    if raw.translate(None, b"0123456789.:\n"):
-        return None
-    parsed = _loadtxt(text.replace("::", " "), _MOVIELENS_DTYPE)
-    if parsed is None or raw.count(b":") != 6 * parsed[0].size:
-        return None
-    return parsed
 
 
 def _parse_movielens_lines(path, lines: Iterable[str], start: int = 1):
@@ -430,9 +398,11 @@ def _compact_ids(ids):
     return distinct, index
 
 
-# Each triplet format: (one-call parser, line loop, matrix builder).
+# Each triplet format: (one-call parser or None, line loop, matrix builder).
+# MovieLens has none: no ``dbmf`` command or benchmark workload reads that
+# format, and its line loop reads a 1M-line file in about 2 s.
 _FORMATS = {"plain": (_parse_plain_text, _parse_plain_lines, _plain_matrix),
-            "movielens-dat": (_parse_movielens_text, _parse_movielens_lines, _movielens_matrix)}
+            "movielens-dat": (None, _parse_movielens_lines, _movielens_matrix)}
 
 
 def save_triplets(matrix: SparseMatrix, path) -> None:
@@ -448,16 +418,33 @@ def save_triplets(matrix: SparseMatrix, path) -> None:
 # Simulation
 # ---------------------------------------------------------------------------
 
-def check_seed(seed) -> int:
-    """``seed`` as an ``int``; it must be a nonnegative integer, and a bool
-    is not one."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+def check_int(name: str, value, positive: bool = False) -> int:
+    """``value`` as an ``int``; it must be an integer, and a bool is not
+    one, of at least 1 when ``positive`` and at least 0 otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < (1 if positive else 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value) -> float:
+    """``value`` as a ``float``; it must be a finite real number, and a bool
+    or a string is not one."""
+    error = ValidationError(f"{name} must be a finite real number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise error from None
+    if not np.isfinite(real):
+        raise error
+    return real
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(check_seed(seed))
+    return np.random.default_rng(check_int("seed", seed))
 
 
 def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,

@@ -33,7 +33,7 @@ from .aggregate import ep_aggregate, staged_aggregate
 from .approx import (PosteriorSet, _fixed_lambda, derive_seed, fit_rows,
                      load_posterior_file, save_posterior_file)
 from .artifacts import write_json
-from .data import PartitionPlan, SparseMatrix, order_matrix, partition
+from .data import PartitionPlan, SparseMatrix, check_int, check_real, order_matrix, partition
 from .errors import ArtifactError, PipelineError, ValidationError
 from .sampler import GibbsConfig, NormalWishartPrior, gibbs_run
 
@@ -70,17 +70,15 @@ class RunConfig(GibbsConfig):
             raise ValidationError(f"unknown approximation kind: {self.approximation!r}")
         if self.ordering not in ("decreasing", "random", "none"):
             raise ValidationError(f"unknown ordering scheme: {self.ordering!r}")
-        if self.partition_rows < 1 or self.partition_cols < 1:
-            raise ValidationError("partition must be at least 1x1")
-        if self.top_n < 1:
-            raise ValidationError("top_n must be >= 1")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
+        for name in ("partition_rows", "partition_cols", "top_n", "workers"):
+            setattr(self, name, check_int(name, getattr(self, name), positive=True))
+        if not isinstance(self.save_chains, (bool, np.bool_)):
+            raise ValidationError(f"save_chains must be a bool, got {self.save_chains!r}")
+        self.save_chains = bool(self.save_chains)
         _fixed_lambda(self.lambda_policy)
         for name in ("nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if getattr(self, name) is not None:
+                setattr(self, name, check_real(name, getattr(self, name)))
         if self.nw_beta0 <= 0 or self.nw_w0_scale <= 0:
             raise ValidationError("nw_beta0 and nw_w0_scale must be positive")
         if self.nw_nu0 is not None and self.nw_nu0 < self.n_factors:

@@ -43,7 +43,7 @@ from scipy import sparse
 
 from .approx import PosteriorSet, _kstep_cholesky, _symmetrize, _triangles, non_spd_rows
 from .artifacts import write_atomic
-from .data import SparseMatrix, check_seed
+from .data import SparseMatrix, check_int, check_real
 from .errors import NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -91,7 +91,9 @@ class NormalWishartPrior:
 
 @dataclass
 class GibbsConfig:
-    """Sweep counts, thinning and RNG seed for one sampler run."""
+    """Sweep counts, thinning and RNG seed for one sampler run.  The
+    integer settings are stored as ``int`` and ``tau`` as ``float``, so a
+    config is plain JSON."""
 
     n_factors: int
     tau: float
@@ -101,17 +103,17 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_factors < 1:
-            raise ValidationError("n_factors must be >= 1")
-        if not 0 < self.tau < np.inf:
-            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
-        if not self.n_iters > self.burn_in >= 0:
-            raise ValidationError("need n_iters > burn_in >= 0")
-        if self.thin < 1:
-            raise ValidationError("thin must be >= 1")
+        for name in ("n_factors", "thin"):
+            setattr(self, name, check_int(name, getattr(self, name), positive=True))
+        for name in ("n_iters", "burn_in", "seed"):
+            setattr(self, name, check_int(name, getattr(self, name)))
+        self.tau = check_real("tau", self.tau)
+        if self.tau <= 0:
+            raise ValidationError(f"tau must be positive, got {self.tau}")
+        if not self.n_iters > self.burn_in:
+            raise ValidationError("need n_iters > burn_in")
         if (self.n_iters - self.burn_in) % self.thin:
             raise ValidationError("thin must divide n_iters - burn_in")
-        self.seed = check_seed(self.seed)
 
     @property
     def n_samples(self) -> int:

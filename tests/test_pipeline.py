@@ -59,6 +59,28 @@ class TestRunConfig:
         cfg = quick_config(seed=np.int64(3))
         assert json.loads(json.dumps(asdict(cfg)))["seed"] == 3
 
+    def test_numpy_settings_run_and_are_recorded_as_python_types(self, small_data, tmp_path):
+        ints = dict(n_factors=2, n_iters=40, burn_in=20, thin=2, seed=7, partition_rows=1,
+                    partition_cols=1, top_n=3, workers=1)
+        cfg = quick_config(**{name: np.int64(v) for name, v in ints.items()},
+                           tau=np.float32(1.0), nw_nu0=np.int64(3), save_chains=np.False_)
+        pipeline.run_full(small_data[0], cfg, run_dir=tmp_path / "full")
+        recorded = json.loads((tmp_path / "full" / "run_config.json").read_text())
+        for name, value in ints.items():
+            assert type(recorded[name]) is int and recorded[name] == value
+        assert recorded["tau"] == 1.0 and recorded["nw_nu0"] == 3.0
+        assert recorded["save_chains"] is False
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_factors", 2.0), ("partition_rows", 2.5), ("thin", 2.0), ("top_n", True),
+        ("workers", np.True_), ("tau", True), ("tau", "1.0"), ("nw_mu0", "0"),
+        ("nw_nu0", np.True_), ("save_chains", 1), ("save_chains", "no")])
+    def test_wrong_setting_types_rejected_before_a_run(self, small_data, tmp_path, name, value):
+        settings = {"partition_rows": 1, "partition_cols": 1, name: value}
+        with pytest.raises(ValidationError, match=name):
+            pipeline.run_full(small_data[0], quick_config(**settings), run_dir=tmp_path / "full")
+        assert not (tmp_path / "full").exists()
+
     @pytest.mark.parametrize("name", ["tau", "nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, name, value):
