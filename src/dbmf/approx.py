@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .artifacts import write_atomic
+from .data import check_real
 from .errors import ArtifactError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -474,18 +475,11 @@ def _contract_violation(pset: PosteriorSet, k: int) -> str | None:
 
 
 def _fixed_lambda(lam_policy) -> float | None:
-    """The fixed lambda of a policy, or None for "median-pairwise"."""
-    if isinstance(lam_policy, str):
-        if lam_policy == "median-pairwise":
-            return None
-    elif not isinstance(lam_policy, bool):
-        try:
-            if float(lam_policy) > 0:
-                return float(lam_policy)
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError("lam_policy is 'median-pairwise' or a positive number, "
-                          f"got {lam_policy!r}")
+    """The fixed lambda of a policy, a positive finite real number, or None
+    for "median-pairwise"."""
+    if isinstance(lam_policy, str) and lam_policy == "median-pairwise":
+        return None
+    return check_real("lam_policy", lam_policy, positive=True)
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -499,11 +493,11 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
     """Fit every row of a chain sample block ``(S, R, K)`` independently.
 
     ``kind`` is "mm", "dm" or "gmm".  ``lam_policy`` is either the string
-    "median-pairwise" (per-row adaptive lambda) or a fixed positive float.
-    Every argument is checked before any row is fitted.  The dm and gmm fits
-    run over all rows at once, with results bitwise equal to fitting each
-    row alone; a row's lambda subsample (when S > ``LAMBDA_SUBSAMPLE``) is
-    seeded from ``SeedSequence(seed, (row,))``.
+    "median-pairwise" (per-row adaptive lambda) or a fixed positive finite
+    number.  Every argument is checked before any row is fitted.  The dm
+    and gmm fits run over all rows at once, with results bitwise equal to
+    fitting each row alone; a row's lambda subsample (when
+    S > ``LAMBDA_SUBSAMPLE``) is seeded from ``SeedSequence(seed, (row,))``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 3 or 0 in samples.shape[1:]:

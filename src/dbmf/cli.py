@@ -41,21 +41,13 @@ def _parse_partition(text: str) -> tuple[int, int]:
         raise ValidationError(f"partition must look like '3x4', got {text!r}") from exc
 
 
-def _convert(kind, value, name: str, typed: bool = False):
-    """``kind(value)``, or a ``ValidationError`` naming the flag or key.
-    A ``bool`` must be a boolean, and no other kind takes one; an ``int``
-    takes no number with a fractional part, which ``int()`` would truncate.
-    A ``typed`` value (a JSON config value, or a flag argparse converted)
-    may be a string only when ``kind`` is ``str``."""
-    error = ValidationError(f"{name} must be {kind.__name__}, got {value!r}")
-    if isinstance(value, bool) != (kind is bool) or (
-            kind is int and isinstance(value, float) and not value.is_integer()) or (
-            typed and isinstance(value, str) and kind is not str):
-        raise error
+def _comma_list(kind, text: str, flag: str) -> list:
+    """The comma-separated values of a flag, each read by ``kind``."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise error from exc
+        return [kind(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"{flag} must be a comma-separated list of {kind.__name__}s, "
+                              f"got {text!r}") from exc
 
 
 def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -138,8 +130,9 @@ METHODS = {"full": (pipeline.run_full, "mm"), "pp-mm": (pipeline.run_pp, "mm"),
            "pp-dm": (pipeline.run_pp, "dm"), "pp-gmm": (pipeline.run_pp, "gmm"),
            "ep-parametric": (pipeline.run_ep, "mm")}
 
-# Each ``run`` key that maps onto one ``RunConfig`` field: (field, type).
-# ``method``, ``partition`` and ``lambda`` are read on their own.
+# Each ``run`` key that maps onto one ``RunConfig`` field: (field, flag type).
+# A value goes to ``RunConfig`` as given, which checks it.  ``method``,
+# ``partition`` and ``lambda`` are read on their own.
 RUN_FIELDS = {"factors": ("n_factors", int), "tau": ("tau", float),
               "iters": ("n_iters", int), "burn-in": ("burn_in", int), "thin": ("thin", int),
               "seed": ("seed", int), "order": ("ordering", str), "top-n": ("top_n", int),
@@ -159,8 +152,8 @@ def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
     r, c = _parse_partition(merged.get("partition", "1x1"))
     if method == "full" and (r, c) != (1, 1):
         raise ValidationError("method 'full' requires --partition 1x1")
-    fields = {name: _convert(kind, merged[key], key, typed=True)
-              for key, (name, kind) in RUN_FIELDS.items() if merged.get(key) is not None}
+    fields = {name: merged[key] for key, (name, _) in RUN_FIELDS.items()
+              if merged.get(key) is not None}
     lam = merged.get("lambda")
     if isinstance(lam, str) and lam != "median-pairwise":
         try:
@@ -233,8 +226,8 @@ def cmd_evaluate(args) -> int:
         if not args.train:
             raise ValidationError("--bins needs --train: the bins count each test row's "
                                   "training entries")
-        edges = evaluate.check_bin_edges(
-            [_convert(float, e, "--bins") for e in args.bins.split(",")] + [math.inf], "--bins")
+        edges = evaluate.check_bin_edges(_comma_list(float, args.bins, "--bins") + [math.inf],
+                                         "--bins")
     pipeline.read_run_config(args.run)  # a finished run directory, checked first
     if not args.test:
         raise ValidationError("--test is required to compute RMSE")
@@ -271,7 +264,7 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_cost_model(args) -> int:
-    worker_counts = [_convert(int, x, "--workers") for x in args.workers.split(",")]
+    worker_counts = _comma_list(int, args.workers, "--workers")
     params = pipeline.row_param_count(args.approx, args.factors, args.components)
     print(f"{'workers':>8} {'t0':>14} {'t_aggregate':>14} {'total':>14} "
           f"{'communication':>14}")

@@ -428,17 +428,18 @@ def check_int(name: str, value, positive: bool = False) -> int:
     return int(value)
 
 
-def check_real(name: str, value) -> float:
+def check_real(name: str, value, positive: bool = False) -> float:
     """``value`` as a ``float``; it must be a finite real number, and a bool
-    or a string is not one."""
-    error = ValidationError(f"{name} must be a finite real number, got {value!r}")
+    or a string is not one, greater than 0 when ``positive``."""
+    kind = "positive finite" if positive else "finite"
+    error = ValidationError(f"{name} must be a {kind} real number, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error
     try:
         real = float(value)
     except OverflowError:  # an int beyond the float range
         raise error from None
-    if not np.isfinite(real):
+    if not np.isfinite(real) or (positive and real <= 0):
         raise error
     return real
 
@@ -454,10 +455,10 @@ def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,
     Factor entries are standard normal; the draw order (X, then W, then
     noise) is fixed so results are bitwise deterministic per seed.
     """
-    if n_rows < 1 or n_cols < 1 or n_factors < 1:
-        raise ValidationError("n_rows, n_cols and n_factors must be >= 1")
-    if not 0.0 < tau < np.inf:
-        raise ValidationError(f"tau must be positive and finite, got {tau}")
+    n_rows = check_int("n_rows", n_rows, positive=True)
+    n_cols = check_int("n_cols", n_cols, positive=True)
+    n_factors = check_int("n_factors", n_factors, positive=True)
+    tau = check_real("tau", tau, positive=True)
     rng = _rng(seed)
     x_true = rng.standard_normal((n_rows, n_factors))
     w_true = rng.standard_normal((n_cols, n_factors))
@@ -466,7 +467,7 @@ def simulate(n_rows: int, n_cols: int, n_factors: int, tau: float,
     rows = np.repeat(np.arange(n_rows, dtype=np.int64), n_cols)
     cols = np.tile(np.arange(n_cols, dtype=np.int64), n_rows)
     mat = SparseMatrix(n_rows, n_cols, rows, cols, y.ravel())
-    return mat, GroundTruth(x_true, w_true, float(tau))
+    return mat, GroundTruth(x_true, w_true, tau)
 
 
 # ---------------------------------------------------------------------------

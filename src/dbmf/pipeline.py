@@ -75,14 +75,15 @@ class RunConfig(GibbsConfig):
         if not isinstance(self.save_chains, (bool, np.bool_)):
             raise ValidationError(f"save_chains must be a bool, got {self.save_chains!r}")
         self.save_chains = bool(self.save_chains)
-        _fixed_lambda(self.lambda_policy)
-        for name in ("nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"):
-            if getattr(self, name) is not None:
-                setattr(self, name, check_real(name, getattr(self, name)))
-        if self.nw_beta0 <= 0 or self.nw_w0_scale <= 0:
-            raise ValidationError("nw_beta0 and nw_w0_scale must be positive")
-        if self.nw_nu0 is not None and self.nw_nu0 < self.n_factors:
-            raise ValidationError("nw_nu0 must be >= n_factors")
+        lam = _fixed_lambda(self.lambda_policy)
+        self.lambda_policy = "median-pairwise" if lam is None else lam
+        self.nw_mu0 = check_real("nw_mu0", self.nw_mu0)
+        self.nw_beta0 = check_real("nw_beta0", self.nw_beta0, positive=True)
+        self.nw_w0_scale = check_real("nw_w0_scale", self.nw_w0_scale, positive=True)
+        if self.nw_nu0 is not None:
+            self.nw_nu0 = check_real("nw_nu0", self.nw_nu0)
+            if self.nw_nu0 < self.n_factors:
+                raise ValidationError("nw_nu0 must be >= n_factors")
 
     def nw_prior(self) -> NormalWishartPrior:
         k = self.n_factors
@@ -104,10 +105,9 @@ class CostModel:
     params_per_row: float
 
     def __post_init__(self):
-        for name in ("n_rows", "n_cols", "n_obs", "n_factors", "n_iters",
-                     "workers", "params_per_row"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        for name in ("n_rows", "n_cols", "n_obs", "n_factors", "n_iters", "workers"):
+            setattr(self, name, check_int(name, getattr(self, name), positive=True))
+        self.params_per_row = check_real("params_per_row", self.params_per_row, positive=True)
 
 
 @dataclass
@@ -172,26 +172,31 @@ def build_plan(matrix: SparseMatrix, config: RunConfig) -> PartitionPlan:
 
 
 def extract_blocks(matrix: SparseMatrix, plan: PartitionPlan) -> dict:
-    """Split entries into per-block matrices with block-local indices."""
+    """Split entries into per-block matrices with block-local indices, each
+    block's entries in (row, column) order."""
     inv_r, inv_c = plan.inverse_perms()
-    pr = inv_r[matrix.rows]
-    pc = inv_c[matrix.cols]
-    bi = np.searchsorted(plan.row_cuts, pr, side="right") - 1
-    bj = np.searchsorted(plan.col_cuts, pc, side="right") - 1
-    key = bi * plan.n_col_blocks + bj
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
+    row_block = np.searchsorted(plan.row_cuts, inv_r, side="right") - 1
+    col_block = np.searchsorted(plan.col_cuts, inv_c, side="right") - 1
+    # Per entry: its block-local row and column, and its column block.
+    rows = (inv_r - plan.row_cuts[row_block])[matrix.rows]
+    cols = (inv_c - plan.col_cuts[col_block])[matrix.cols]
+    bj = col_block[matrix.cols]
+    # Block (i, j) numbers its cells row-major from starts[i, j], after the
+    # blocks above it and to its left, so every key is below n_rows * n_cols.
+    heights, widths = np.diff(plan.row_cuts), np.diff(plan.col_cuts)
+    starts = (plan.row_cuts[:-1, None] * plan.n_cols
+              + heights[:, None] * plan.col_cuts[:-1]).ravel()
+    key = starts[row_block[matrix.rows] * plan.n_col_blocks + bj]
+    key += rows * widths[bj]
+    key += cols
+    order = np.argsort(key)
+    bounds = np.append(np.searchsorted(key[order], starts), matrix.m)
     blocks = {}
-    for i in range(plan.n_row_blocks):
-        r_lo, r_hi = plan.row_range(i)
-        for j in range(plan.n_col_blocks):
-            c_lo, c_hi = plan.col_range(j)
-            lo = np.searchsorted(sorted_key, i * plan.n_col_blocks + j, side="left")
-            hi = np.searchsorted(sorted_key, i * plan.n_col_blocks + j, side="right")
-            sel = order[lo:hi]
-            blocks[(i, j)] = SparseMatrix(r_hi - r_lo, c_hi - c_lo,
-                                          pr[sel] - r_lo, pc[sel] - c_lo,
-                                          matrix.vals[sel])
+    for b, (i, j) in enumerate(np.ndindex(plan.n_row_blocks, plan.n_col_blocks)):
+        (r_lo, r_hi), (c_lo, c_hi) = plan.row_range(i), plan.col_range(j)
+        sel = order[bounds[b]:bounds[b + 1]]
+        blocks[(i, j)] = SparseMatrix(r_hi - r_lo, c_hi - c_lo, rows[sel], cols[sel],
+                                      matrix.vals[sel])
     return blocks
 
 

@@ -107,9 +107,7 @@ class GibbsConfig:
             setattr(self, name, check_int(name, getattr(self, name), positive=True))
         for name in ("n_iters", "burn_in", "seed"):
             setattr(self, name, check_int(name, getattr(self, name)))
-        self.tau = check_real("tau", self.tau)
-        if self.tau <= 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        self.tau = check_real("tau", self.tau, positive=True)
         if not self.n_iters > self.burn_in:
             raise ValidationError("need n_iters > burn_in")
         if (self.n_iters - self.burn_in) % self.thin:

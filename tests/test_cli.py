@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -439,7 +440,7 @@ class TestEvaluateAndCost:
     (["evaluate", "--test", "test.txt", "--bins", "0,a"], None, "--bins"),
     (["cost-model", "--n-rows", "6", "--n-cols", "5", "--n-obs", "9", "--factors", "2",
       "--workers", "1,x"], None, "--workers"),
-    (["run"], {"factors": 2, "tau": 1.0, "save-chains": "false"}, "save-chains"),
+    (["run"], {"factors": 2, "tau": 1.0, "save-chains": "false"}, "save_chains"),
     (["run"], {"factors": 2, "tau": 1.0, "workers": 2.7}, "workers"),
     (["run"], {"factors": 2, "tau": float("nan")}, "tau"),
     (["run", "--factors", "2", "--tau", "nan"], None, "tau"),
@@ -457,6 +458,10 @@ class TestEvaluateAndCost:
     (["run", "--tau", "1.0"], None, "--factors and --tau are required"),
     (["run"], {"factors": 2}, "--factors and --tau are required"),
     (["run"], {"factors": 2, "tau": "1.0"}, "tau"),
+    (["run"], {"factors": 2, "tau": 10 ** 400}, "tau"),
+    (["run"], {"factors": 2.0, "tau": 1.0}, "n_factors"),
+    (["run"], {"factors": 2, "tau": 1.0, "workers": 3.0}, "workers"),
+    (["run"], {"factors": 2, "tau": 1.0, "lambda": float("inf")}, "lam_policy"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory
@@ -527,6 +532,30 @@ def test_every_run_key_lands_in_its_config_field(tmp_path, source):
     defaults = pipeline.RunConfig(n_factors=2, tau=1.5)
     assert all(getattr(defaults, name) != RUN_VALUES[key]
                for key, (name, _) in cli.RUN_FIELDS.items() if key not in ("factors", "tau"))
+
+
+# One value per ``RUN_FIELDS`` key that ``RunConfig`` refuses.
+BAD_RUN_VALUES = {"factors": 2.0, "tau": 10 ** 400, "iters": 40.0, "burn-in": -1,
+                  "thin": True, "seed": 1.5, "order": "sideways", "top-n": "3",
+                  "workers": 3.0, "save-chains": "false", "nw-mu0": "0", "nw-beta0": 0,
+                  "nw-w0-scale": float("inf"), "nw-nu0": 1}
+
+
+def test_run_keys_are_checked_by_run_config_alone(tmp_path, capsys):
+    # Every field is set by a run key: these four by the keys read on
+    # their own (method, partition, lambda), the rest through RUN_FIELDS.
+    own = {"approximation", "partition_rows", "partition_cols", "lambda_policy"}
+    assert ({f.name for f in fields(pipeline.RunConfig)}
+            == own | {name for name, _ in cli.RUN_FIELDS.values()})
+    assert BAD_RUN_VALUES.keys() == cli.RUN_FIELDS.keys()
+    for key, value in BAD_RUN_VALUES.items():
+        name = cli.RUN_FIELDS[key][0]
+        with pytest.raises(ValidationError) as expected:
+            pipeline.RunConfig(**{"n_factors": 2, "tau": 1.0, name: value})
+        (tmp_path / "cfg.json").write_text(json.dumps({"factors": 2, "tau": 1.0, key: value}))
+        assert run_cli(["run", "--train", str(tmp_path / "none.txt"),
+                        "--config", str(tmp_path / "cfg.json")]) == 2, key
+        assert capsys.readouterr().err == f"error: {expected.value}\n", key
 
 
 class TestUnwritableOutputs:

@@ -376,10 +376,29 @@ class TestLoadTriplets:
 
 
 class TestSimulate:
-    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf, True])
     def test_tau_must_be_positive_and_finite(self, tau):
         with pytest.raises(ValidationError, match="tau"):
             data.simulate(3, 2, 1, tau, seed=0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((2.5, 3, 1, 1.0), "n_rows"), ((3, True, 1, 1.0), "n_cols"),
+        ((3, 2, 1.0, 1.0), "n_factors"), ((3, 2, np.float64(1), 1.0), "n_factors"),
+        ((3, 2, 1, 10 ** 400), "tau")],
+        ids=["fractional", "bool", "whole-float", "numpy-float", "int-beyond-float"])
+    def test_settings_follow_the_config_type_rule(self, args, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be a positive"):
+            data.simulate(*args, seed=0)
+
+    def test_numpy_settings_simulate_the_same_matrix(self):
+        mat, truth = data.simulate(np.int64(4), np.int32(3), np.int64(2), np.float64(2.0),
+                                   seed=np.int64(1))
+        ref, ref_truth = data.simulate(4, 3, 2, 2.0, seed=1)
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(mat, name), getattr(ref, name))
+        assert (mat.n_rows, mat.n_cols) == (4, 3) and type(mat.n_rows) is int
+        assert np.array_equal(truth.x_true, ref_truth.x_true)
+        assert type(truth.tau) is float and truth.tau == 2.0
 
     def test_shapes_and_determinism(self):
         m1, t1 = data.simulate(20, 10, 2, 4.0, seed=3)

@@ -3,7 +3,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,23 +63,37 @@ class TestRunConfig:
         ints = dict(n_factors=2, n_iters=40, burn_in=20, thin=2, seed=7, partition_rows=1,
                     partition_cols=1, top_n=3, workers=1)
         cfg = quick_config(**{name: np.int64(v) for name, v in ints.items()},
-                           tau=np.float32(1.0), nw_nu0=np.int64(3), save_chains=np.False_)
+                           tau=np.float32(1.0), nw_nu0=np.int64(3), save_chains=np.False_,
+                           lambda_policy=np.float32(0.5))
         pipeline.run_full(small_data[0], cfg, run_dir=tmp_path / "full")
         recorded = json.loads((tmp_path / "full" / "run_config.json").read_text())
         for name, value in ints.items():
             assert type(recorded[name]) is int and recorded[name] == value
         assert recorded["tau"] == 1.0 and recorded["nw_nu0"] == 3.0
+        assert recorded["lambda_policy"] == 0.5
         assert recorded["save_chains"] is False
 
     @pytest.mark.parametrize("name, value", [
         ("n_factors", 2.0), ("partition_rows", 2.5), ("thin", 2.0), ("top_n", True),
         ("workers", np.True_), ("tau", True), ("tau", "1.0"), ("nw_mu0", "0"),
-        ("nw_nu0", np.True_), ("save_chains", 1), ("save_chains", "no")])
+        ("nw_nu0", np.True_), ("nw_mu0", None), ("nw_beta0", None), ("save_chains", 1),
+        ("save_chains", "no")])
     def test_wrong_setting_types_rejected_before_a_run(self, small_data, tmp_path, name, value):
         settings = {"partition_rows": 1, "partition_cols": 1, name: value}
         with pytest.raises(ValidationError, match=name):
             pipeline.run_full(small_data[0], quick_config(**settings), run_dir=tmp_path / "full")
         assert not (tmp_path / "full").exists()
+
+    @pytest.mark.parametrize("value, stored", [
+        ("median-pairwise", "median-pairwise"), (2, 2.0), (np.float32(0.5), 0.5)])
+    def test_lambda_policy_stored_normalized(self, value, stored):
+        policy = quick_config(lambda_policy=value).lambda_policy
+        assert type(policy) is type(stored) and policy == stored
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, True, "2.0", None])
+    def test_bad_lambda_policy_rejected(self, value):
+        with pytest.raises(ValidationError, match="lam_policy"):
+            quick_config(lambda_policy=value)
 
     @pytest.mark.parametrize("name", ["tau", "nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -178,6 +192,22 @@ class TestCostModel:
             pipeline.CostModel(1, 1, 1, 1, 1, 1, 0.0)
         with pytest.raises(ValidationError):
             pipeline.row_param_count("mm", 2, 0)
+
+    @pytest.mark.parametrize("index, value", [
+        (0, 2.5), (1, 3.0), (2, np.inf), (3, True), (4, np.float64(10)), (5, True),
+        (6, np.inf), (6, False), (6, "12")])
+    def test_fields_follow_the_config_type_rule(self, index, value):
+        args = [100, 50, 2000, 3, 10, 4, 12.0]
+        args[index] = value
+        name = [f.name for f in fields(pipeline.CostModel)][index]
+        with pytest.raises(ValidationError, match=f"^{name} must be a positive"):
+            pipeline.CostModel(*args)
+
+    def test_numpy_fields_evaluate_the_same(self):
+        ref = pipeline.cost_model_eval(pipeline.CostModel(100, 50, 2000, 3, 10, 4, 12))
+        cm = pipeline.CostModel(*map(np.int64, (100, 50, 2000, 3, 10, 4)), np.float32(12))
+        assert [type(getattr(cm, f.name)) for f in fields(cm)] == [int] * 6 + [float]
+        assert pipeline.cost_model_eval(cm) == ref
 
 
 class TestStagedPipeline:
