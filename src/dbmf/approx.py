@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .artifacts import write_atomic
-from .data import check_real
+from .data import check_int, check_real
 from .errors import ArtifactError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -507,8 +507,7 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
     n_samples, n_rows, k = samples.shape
     if n_samples < k + 2:
         raise ValidationError(f"need at least K+2={k + 2} samples, got {n_samples}")
-    if top_n < 1:
-        raise ValidationError("top_n must be >= 1")
+    top_n = check_int("top_n", top_n, positive=True)
     lam = _fixed_lambda(lam_policy)
 
     x = np.ascontiguousarray(samples.transpose(1, 0, 2))

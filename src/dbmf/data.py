@@ -61,8 +61,8 @@ class SparseMatrix:
             raise ValidationError("rows, cols and vals must have equal length")
         if self.rows.ndim != 1:
             raise ValidationError("entry arrays must be 1-D")
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValidationError("matrix dimensions must be nonnegative")
+        self.n_rows = check_int("n_rows", self.n_rows)
+        self.n_cols = check_int("n_cols", self.n_cols)
         if self.m:
             if self.rows.min() < 0 or self.rows.max() >= self.n_rows:
                 raise ValidationError("row index out of range")

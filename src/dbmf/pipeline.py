@@ -124,8 +124,7 @@ class CostEval:
 def row_param_count(kind: str, n_factors: int, n_components: int) -> float:
     """Parameters communicated per row: K + K^2 per Gaussian, times the
     component count for mixtures."""
-    if n_components < 1:
-        raise ValidationError("n_components must be positive")
+    n_components = check_int("n_components", n_components, positive=True)
     base = n_factors + n_factors ** 2
     return float(n_components * base) if kind == "gmm" else float(base)
 

@@ -226,7 +226,7 @@ def _side_stats(ind, val, partner):
     n, k = ind.shape[0], partner.shape[1]
     (upper_r, upper_c), slot, _, _ = _triangles(k)
     packed = ind @ (partner[:, upper_r] * partner[:, upper_c])
-    return np.ascontiguousarray(packed.T)[slot].reshape(k, k, n), val @ partner
+    return packed.T[slot].reshape(k, k, n), val @ partner
 
 
 def _factor_draw(precs: np.ndarray, noise: np.ndarray,
@@ -253,23 +253,22 @@ def _sample_side(rng, partner, ind, val, tau, prior_precs, prior_b, context):
     """Resample every row of one side from its Gaussian full conditional.
 
     ``ind`` and ``val`` are the side's pair from ``_side_matrices``.
-    ``prior_precs`` broadcasts over rows when the prior is shared;
-    ``prior_b`` is the per-row (or shared) prior_precision @ prior_mean term.
-    A row whose precision does not factor is rebuilt with its diagonal
-    raised by ``CHOL_JITTER`` times its mean diagonal (at least 1) and
-    factored again; one that still fails raises ``NumericalError``.
+    ``prior_precs`` is ``(K, K, rows)``, or ``(K, K, 1)`` when the prior is
+    shared; ``prior_b`` is the per-row (or shared) prior_precision @
+    prior_mean term.  A row whose precision does not factor is rebuilt with
+    its diagonal raised by ``CHOL_JITTER`` times its mean diagonal (at least
+    1) and factored again; one that still fails raises ``NumericalError``.
     """
     n, k = ind.shape[0], partner.shape[1]
     suff, lin = _side_stats(ind, val, partner)
-    prior = prior_precs[..., None] if prior_precs.ndim == 2 else prior_precs.transpose(1, 2, 0)
     b = prior_b + tau * lin
     noise = rng.standard_normal((n, k))
     precs = tau * suff
-    precs += prior
+    precs += prior_precs
     draws, bad = _factor_draw(precs, noise, b)
     if bad.any():
         rows = np.flatnonzero(bad)
-        precs = np.broadcast_to(prior, suff.shape)[..., rows] + tau * suff[..., rows]
+        precs = np.broadcast_to(prior_precs, suff.shape)[..., rows] + tau * suff[..., rows]
         bumps = CHOL_JITTER * np.maximum(np.trace(precs) / k, 1.0)
         for row, bump in zip(rows, bumps):
             logger.warning("jittered diagonal by %.3e (%s, row %d)", bump, context, row)
@@ -282,10 +281,13 @@ def _sample_side(rng, partner, ind, val, tau, prior_precs, prior_b, context):
 
 
 class _SideState:
-    """Per-side prior bookkeeping for the sweep loop: the shared hyperprior
-    when ``prior`` is None, else the handed-in per-row Gaussians or
-    mixtures.  A mixture's empty slots have log weight -inf and, with the
-    identity precision, log-determinant 0, so they are never selected."""
+    """Per-side prior terms for the sweep loop: the shared hyperprior when
+    ``prior`` is None, else the handed-in per-row Gaussians or mixtures,
+    prepared once per block as precisions ``(K, K, rows)`` (``(K, K, rows
+    * C)`` over a mixture's C slots), precision @ mean terms and, per
+    mixture slot, the score constant log weight + 1/2 log det precision.
+    An empty slot has log weight -inf and, with the identity precision,
+    log-determinant 0, so it is never selected."""
 
     def __init__(self, prior: PosteriorSet | None, n_rows: int, name: str):
         self.prior = prior
@@ -294,46 +296,42 @@ class _SideState:
         if prior.n_rows != n_rows:
             raise ValidationError(
                 f"propagated {name} prior covers {prior.n_rows} rows, expected {n_rows}")
-        if prior.kind == "gaussian":
-            self.prior_b = np.einsum("rkl,rl->rk", prior.precisions, prior.means)
-        else:
+        k = prior.k
+        self.precs = np.ascontiguousarray(
+            np.moveaxis(prior.precisions, (-2, -1), (0, 1))).reshape(k, k, -1)
+        self.prior_b = np.einsum("...kl,...l->...k", prior.precisions, prior.means).reshape(-1, k)
+        if prior.kind == "gmm":
             with np.errstate(divide="ignore"):
-                self.log_weights = np.log(prior.weights)
-            self.logdet = np.linalg.slogdet(prior.precisions)[1]
-
-    def select(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the (mean, precision) of the maximum-responsibility
-        mixture component at the current row values."""
-        means, precs = self.prior.means, self.prior.precisions
-        diffs = values[:, None, :] - means
-        quad = np.einsum("rck,rckl,rcl->rc", diffs, precs, diffs)
-        chosen = np.argmax(self.log_weights + 0.5 * self.logdet - 0.5 * quad, axis=1)
-        rows = np.arange(values.shape[0])
-        return means[rows, chosen], precs[rows, chosen]
+                self.score = np.log(prior.weights) + 0.5 * np.linalg.slogdet(prior.precisions)[1]
+            self.first_slot = np.arange(n_rows) * prior.weights.shape[1]
 
     def prior_terms(self, values, hyper_mu, hyper_lambda):
+        """The prior precisions ``(K, K, rows)`` (``(K, K, 1)`` when shared)
+        and precision @ mean terms for a side at row values ``values``.  A
+        mixture row takes its maximum-responsibility component."""
         if self.prior is None:
-            return hyper_lambda, hyper_lambda @ hyper_mu
+            return hyper_lambda[..., None], hyper_lambda @ hyper_mu
         if self.prior.kind == "gaussian":
-            return self.prior.precisions, self.prior_b
-        means, precs = self.select(values)
-        return precs, np.einsum("rkl,rl->rk", precs, means)
+            return self.precs, self.prior_b
+        diffs = values[:, None, :] - self.prior.means
+        quad = np.einsum("rck,rckl,rcl->rc", diffs, self.prior.precisions, diffs)
+        slots = self.first_slot + np.argmax(self.score - 0.5 * quad, axis=1)
+        return self.precs.take(slots, axis=2), self.prior_b[slots]
 
     def initial_values(self, rng, n_rows, k, nw_prior):
         if self.prior is None:
-            means, precs = (np.broadcast_to(a, (n_rows, *a.shape)) for a in nw_prior.nominal_row)
+            means, prec = nw_prior.nominal_row
+            precs = np.repeat(prec[..., None], n_rows, axis=2)
         elif self.prior.kind == "gaussian":
-            means, precs = self.prior.means, self.prior.precisions
+            means, precs = self.prior.means, self.precs.copy()
         else:
             # A component drawn by weight per row.
             weights = self.prior.weights
             cum = np.cumsum(weights, axis=1)
             chosen = np.sum(cum < rng.random((n_rows, 1)), axis=1)
-            chosen = np.minimum(chosen, weights.shape[1] - 1)
-            rows = np.arange(n_rows)
-            means, precs = self.prior.means[rows, chosen], self.prior.precisions[rows, chosen]
-        draws, bad = _factor_draw(np.moveaxis(precs, 0, -1).copy(),
-                                  rng.standard_normal((n_rows, k)))
+            slots = self.first_slot + np.minimum(chosen, weights.shape[1] - 1)
+            means, precs = self.prior.means.reshape(-1, k)[slots], self.precs.take(slots, axis=2)
+        draws, bad = _factor_draw(precs, rng.standard_normal((n_rows, k)))
         if bad.any():
             raise NumericalError(f"prior precision of row {np.argmax(bad)} is not "
                                  "positive definite")

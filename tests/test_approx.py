@@ -295,6 +295,8 @@ class TestFitRows:
         (dict(lam_policy=None), "lam_policy"),
         (dict(top_n=0), "top_n"),
         (dict(lam_policy=True), "lam_policy"),
+        (dict(top_n=2.5), "top_n"),
+        (dict(top_n=True), "top_n"),
     ])
     def test_arguments_checked_before_row_work(self, monkeypatch, kind, args, message):
         def no_row_work(*_):

@@ -111,6 +111,15 @@ class TestSparseMatrix:
         with pytest.raises(ValidationError):
             make_matrix(2, 2, [0, 0], [0, -1], [1.0, 1.0])
 
+    @pytest.mark.parametrize("args, field", [
+        ((2.5, 3, [0, 1], [0, 2], [1.0, 2.0]), "n_rows"),
+        ((True, 3, [0], [0], [1.0]), "n_rows"),
+        ((2, -1, [], [], []), "n_cols")])
+    def test_dimensions_are_nonnegative_integers(self, args, field):
+        with pytest.raises(ValidationError, match=f"^{field} must be a nonnegative integer"):
+            data.SparseMatrix(*args)
+        assert type(data.SparseMatrix(np.int64(2), 3, [], [], []).n_rows) is int
+
     @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf],
                              ids=["nan", "-nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, value):

@@ -193,6 +193,11 @@ class TestCostModel:
         with pytest.raises(ValidationError):
             pipeline.row_param_count("mm", 2, 0)
 
+    @pytest.mark.parametrize("n_components", [1.5, True, 0])
+    def test_component_count_is_a_positive_integer(self, n_components):
+        with pytest.raises(ValidationError, match="n_components must be a positive integer"):
+            pipeline.row_param_count("gmm", 4, n_components)
+
     @pytest.mark.parametrize("index, value", [
         (0, 2.5), (1, 3.0), (2, np.inf), (3, True), (4, np.float64(10)), (5, True),
         (6, np.inf), (6, False), (6, "12")])

@@ -200,25 +200,39 @@ class TestGmmAssign:
             expected = int(np.argmax([density(c_) for c_ in range(c)]))
             assert gmm_component_assign(x, weights, means, precs) == expected
 
-    def test_batched_selection_matches_single_row(self):
-        # Padded per-row mixtures of 1-3 components pick, row by row, the
-        # component the single-row reference picks.
-        rng = np.random.default_rng(9)
+    @staticmethod
+    def check_prior_terms(rng, n, k):
+        """Padded per-row mixtures of 1-3 components (the slots past a row's
+        components empty): at random row values, the prepared terms are, bit
+        for bit, those of the component the single-row reference picks per
+        row, its precision and ``einsum("rkl,rl->rk")`` of its precision and
+        mean.  Means and values lie close together, so the weights and
+        log-determinants decide many rows' choice."""
         rows = []
-        for c in rng.integers(1, 4, size=40):
-            a = rng.standard_normal((c, 3, 3))
+        for c in rng.integers(1, 4, size=n):
+            a = rng.standard_normal((c, k, k))
             rows.append((rng.dirichlet(np.ones(c)),
-                         2 * rng.standard_normal((c, 3)),
-                         a @ np.swapaxes(a, 1, 2) + np.eye(3)))
+                         0.05 * rng.standard_normal((c, k)),
+                         a @ np.swapaxes(a, 1, 2) + np.eye(k)))
         pset = gmm_set(rows)
-        values = 2 * rng.standard_normal((40, 3))
-        means, precs = sampler._SideState(pset, 40, "X").select(values)
-        for i, (weights, _, _) in enumerate(rows):
-            c = len(weights)
-            chosen = gmm_component_assign(values[i], pset.weights[i, :c],
-                                          pset.means[i, :c], pset.precisions[i, :c])
-            assert np.array_equal(means[i], pset.means[i, chosen])
-            assert np.array_equal(precs[i], pset.precisions[i, chosen])
+        assert (pset.weights == 0).any()
+        values = 0.05 * rng.standard_normal((n, k))
+        precs, b = sampler._SideState(pset, n, "X").prior_terms(values, None, None)
+        chosen = (np.arange(n), np.array([
+            gmm_component_assign(values[i], pset.weights[i, :c], pset.means[i, :c],
+                                 pset.precisions[i, :c])
+            for i, c in enumerate(len(weights) for weights, _, _ in rows)]))
+        assert precs.shape == (k, k, n)
+        assert np.array_equal(precs, np.moveaxis(pset.precisions[chosen], 0, -1))
+        assert np.array_equal(b, np.einsum("rkl,rl->rk", pset.precisions[chosen],
+                                           pset.means[chosen]))
+
+    def test_batched_selection_matches_single_row(self):
+        self.check_prior_terms(np.random.default_rng(9), 40, 3)
+
+    @pytest.mark.parametrize("k", [5, 10])
+    def test_prior_terms_are_the_chosen_components(self, k):
+        self.check_prior_terms(np.random.default_rng(20 + k), 60, k)
 
 
 class TestGibbsRun:
@@ -347,7 +361,7 @@ class TestBatchedSideAgainstReference:
         rng_batched = np.random.default_rng(99)
         batched = sampler._sample_side(
             rng_batched, partner, ind, val, 1.5,
-            prior_prec, prior_prec @ prior_mean, "test")
+            prior_prec[..., None], prior_prec @ prior_mean, "test")
 
         major, minor, vals = sorted_axis(mat, "row")
 
@@ -423,7 +437,7 @@ class TestCholeskyDraw:
         precs[2] = row_prior
         prior_b = np.ones((5, 2))
         return sampler._sample_side(np.random.default_rng(71), partner, ind, val, 1.0,
-                                    precs, prior_b, "X side")
+                                    kkr(precs), prior_b, "X side")
 
     def test_singular_row_is_jittered_alone(self):
         draws = self.side_with_empty_row([[1.0, 1.0], [1.0, 1.0]])  # PSD, not PD
@@ -441,7 +455,7 @@ class TestCholeskyDraw:
         partner = np.random.default_rng(72).standard_normal((4, 2))
         with caplog.at_level("WARNING", logger="dbmf.sampler"):
             draws = sampler._sample_side(np.random.default_rng(73), partner, ind, val, 1.0,
-                                         np.zeros((2, 2)), np.zeros(2), "X side")
+                                         np.zeros((2, 2, 1)), np.zeros(2), "X side")
         assert np.all(np.isfinite(draws))
         jittered = [rec.getMessage() for rec in caplog.records]
         assert len(jittered) == 2
