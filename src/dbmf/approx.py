@@ -267,10 +267,13 @@ def lambda_means(x: np.ndarray, lam: np.ndarray,
     stored one at ``first + (max_iters - first) % period``: the row stops
     there.  A repeat after one iteration that spawned and merged nothing is
     convergence."""
+    n_rows, n_samples, _ = x.shape
     lam = np.asarray(lam, dtype=np.float64)
+    if lam.shape != (n_rows,):
+        raise ValidationError(f"lambda must hold one value per row, shape ({n_rows},), "
+                              f"got shape {lam.shape}")
     if not np.all(lam > 0):
         raise ValidationError("lambda must be positive")
-    n_rows, n_samples, _ = x.shape
     result = np.zeros((n_rows, n_samples), dtype=np.int64)
     iterations = np.full(n_rows, max(max_iters, 0), dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)

@@ -54,8 +54,8 @@ class SparseMatrix:
     vals: np.ndarray
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.rows = check_int_array("rows", self.rows)
+        self.cols = check_int_array("cols", self.cols)
         self.vals = np.asarray(self.vals, dtype=np.float64)
         if not (self.rows.shape == self.cols.shape == self.vals.shape):
             raise ValidationError("rows, cols and vals must have equal length")
@@ -109,8 +109,7 @@ class PartitionPlan:
     original row ``old``.  ``row_cuts`` has r+1 strictly increasing entries
     with ``row_cuts[0] == 0`` and ``row_cuts[-1] == n_rows``; block (i, j)
     covers permuted rows ``[row_cuts[i], row_cuts[i+1])`` and columns
-    ``[col_cuts[j], col_cuts[j+1])``.  Every entry is an integer: a float,
-    even a whole one, or a boolean is a ``ValidationError``.
+    ``[col_cuts[j], col_cuts[j+1])``.  Each array follows ``check_int_array``.
     """
 
     row_perm: np.ndarray
@@ -120,15 +119,7 @@ class PartitionPlan:
 
     def __post_init__(self):
         for name in ("row_perm", "col_perm", "row_cuts", "col_cuts"):
-            # A cast to int64 would truncate a fraction and read True as 1.
-            values = getattr(self, name)
-            array = np.asarray(values)
-            entries = (() if isinstance(values, np.ndarray)
-                       else np.ravel(np.asarray(values, dtype=object)))
-            if array.size and (array.dtype.kind not in "iu"
-                               or any(isinstance(v, (bool, np.bool_)) for v in entries)):
-                raise ValidationError(f"{name} must hold integers, not booleans or fractions")
-            setattr(self, name, np.asarray(array, dtype=np.int64))
+            setattr(self, name, check_int_array(name, getattr(self, name)))
         for perm, n, name in ((self.row_perm, self.n_rows, "row"),
                               (self.col_perm, self.n_cols, "col")):
             if not np.array_equal(np.sort(perm), np.arange(n)):
@@ -374,28 +365,11 @@ def _movielens_matrix(users, items, ratings) -> SparseMatrix:
         i = np.argmin(finite)
         raise ValidationError(f"non-finite rating {ratings[i]} of user {users[i]}, "
                               f"item {items[i]}")
-    user_ids, rows = _compact_ids(users)
-    item_ids, cols = _compact_ids(items)
-    return SparseMatrix(user_ids.size, item_ids.size, rows, cols, ratings)
-
-
-def _compact_ids(ids):
-    """``np.unique(ids, return_inverse=True)``: the distinct ids in sorted
-    order and each entry's index among them.  Written out because numpy's
-    holds 41 bytes of temporaries per int64 id and this 25: it copies no input,
-    and the sorted ids are overwritten by their running count of distinct
-    values."""
-    order = np.argsort(ids)
-    ranked = ids[order]
-    new = np.empty(ranked.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    distinct = ranked[new]
-    np.cumsum(new, out=ranked)
-    ranked -= 1
-    index = np.empty_like(order)
-    index[order] = ranked
-    return distinct, index
+    # Each id's rank among the sorted distinct ids: ``np.unique``'s inverse
+    # bitwise, at a traced peak of 8 bytes per id where its inverse takes 41.
+    user_ids, item_ids = np.unique(users), np.unique(items)
+    return SparseMatrix(user_ids.size, item_ids.size, np.searchsorted(user_ids, users),
+                        np.searchsorted(item_ids, items), ratings)
 
 
 # Each triplet format: (one-call parser or None, line loop, matrix builder).
@@ -426,6 +400,20 @@ def check_int(name: str, value, positive: bool = False) -> int:
         kind = "positive" if positive else "nonnegative"
         raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
     return int(value)
+
+
+def check_int_array(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array: an ndarray of integer dtype, or a list
+    or tuple of integers, none of them a bool.  A float, even a whole one, a
+    bool or an object is a ``ValidationError``, where a cast would truncate
+    a fraction and read True as 1; an empty array may have any dtype."""
+    array = np.asarray(values)
+    # A list of ints with a bool among them casts to int64: only its entries tell.
+    has_bool = not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+    if array.size and (array.dtype.kind not in "iu" or has_bool):
+        raise ValidationError(f"{name} must hold integers, not booleans, fractions or objects")
+    return array.astype(np.int64, copy=False)
 
 
 def check_real(name: str, value, positive: bool = False) -> float:
@@ -484,7 +472,7 @@ def split_random(matrix: SparseMatrix, test_fraction: float,
     """Withhold ``floor(test_fraction * m)`` uniformly chosen entries as test."""
     if matrix.m < 2:
         raise ValidationError("need at least 2 entries to split")
-    if not 0.0 < test_fraction < 1.0:
+    if not 0.0 < check_real("test_fraction", test_fraction) < 1.0:
         raise ValidationError("test_fraction must lie in (0, 1)")
     n_test = int(test_fraction * matrix.m)
     order = _rng(seed).permutation(matrix.m)
@@ -506,7 +494,7 @@ def structured_rescale_factor(probs: np.ndarray, target_fraction: float) -> floa
     saturates at 1, so a root exists whenever ``target_fraction < 1`` and
     some prob is positive.
     """
-    if not 0.0 < target_fraction < 1.0:
+    if not 0.0 < check_real("target_fraction", target_fraction) < 1.0:
         raise ValidationError("target_fraction must lie in (0, 1)")
     if probs.size == 0 or probs.max() <= 0:
         raise ValidationError("no positive assignment probabilities")
@@ -589,9 +577,9 @@ def partition(matrix: SparseMatrix, perms: tuple[np.ndarray, np.ndarray],
     row/column at a time over the leading blocks.
     """
     row_perm, col_perm = perms
-    if not 1 <= n_row_blocks <= matrix.n_rows:
+    if not check_int("n_row_blocks", n_row_blocks, positive=True) <= matrix.n_rows:
         raise ValidationError(f"need 1 <= r <= {matrix.n_rows}, got {n_row_blocks}")
-    if not 1 <= n_col_blocks <= matrix.n_cols:
+    if not check_int("n_col_blocks", n_col_blocks, positive=True) <= matrix.n_cols:
         raise ValidationError(f"need 1 <= c <= {matrix.n_cols}, got {n_col_blocks}")
     return PartitionPlan(row_perm, col_perm,
                          _cuts(matrix.n_rows, n_row_blocks),

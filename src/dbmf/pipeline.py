@@ -333,9 +333,10 @@ class FactorizationResult:
     timings: dict
 
 
-def _make_run_dir(run_dir) -> None:
+def _make_run_dir(run_dir, save_chains: bool) -> None:
     try:
-        for sub in ("stage1", "stage2", "stage3", "aggregate", "chains"):
+        subs = ("stage1", "stage2", "stage3", "aggregate") + (("chains",) if save_chains else ())
+        for sub in subs:
             os.makedirs(os.path.join(run_dir, sub), exist_ok=True)
     except OSError as exc:
         raise ArtifactError(f"cannot create run directory {run_dir}: {exc}") from exc
@@ -379,7 +380,7 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
     ``workers > 1`` one process pool runs every block of the run.
     """
     plan = build_plan(train, config)
-    _make_run_dir(run_dir)
+    _make_run_dir(run_dir, config.save_chains)
     write_json(os.path.join(run_dir, "run_config.json"), {**asdict(config), "method": method})
     plan.save(os.path.join(run_dir, "plan.json"))
     blocks = extract_blocks(train, plan)

@@ -43,7 +43,7 @@ from scipy import sparse
 
 from .approx import PosteriorSet, _kstep_cholesky, _symmetrize, _triangles, non_spd_rows
 from .artifacts import write_atomic
-from .data import SparseMatrix, check_int, check_real
+from .data import SparseMatrix, check_int, check_int_array, check_real
 from .errors import NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -69,10 +69,10 @@ class NormalWishartPrior:
         k = self.mu0.size
         if self.w0.shape != (k, k):
             raise ValidationError("w0 shape does not match mu0")
-        if not 0 < self.beta0 < np.inf:
-            raise ValidationError("beta0 must be positive and finite")
-        if not k <= self.nu0 < np.inf:
-            raise ValidationError("nu0 must be finite and >= K")
+        self.beta0 = check_real("beta0", self.beta0, positive=True)
+        self.nu0 = check_real("nu0", self.nu0)
+        if self.nu0 < k:
+            raise ValidationError("nu0 must be >= K")
         if not (np.isfinite(self.mu0).all() and np.isfinite(self.w0).all()):
             raise ValidationError("mu0 and w0 must be finite")
         if non_spd_rows(self.w0[None]).size:
@@ -393,8 +393,7 @@ def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, Posterior
 def predict(x_mean: np.ndarray, w_mean: np.ndarray, rows: np.ndarray,
             cols: np.ndarray) -> np.ndarray:
     """Inner-product predictions x_n' w_d at the requested cells (unclipped)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    rows, cols = check_int_array("rows", rows), check_int_array("cols", cols)
     if rows.size and (rows.min() < 0 or rows.max() >= x_mean.shape[0]):
         raise ValidationError("row index out of range")
     if cols.size and (cols.min() < 0 or cols.max() >= w_mean.shape[0]):

@@ -57,6 +57,11 @@ class TestLambdaMeans:
         with pytest.raises(ValidationError):
             approx.lambda_means(np.ones((1, 3, 1)), np.array([0.0]))
 
+    @pytest.mark.parametrize("lam", [2.0, np.array([2.0, 2.0]), np.array([[2.0]])])
+    def test_one_lambda_per_row(self, lam):
+        with pytest.raises(ValidationError, match=r"one value per row, shape \(1,\)"):
+            approx.lambda_means(np.zeros((1, 5, 2)), lam)
+
     def test_cycling_cloud_stops_with_the_capped_result(self):
         # A unimodal cloud under its median pairwise distance: the loop
         # revisits an earlier state, and the cluster count at the cap

@@ -120,6 +120,26 @@ class TestSparseMatrix:
             data.SparseMatrix(*args)
         assert type(data.SparseMatrix(np.int64(2), 3, [], [], []).n_rows) is int
 
+    @pytest.mark.parametrize("rows, cols, field", [
+        ([0.5, 1.9], [1, 2], "rows"),                          # fractions
+        ([0, 1], np.array([1.0, 2.0]), "cols"),                # whole floats
+        ([True, False], [1, 2], "rows"),                       # booleans
+        ([1, True], [1, 2], "rows"),                           # a bool among ints
+        (np.array([0, 1]), np.array([1, 2], dtype=object), "cols")],  # objects
+        ids=["fraction", "whole-float", "bool", "bool-among-ints", "object"])
+    def test_index_arrays_must_hold_integers(self, rows, cols, field):
+        # A cast to int64 would place these entries in cells silently.
+        with pytest.raises(ValidationError, match=f"^{field} must hold integers"):
+            data.SparseMatrix(3, 3, rows, cols, [1.0, 2.0])
+
+    def test_integer_index_arrays_kept(self):
+        rows = np.array([0, 2])
+        m = data.SparseMatrix(3, 3, rows, np.array([1, 0], dtype=np.int32), [1.0, 2.0])
+        assert m.rows is rows and m.cols.dtype == np.int64
+        listed = data.SparseMatrix(3, 3, (0, np.int64(2)), [1, 0], [1.0, 2.0])
+        assert listed.rows.tolist() == [0, 2] and listed.rows.dtype == np.int64
+        assert data.SparseMatrix(0, 0, [], np.zeros(0), []).cols.dtype == np.int64
+
     @pytest.mark.parametrize("value", [np.nan, -np.nan, np.inf, -np.inf],
                              ids=["nan", "-nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, value):
@@ -362,14 +382,6 @@ class TestLoadTriplets:
         assert loaded.m == cells.size
         assert peak <= 3 * (loaded.rows.nbytes + loaded.cols.nbytes + loaded.vals.nbytes)
 
-    def test_compact_ids_equals_numpy_unique(self):
-        rng = np.random.default_rng(13)
-        int64 = np.iinfo(np.int64)
-        for ids in (np.zeros(0, dtype=np.int64), np.array([7]), rng.integers(1, 50, 1000),
-                    rng.integers(int64.min, int64.max, 200, endpoint=True)):
-            for got, want in zip(data._compact_ids(ids), np.unique(ids, return_inverse=True)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
     def test_movielens_id_beyond_int64(self, tmp_path):
         path = tmp_path / "ratings.dat"
         path.write_text("1::2::5::978300760\n1::18446744073709551616::4::978300761\n")
@@ -476,6 +488,11 @@ class TestSplitRandom:
         with pytest.raises(ValidationError):
             data.split_random(m, 0.5, seed=0)
 
+    def test_fraction_must_be_a_real_number(self):
+        m, _ = data.simulate(4, 4, 1, 1.0, seed=0)
+        with pytest.raises(ValidationError, match="^test_fraction must be a finite real"):
+            data.split_random(m, "0.5", seed=0)
+
 
 class TestSplitStructured:
     def test_weights_endpoints(self):
@@ -524,6 +541,11 @@ class TestSplitStructured:
         m = make_matrix(1, 2, [0, 0], [0, 1], [1.0, 2.0])
         with pytest.raises(ValidationError):
             data.split_structured(m, seed=0, mode="bogus")
+
+    def test_target_fraction_must_be_a_real_number(self):
+        m, _ = data.simulate(4, 4, 1, 1.0, seed=0)
+        with pytest.raises(ValidationError, match="^target_fraction must be a finite real"):
+            data.split_structured(m, 0, "rescaled", "0.5")
 
 
 class TestOrderMatrix:
@@ -600,6 +622,14 @@ class TestPartition:
         with pytest.raises(ValidationError):
             data.partition(m, data.order_matrix(m, "none"), 4, 1)
 
+    @pytest.mark.parametrize("blocks, field", [((2.5, 1), "n_row_blocks"),
+                                               ((True, 1), "n_row_blocks"),
+                                               ((1, 0), "n_col_blocks")])
+    def test_block_counts_must_be_positive_integers(self, blocks, field):
+        m, _ = data.simulate(4, 4, 1, 1.0, seed=0)
+        with pytest.raises(ValidationError, match=f"^{field} must be a positive integer"):
+            data.partition(m, data.order_matrix(m, "none"), *blocks)
+
     def test_json_round_trip(self, tmp_path):
         m, _ = data.simulate(10, 8, 1, 1.0, seed=0)
         plan = data.partition(m, data.order_matrix(m, "random", seed=3), 3, 2)
@@ -625,6 +655,7 @@ class TestPartition:
                                    ([0, 1, 2, 3, 4], [0, 2.0, 5]),   # float cut
                                    ([0, 1.7, 2, 3, 4], [0, 2, 5]),   # fractional perm entry
                                    ([True, 0], [0, 2]),              # boolean perm entry
-                                   (np.array([False, True]), [0, 2])):  # boolean array
+                                   (np.array([False, True]), [0, 2]),  # boolean array
+                                   (np.array([0, 1], dtype=object), [0, 2])):  # objects
             with pytest.raises(ValidationError):
                 data.PartitionPlan(row_perm, [0], row_cuts, [0, 1])

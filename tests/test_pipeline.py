@@ -242,6 +242,7 @@ class TestStagedPipeline:
         assert (run_dir / "stage3" / "x_1_1.npz").exists()
         assert (run_dir / "aggregate" / "x.npz").exists()
         assert (run_dir / "aggregate" / "corrections.json").exists()
+        assert not (run_dir / "chains").exists()  # chains are not saved
         meta = pipeline.read_run_config(run_dir)
         assert meta["method"] == "pp"
         timings = pipeline.read_timings(run_dir)

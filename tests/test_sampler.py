@@ -165,6 +165,14 @@ class TestNormalWishart:
         with pytest.raises(ValidationError, match=field):
             sampler.NormalWishartPrior(**args)
 
+    @pytest.mark.parametrize("field, value", [("beta0", True), ("beta0", "2"),
+                                              ("nu0", np.True_)])
+    def test_non_numeric_prior_rejected(self, field, value):
+        # At K=1, so that a boolean nu0 of 1 would pass the nu0 >= K bound.
+        args = {"mu0": np.zeros(1), "beta0": 1.0, "w0": np.eye(1), "nu0": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"^{field} must be a"):
+            sampler.NormalWishartPrior(**args)
+
     def test_empty_rows_rejected(self):
         prior = nw_prior(2)
         with pytest.raises(ValidationError):
@@ -578,6 +586,14 @@ class TestPredict:
         with pytest.raises(ValidationError):
             sampler.predict(np.zeros((2, 1)), np.zeros((2, 1)),
                             np.array([2]), np.array([0]))
+
+    @pytest.mark.parametrize("rows, cols, field", [
+        (np.array([0.7]), np.array([1]), "rows"), (np.array([0]), np.array([1.2]), "cols"),
+        ([True], [1], "rows"), (np.array([0]), np.array([1], dtype=object), "cols")])
+    def test_index_arrays_must_hold_integers(self, rows, cols, field):
+        # A cast to int64 would predict cell (0, 1) for (0.7, 1.2).
+        with pytest.raises(ValidationError, match=f"^{field} must hold integers"):
+            sampler.predict(np.eye(2), np.eye(2), rows, cols)
 
 
 class TestLogLikelihood:

@@ -1,12 +1,15 @@
 """Guards on the shape of the package source itself."""
 
 import ast
+import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dbmf"
+README = SRC.parents[1] / "README.md"
 
 # Definitions kept although nothing in ``src/`` uses them yet, each with why:
 # ``log_likelihood`` is the train log-likelihood that ``gibbs_run`` is to
@@ -91,3 +94,31 @@ def test_package_does_not_import_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_readme_names_resolve():
+    """Every backticked ``dbmf.<name>`` or ``<module>.<name>`` in README.md,
+    for a module of the package, names something the package defines (a file
+    name such as ``sampler.py`` is not a reference), and the "Library entry
+    points" import block runs, so a rename cannot leave the README stale."""
+    text = README.read_text(encoding="utf-8")
+    modules = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    refs = [ref for ref in re.findall(rf"`((?:dbmf|{'|'.join(modules)})(?:\.\w+)+)", text)
+            if not ref.endswith(".py")]
+    assert refs, "no package references found in README.md"
+    missing = []
+    for ref in refs:
+        parts = ref.split(".")
+        parts[:0] = [] if parts[0] == "dbmf" else ["dbmf"]
+        obj = importlib.import_module("dbmf")
+        for n, part in enumerate(parts[1:], start=2):
+            try:  # an attribute, or else a submodule not yet imported
+                obj = (getattr(obj, part) if hasattr(obj, part)
+                       else importlib.import_module(".".join(parts[:n])))
+            except ImportError:
+                missing.append(ref)
+                break
+    assert not missing, f"README.md names what the package does not define: {missing}"
+    block = re.search(r"## Library entry points\s+```python\n(.*?)```", text, re.S)
+    assert block, "README.md has no Library entry points import block"
+    exec(block.group(1), {})
