@@ -405,9 +405,13 @@ def check_int(name: str, value, positive: bool = False) -> int:
 def check_int_array(name: str, values) -> np.ndarray:
     """``values`` as an int64 array: an ndarray of integer dtype, or a list
     or tuple of integers, none of them a bool.  A float, even a whole one, a
-    bool or an object is a ``ValidationError``, where a cast would truncate
-    a fraction and read True as 1; an empty array may have any dtype."""
-    array = np.asarray(values)
+    bool, an object or a ragged nested list is a ``ValidationError``, where
+    a cast would truncate a fraction and read True as 1; an empty array may
+    have any dtype."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nested list
+        raise ValidationError(f"{name} must hold integers, not ragged lists") from None
     # A list of ints with a bool among them casts to int64: only its entries tell.
     has_bool = not isinstance(values, np.ndarray) and any(
         isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)

@@ -15,14 +15,17 @@ algebra.
 A side update needs, per row, the sufficient statistics sum_d w_d w_d' and
 sum_d y_d w_d over that row's observed partners.  ``gibbs_run`` builds,
 once per block, one CSR pair over (rows x columns): an indicator matrix
-with data 1 and a value matrix with data y, each row's columns in ascending
-order.  The X side multiplies by that pair; the W side by its transposes,
-CSC views that scatter each X row into its columns, so every W row still
-sums its partners in ascending order.  Each side update is two sparse
-products: the indicator times the per-partner upper-triangle outer
-products, and the value matrix times the partner rows.  The fixed partner
-order fixes the summation order, so the statistics do not depend on the
-order of the input entries.
+with float32 ones and a value matrix with data y, each row's columns in
+ascending order.  The X side multiplies by that pair; the W side by its
+transposes, CSC views that scatter each X row into its columns, so every W
+row still sums its partners in ascending order.  Each side update is two
+sparse products: the indicator times the per-partner upper-triangle outer
+products, rounded to float32 and summed in float32, and the value matrix
+times the partner rows, in float64.  The Gram sums are cast to float64
+once, before tau and the prior are applied; each entry is within 1e-5 of
+its row's mean diagonal of the exact sum (tested up to 6,000 partners per
+row).  The fixed partner order fixes the summation order, so the
+statistics do not depend on the order of the input entries.
 
 Each row's conditional precision is built in a (K, K, rows) layout and
 factored by one K-step Cholesky over all rows of the side, which also
@@ -208,11 +211,13 @@ def log_likelihood(matrix: SparseMatrix, x: np.ndarray, w: np.ndarray,
 def _side_matrices(matrix: SparseMatrix):
     """Per side, the (indicator, value) pair over (rows x partners): a CSR
     pair over (rows x columns), each row's columns in ascending order, and
-    its transposes (CSC views) for the W side."""
+    its transposes (CSC views) for the W side.  The indicator holds float32
+    ones, the value matrix float64 values."""
     val = sparse.csr_array((matrix.vals, (matrix.rows, matrix.cols)),
                            shape=(matrix.n_rows, matrix.n_cols))
     val.sort_indices()
-    ind = sparse.csr_array((np.ones(val.nnz), val.indices, val.indptr), shape=val.shape)
+    ind = sparse.csr_array((np.ones(val.nnz, dtype=np.float32), val.indices, val.indptr),
+                           shape=val.shape)
     return [(ind, val), (ind.T, val.T)]
 
 
@@ -220,13 +225,15 @@ def _side_stats(ind, val, partner):
     """Per-row sums of partner outer products, laid out ``(K, K, rows)``,
     and of value-weighted partners, ``(rows, K)``.
 
-    The indicator matrix sums the upper triangles of the per-partner outer
-    products, which are then mirrored; rows without entries get exact zeros.
+    The float32 indicator matrix sums the upper triangles of the
+    per-partner outer products, each rounded to float32, in float32; the
+    sums are cast to float64 once and mirrored.  Rows without entries get
+    exact zeros.  The value-weighted sums stay in float64.
     """
     n, k = ind.shape[0], partner.shape[1]
     (upper_r, upper_c), slot, _, _ = _triangles(k)
-    packed = ind @ (partner[:, upper_r] * partner[:, upper_c])
-    return packed.T[slot].reshape(k, k, n), val @ partner
+    packed = ind @ (partner[:, upper_r] * partner[:, upper_c]).astype(np.float32)
+    return packed.T[slot].reshape(k, k, n).astype(np.float64), val @ partner
 
 
 def _factor_draw(precs: np.ndarray, noise: np.ndarray,

@@ -336,6 +336,26 @@ def bincount_suff_stats(partner, major, minor, vals, n):
     return suff, lin
 
 
+def sequential_float32_gram(partner, major, minor, n):
+    """Per-row sums of partner outer products as the sampler forms them in
+    single precision: each product rounded to float32, the products of a
+    row added one after another in float32 in ``major``/``minor`` order
+    (ascending partner order over ``sorted_axis`` entries), then widened to
+    float64 and mirrored into ``(n, K, K)``; rows without entries get exact
+    zeros."""
+    k = partner.shape[1]
+    upper = np.triu_indices(k)
+    terms = (partner[minor][:, upper[0]] * partner[minor][:, upper[1]]).astype(np.float32)
+    bounds = np.searchsorted(major, np.arange(n + 1))
+    suff = np.zeros((n, k, k))
+    for row in range(n):
+        if bounds[row] < bounds[row + 1]:
+            # cumsum in float32 adds the terms in sequence
+            packed = np.cumsum(terms[bounds[row]:bounds[row + 1]], axis=0)[-1]
+            suff[row][upper] = suff[row][upper[::-1]] = packed
+    return suff
+
+
 # ---------------------------------------------------------------------------
 # Per-row lambda-means and cluster fits (the batched code in ``approx`` must
 # reproduce these bit for bit)

@@ -7,7 +7,7 @@ import pytest
 from dbmf import data, sampler
 from dbmf.errors import ArtifactError, TripletParseError, ValidationError
 import oracles
-from oracles import bincount_suff_stats, sorted_axis, to_dense
+from oracles import bincount_suff_stats, sequential_float32_gram, sorted_axis, to_dense
 
 
 def make_matrix(n_rows, n_cols, rows, cols, vals):
@@ -125,8 +125,9 @@ class TestSparseMatrix:
         ([0, 1], np.array([1.0, 2.0]), "cols"),                # whole floats
         ([True, False], [1, 2], "rows"),                       # booleans
         ([1, True], [1, 2], "rows"),                           # a bool among ints
-        (np.array([0, 1]), np.array([1, 2], dtype=object), "cols")],  # objects
-        ids=["fraction", "whole-float", "bool", "bool-among-ints", "object"])
+        (np.array([0, 1]), np.array([1, 2], dtype=object), "cols"),  # objects
+        ([[0], [1, 2]], [0, 1], "rows")],                      # a ragged list
+        ids=["fraction", "whole-float", "bool", "bool-among-ints", "object", "ragged"])
     def test_index_arrays_must_hold_integers(self, rows, cols, field):
         # A cast to int64 would place these entries in cells silently.
         with pytest.raises(ValidationError, match=f"^{field} must hold integers"):
@@ -321,9 +322,14 @@ class TestLoadTriplets:
                 (loaded.n_cols, loaded.n_rows)):
             partner = rng.standard_normal((n_partners, 5))
             suff, lin = sampler._side_stats(ind, val, partner)
-            ref_suff, ref_lin = bincount_suff_stats(partner, *sorted_axis(loaded, axis), n)
-            assert np.array_equal(suff, np.moveaxis(ref_suff, 0, -1))
+            major, minor, vals = sorted_axis(loaded, axis)
+            ref_suff, ref_lin = bincount_suff_stats(partner, major, minor, vals, n)
+            gram = sequential_float32_gram(partner, major, minor, n)
+            assert np.array_equal(suff, np.moveaxis(gram, 0, -1))
             assert np.array_equal(lin, ref_lin)
+            # within 1e-5 of the row's mean diagonal of the float64 sums
+            mean_diag = np.trace(ref_suff, axis1=1, axis2=2) / partner.shape[1]
+            assert np.all(np.abs(suff - np.moveaxis(ref_suff, 0, -1)) <= 1e-5 * mean_diag)
 
     def test_movielens_whole_file_parse_matches_line_loop(self, tmp_path, monkeypatch):
         # A load equals the line loop over the whole file plus id compaction,
@@ -656,6 +662,7 @@ class TestPartition:
                                    ([0, 1.7, 2, 3, 4], [0, 2, 5]),   # fractional perm entry
                                    ([True, 0], [0, 2]),              # boolean perm entry
                                    (np.array([False, True]), [0, 2]),  # boolean array
-                                   (np.array([0, 1], dtype=object), [0, 2])):  # objects
+                                   (np.array([0, 1], dtype=object), [0, 2]),  # objects
+                                   ([0, 1], [[0], [1, 2]])):         # a ragged list
             with pytest.raises(ValidationError):
                 data.PartitionPlan(row_perm, [0], row_cuts, [0, 1])

@@ -5,7 +5,11 @@ from dbmf import approx, data, sampler
 from dbmf.errors import NumericalError, ValidationError
 from oracles import (bincount_suff_stats, chain_posterior_mean, gmm_component_assign,
                      gmm_set, grid_row_posterior, load_chain, sample_row_conditional,
-                     sorted_axis)
+                     sequential_float32_gram, sorted_axis)
+
+# The sampler sums Gram terms in float32: every entry is within this much of
+# its row's mean diagonal of the float64 sums.
+GRAM_REL_TOL = 1e-5
 
 
 def nw_prior(k):
@@ -358,7 +362,9 @@ class TestBatchedSideAgainstReference:
     def test_batched_equals_per_row_reference(self):
         # With identical generator states, the batched side update and the
         # single-row conditional consume the same normal stream and must
-        # produce the same draws (up to BLAS summation roundoff).
+        # produce the same draws, up to the float32 Gram terms (within
+        # GRAM_REL_TOL of the mean diagonal) that these well-conditioned
+        # precisions carry into the draws.
         rng = np.random.default_rng(15)
         mat, _ = data.simulate(6, 4, 2, 1.5, seed=16)
         partner = rng.standard_normal((4, 2))
@@ -378,7 +384,7 @@ class TestBatchedSideAgainstReference:
             mask = major == n
             ref = sample_row_conditional(vals[mask], partner[minor[mask]],
                                          1.5, prior_mean, prior_prec, rng_ref)
-            np.testing.assert_allclose(batched[n], ref, rtol=1e-9, atol=1e-11)
+            np.testing.assert_allclose(batched[n], ref, rtol=GRAM_REL_TOL, atol=1e-11)
 
 
 def kkr(mats):
@@ -457,10 +463,12 @@ class TestCholeskyDraw:
     def test_shared_prior_rows_are_jittered(self, caplog):
         # With a zero shared prior, the empty row's precision is 0 and the
         # one-entry row's is rank one: only those two rows are jittered.
+        # Dyadic partner values have products that float32 holds exactly,
+        # so the rank-one Gram stays exactly singular.
         rows = np.array([0, 0, 1, 3, 3, 4, 4])
         cols = np.array([0, 2, 1, 0, 3, 1, 2])
         ind, val = sampler._side_matrices(data.SparseMatrix(5, 4, rows, cols, np.ones(7)))[0]
-        partner = np.random.default_rng(72).standard_normal((4, 2))
+        partner = np.array([[0.5, -1.25], [1.5, 0.75], [-0.25, 2.0], [1.0, -0.5]])
         with caplog.at_level("WARNING", logger="dbmf.sampler"):
             draws = sampler._sample_side(np.random.default_rng(73), partner, ind, val, 1.0,
                                          np.zeros((2, 2, 1)), np.zeros(2), "X side")
@@ -487,6 +495,19 @@ class TestSideStatistics:
         order = rng.permutation(rows.size)
         return data.SparseMatrix(n_rows, n_cols, rows[order], cols[order], vals[order])
 
+    @staticmethod
+    def assert_stats_match_oracles(suff, lin, partner, mat, axis, n):
+        """``suff`` bitwise equal to the sequential float32 sums and within
+        GRAM_REL_TOL of its row's mean diagonal of the float64 sums; ``lin``
+        bitwise equal to the float64 sums."""
+        major, minor, vals = sorted_axis(mat, axis)
+        ref_suff, ref_lin = bincount_suff_stats(partner, major, minor, vals, n)
+        assert suff.dtype == lin.dtype == np.float64
+        assert np.array_equal(suff, kkr(sequential_float32_gram(partner, major, minor, n)))
+        assert np.array_equal(lin, ref_lin)
+        mean_diag = np.trace(ref_suff, axis1=1, axis2=2) / partner.shape[1]
+        assert np.all(np.abs(suff - kkr(ref_suff)) <= GRAM_REL_TOL * mean_diag)
+
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     def test_csr_stats_bitwise_equal_bincount_oracle(self, k):
         rng = np.random.default_rng(40 + k)
@@ -497,13 +518,33 @@ class TestSideStatistics:
                     sides, ("row", "col"), (n_rows, n_cols), (n_cols, n_rows)):
                 partner = rng.standard_normal((n_partners, k))
                 suff, lin = sampler._side_stats(ind, val, partner)
-                ref_suff, ref_lin = bincount_suff_stats(
-                    partner, *sorted_axis(mat, axis), n)
-                assert np.array_equal(suff, kkr(ref_suff))
-                assert np.array_equal(lin, ref_lin)
+                self.assert_stats_match_oracles(suff, lin, partner, mat, axis, n)
                 # the empty row/column has exactly zero statistics, so its
                 # conditional is its prior
                 assert not suff[..., -1].any() and not lin[-1].any()
+
+    def test_float32_gram_at_movielens_degree(self, caplog):
+        # One column observed in every one of 6,000 rows, above the largest
+        # item degree of MovieLens-1M (3,428 ratings): its W row sums 6,000
+        # float32 terms of mostly one sign.  The Gram stays within GRAM_REL_TOL, and
+        # with a zero prior no row of either side is jittered (every row has
+        # at least K partners, so only rounding could make it singular).
+        rng = np.random.default_rng(47)
+        n_rows, n_cols, k = 6000, 60, 10
+        dense = rng.random((n_rows, n_cols)) < 0.5
+        dense[:, 0] = True
+        rows, cols = np.nonzero(dense)
+        assert dense.sum(axis=1).min() >= k
+        mat = data.SparseMatrix(n_rows, n_cols, rows, cols, rng.standard_normal(rows.size))
+        for (ind, val), axis, n, n_partners in zip(
+                sampler._side_matrices(mat), ("row", "col"), (n_rows, n_cols), (n_cols, n_rows)):
+            partner = 1.0 + 0.3 * rng.standard_normal((n_partners, k))
+            suff, lin = sampler._side_stats(ind, val, partner)
+            self.assert_stats_match_oracles(suff, lin, partner, mat, axis, n)
+            with caplog.at_level("WARNING", logger="dbmf.sampler"):
+                sampler._sample_side(rng, partner, ind, val, 1.0, np.zeros((k, k, 1)),
+                                     np.zeros(k), f"{axis} side")
+        assert not caplog.records
 
     def test_chain_independent_of_entry_order(self):
         mat, _ = data.simulate(30, 20, 2, 1.0, seed=41)
@@ -589,7 +630,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("rows, cols, field", [
         (np.array([0.7]), np.array([1]), "rows"), (np.array([0]), np.array([1.2]), "cols"),
-        ([True], [1], "rows"), (np.array([0]), np.array([1], dtype=object), "cols")])
+        ([True], [1], "rows"), (np.array([0]), np.array([1], dtype=object), "cols"),
+        (np.array([0]), [[1], [0, 1]], "cols")])
     def test_index_arrays_must_hold_integers(self, rows, cols, field):
         # A cast to int64 would predict cell (0, 1) for (0.7, 1.2).
         with pytest.raises(ValidationError, match=f"^{field} must hold integers"):

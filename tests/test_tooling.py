@@ -8,6 +8,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
+
+from dbmf import data, pipeline
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dbmf"
 README = SRC.parents[1] / "README.md"
 
@@ -122,3 +126,55 @@ def test_readme_names_resolve():
     block = re.search(r"## Library entry points\s+```python\n(.*?)```", text, re.S)
     assert block, "README.md has no Library entry points import block"
     exec(block.group(1), {})
+
+
+# Where single precision is allowed: the indicator product of the sampler's
+# sufficient statistics, whose sums are cast back to float64 at once.
+SINGLE_PRECISION_FUNCTIONS = {("sampler", "_side_matrices"), ("sampler", "_side_stats")}
+
+
+def test_reduced_precision_only_in_the_indicator_product():
+    """A reduced-precision float type (``np.float32``, ``np.float16`` or a
+    dtype string naming one) occurs in ``src/dbmf`` only inside the
+    functions of ``SINGLE_PRECISION_FUNCTIONS``, and in each of them, so the
+    list cannot go stale."""
+    types = {"float32", "float16", "single", "half"}
+    dtype_strings = types | {"f4", "<f4", "f2", "<f2"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Attribute) and node.attr in types)
+                        or (isinstance(node, ast.Name) and node.id in {"float32", "float16"})
+                        or (isinstance(node, ast.Constant) and node.value in dtype_strings)):
+                    found.add((path.stem, owner))
+    assert found == SINGLE_PRECISION_FUNCTIONS, (
+        f"reduced precision found in {sorted(found, key=str)}, "
+        f"allowed only in {sorted(SINGLE_PRECISION_FUNCTIONS)}")
+
+
+def test_artifacts_and_result_are_double_precision(tmp_path):
+    """Every numeric array in every posterior, chain and aggregate file of a
+    small pp run, and every array of its ``FactorizationResult``, is
+    float64: the sampler's float32 sums do not leak into artifacts or
+    aggregation."""
+    matrix, _ = data.simulate(40, 30, 2, 1.0, seed=1)
+    train, _ = data.split_random(matrix, 0.5, seed=2)
+    config = pipeline.RunConfig(n_factors=2, tau=1.0, n_iters=20, burn_in=10, thin=2,
+                                seed=3, workers=1, save_chains=True, approximation="gmm",
+                                partition_rows=2, partition_cols=2)
+    result = pipeline.run_pp(train, config, run_dir=str(tmp_path))
+    dtypes = {}
+    for path in sorted(tmp_path.rglob("*.npz")):
+        with np.load(path) as npz:
+            for key in npz.files:
+                if npz[key].dtype.kind != "U":  # headers and configs are JSON text
+                    dtypes[f"{path.relative_to(tmp_path).as_posix()}:{key}"] = npz[key].dtype
+    for name in ("x_mean", "w_mean", "x_precisions", "w_precisions"):
+        dtypes[f"FactorizationResult.{name}"] = getattr(result, name).dtype
+    assert {key.split("/")[0] for key in dtypes} >= {
+        "stage1", "stage2", "stage3", "aggregate", "chains"}
+    narrow = sorted(key for key, dtype in dtypes.items() if dtype != np.float64)
+    assert not narrow, f"arrays not float64: {narrow}"
