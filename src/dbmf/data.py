@@ -564,12 +564,10 @@ def order_matrix(matrix: SparseMatrix, scheme: str,
                 np.arange(matrix.n_cols, dtype=np.int64))
     if scheme == "random":
         rng = _rng(seed)
-        return (rng.permutation(matrix.n_rows).astype(np.int64),
-                rng.permutation(matrix.n_cols).astype(np.int64))
+        return rng.permutation(matrix.n_rows), rng.permutation(matrix.n_cols)
     if scheme == "decreasing":
-        def by_count(counts):
-            return np.lexsort((np.arange(counts.size), -counts)).astype(np.int64)
-        return by_count(matrix.row_counts()), by_count(matrix.col_counts())
+        return (np.argsort(-matrix.row_counts(), kind="stable"),
+                np.argsort(-matrix.col_counts(), kind="stable"))
     raise ValidationError(f"unknown ordering scheme: {scheme!r}")
 
 

@@ -28,6 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .aggregate import ep_aggregate, staged_aggregate
 from .approx import (PosteriorSet, _fixed_lambda, derive_seed, fit_rows,
@@ -171,31 +172,22 @@ def build_plan(matrix: SparseMatrix, config: RunConfig) -> PartitionPlan:
 
 
 def extract_blocks(matrix: SparseMatrix, plan: PartitionPlan) -> dict:
-    """Split entries into per-block matrices with block-local indices, each
-    block's entries in (row, column) order."""
+    """Split entries into per-block matrices with block-local indices.
+
+    Each block is a slice of one canonical CSR matrix of the permuted
+    entries, so its entries come in (row, column) order: rows nondecreasing,
+    columns strictly increasing within a row.  The order matters because the
+    sampler's CSR build finds the block already canonical and skips scipy's
+    index sort."""
     inv_r, inv_c = plan.inverse_perms()
-    row_block = np.searchsorted(plan.row_cuts, inv_r, side="right") - 1
-    col_block = np.searchsorted(plan.col_cuts, inv_c, side="right") - 1
-    # Per entry: its block-local row and column, and its column block.
-    rows = (inv_r - plan.row_cuts[row_block])[matrix.rows]
-    cols = (inv_c - plan.col_cuts[col_block])[matrix.cols]
-    bj = col_block[matrix.cols]
-    # Block (i, j) numbers its cells row-major from starts[i, j], after the
-    # blocks above it and to its left, so every key is below n_rows * n_cols.
-    heights, widths = np.diff(plan.row_cuts), np.diff(plan.col_cuts)
-    starts = (plan.row_cuts[:-1, None] * plan.n_cols
-              + heights[:, None] * plan.col_cuts[:-1]).ravel()
-    key = starts[row_block[matrix.rows] * plan.n_col_blocks + bj]
-    key += rows * widths[bj]
-    key += cols
-    order = np.argsort(key)
-    bounds = np.append(np.searchsorted(key[order], starts), matrix.m)
+    permuted = sparse.csr_array((matrix.vals, (inv_r[matrix.rows], inv_c[matrix.cols])),
+                                shape=(plan.n_rows, plan.n_cols))
     blocks = {}
-    for b, (i, j) in enumerate(np.ndindex(plan.n_row_blocks, plan.n_col_blocks)):
+    for i, j in np.ndindex(plan.n_row_blocks, plan.n_col_blocks):
         (r_lo, r_hi), (c_lo, c_hi) = plan.row_range(i), plan.col_range(j)
-        sel = order[bounds[b]:bounds[b + 1]]
-        blocks[(i, j)] = SparseMatrix(r_hi - r_lo, c_hi - c_lo, rows[sel], cols[sel],
-                                      matrix.vals[sel])
+        block = permuted[r_lo:r_hi, c_lo:c_hi].tocoo()
+        blocks[(i, j)] = SparseMatrix(r_hi - r_lo, c_hi - c_lo, block.row, block.col,
+                                      block.data)
     return blocks
 
 

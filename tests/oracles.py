@@ -18,6 +18,7 @@ from scipy.spatial.distance import pdist
 
 from dbmf.approx import COV_RIDGE, PosteriorSet
 from dbmf.approx import fit_rows as approx_fit_rows
+from dbmf.data import PartitionPlan, SparseMatrix
 from dbmf.errors import NumericalError, ValidationError
 from dbmf.sampler import CHOL_JITTER, GibbsConfig, SampleChain
 
@@ -299,6 +300,39 @@ def structured_rescale_factor(probs: np.ndarray, target_fraction: float) -> floa
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Block extraction by a hand-built sort key
+# ---------------------------------------------------------------------------
+
+def extract_blocks_by_key(matrix: SparseMatrix, plan: PartitionPlan) -> dict:
+    """Split entries into per-block matrices with block-local indices, each
+    block's entries in (row, column) order."""
+    inv_r, inv_c = plan.inverse_perms()
+    row_block = np.searchsorted(plan.row_cuts, inv_r, side="right") - 1
+    col_block = np.searchsorted(plan.col_cuts, inv_c, side="right") - 1
+    # Per entry: its block-local row and column, and its column block.
+    rows = (inv_r - plan.row_cuts[row_block])[matrix.rows]
+    cols = (inv_c - plan.col_cuts[col_block])[matrix.cols]
+    bj = col_block[matrix.cols]
+    # Block (i, j) numbers its cells row-major from starts[i, j], after the
+    # blocks above it and to its left, so every key is below n_rows * n_cols.
+    heights, widths = np.diff(plan.row_cuts), np.diff(plan.col_cuts)
+    starts = (plan.row_cuts[:-1, None] * plan.n_cols
+              + heights[:, None] * plan.col_cuts[:-1]).ravel()
+    key = starts[row_block[matrix.rows] * plan.n_col_blocks + bj]
+    key += rows * widths[bj]
+    key += cols
+    order = np.argsort(key)
+    bounds = np.append(np.searchsorted(key[order], starts), matrix.m)
+    blocks = {}
+    for b, (i, j) in enumerate(np.ndindex(plan.n_row_blocks, plan.n_col_blocks)):
+        (r_lo, r_hi), (c_lo, c_hi) = plan.row_range(i), plan.col_range(j)
+        sel = order[bounds[b]:bounds[b + 1]]
+        blocks[(i, j)] = SparseMatrix(r_hi - r_lo, c_hi - c_lo, rows[sel], cols[sel],
+                                      matrix.vals[sel])
+    return blocks
 
 
 # ---------------------------------------------------------------------------

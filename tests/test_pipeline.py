@@ -157,6 +157,39 @@ class TestExtractBlocks:
                 orig_c = plan.col_perm[c_lo + c]
                 assert dense[orig_r, orig_c] == v
 
+    @pytest.mark.parametrize("grid", [(1, 1), (2, 3), (3, 3), (6, 6)], ids="{0[0]}x{0[1]}".format)
+    @pytest.mark.parametrize("ordering", ["decreasing", "random", "none"])
+    @pytest.mark.parametrize("source", ["small_data", "sparse"])
+    def test_blocks_equal_key_sort_oracle_in_csr_order(self, small_data, source, ordering, grid):
+        if source == "small_data":
+            matrix = small_data[0]
+        else:
+            # 13 entries over 13x11: most blocks of a fine grid are empty, and
+            # most rows inside a nonempty block are too; -0.0 and 0.0 keep their bits.
+            rows = [0, 0, 0, 2, 2, 5, 7, 7, 9, 12, 12, 12, 3]
+            cols = [0, 4, 10, 1, 9, 5, 0, 6, 2, 3, 8, 10, 7]
+            vals = [1.5, -2.0, 0.0, -0.0, 3.25, 7.0, -1.0, 2.5, 4.0, 0.5, -3.5, 6.0, 1e-300]
+            matrix = data.SparseMatrix(13, 11, np.array(rows), np.array(cols), np.array(vals))
+        plan = data.partition(matrix, data.order_matrix(matrix, ordering, seed=5), *grid)
+        blocks = pipeline.extract_blocks(matrix, plan)
+        expected = oracles.extract_blocks_by_key(matrix, plan)
+        assert list(blocks) == list(expected)
+        if source == "sparse" and grid == (6, 6):
+            assert any(block.m == 0 for block in blocks.values())
+        for key, block in blocks.items():
+            want = expected[key]
+            assert (block.n_rows, block.n_cols) == (want.n_rows, want.n_cols)
+            assert block.rows.dtype == block.cols.dtype == np.int64
+            assert block.vals.dtype == np.float64
+            assert np.array_equal(block.rows, want.rows)
+            assert np.array_equal(block.cols, want.cols)
+            assert np.array_equal(block.vals.view(np.int64), want.vals.view(np.int64))
+            # Canonical CSR order: rows nondecreasing, columns strictly
+            # increasing within a row.
+            row_steps = np.diff(block.rows)
+            assert np.all(row_steps >= 0)
+            assert np.all(np.diff(block.cols)[row_steps == 0] > 0)
+
 
 class TestCostModel:
     def test_single_worker_closed_form(self):
