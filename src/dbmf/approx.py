@@ -570,7 +570,7 @@ def load_posterior_file(path) -> PosteriorSet:
     """Load a posterior file; raises ArtifactError on missing or corrupt
     input, and on arrays that break the posterior contract."""
     try:
-        with np.load(path) as npz:
+        with open(path, "rb") as fh, np.load(fh) as npz:
             header = json.loads(str(npz["header"]))
             if not (isinstance(header, dict) and header.get("kind") in ("gaussian", "gmm")
                     and type(header.get("k")) is int and header["k"] >= 1):

@@ -40,10 +40,10 @@ class SparseMatrix:
 
     Entries are stored as three parallel arrays (row index, column index,
     value).  Every (row, col) pair appears at most once; indices are
-    0-based and in range; values are finite.  Every construction checks
-    this, derived matrices (splits, blocks) included: the check is a bounds
-    test, a finiteness test plus one sort of the flattened keys, and a
-    violation raises ``ValidationError``.
+    0-based and in range; values are finite; the shape has fewer than 2**63
+    cells.  Every construction checks this, derived matrices (splits,
+    blocks) included: the check is a bounds test, a finiteness test plus one
+    sort of the flattened keys, and a violation raises ``ValidationError``.
     File syntax is checked before, by ``load_triplets``.
     """
 
@@ -63,6 +63,8 @@ class SparseMatrix:
             raise ValidationError("entry arrays must be 1-D")
         self.n_rows = check_int("n_rows", self.n_rows)
         self.n_cols = check_int("n_cols", self.n_cols)
+        if self.n_rows * self.n_cols >= 2 ** 63:  # the duplicate check's cell keys are int64
+            raise ValidationError(f"shape {self.n_rows} x {self.n_cols} has 2**63 or more cells")
         if self.m:
             if self.rows.min() < 0 or self.rows.max() >= self.n_rows:
                 raise ValidationError("row index out of range")

@@ -289,19 +289,16 @@ def _run_block_task(task: _BlockTask) -> dict:
 
 def _run_layer(pool, label: str, tasks: list[_BlockTask]) -> dict:
     """Run one layer's blocks, in this process or in ``pool``, and return
-    the layer's timings.  A worker's death is a ``PipelineError`` naming the
-    layer and its unfinished blocks."""
-    if pool is None:
-        results = [_run_block_task(task) for task in tasks]
-    else:
-        futures = [pool.submit(_run_block_task, task) for task in tasks]
-        try:
-            results = [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            lost = ", ".join(f"({t.key[0]},{t.key[1]})" for t, f in zip(tasks, futures)
-                             if not f.done() or f.exception() is not None)
-            raise PipelineError(
-                f"stage {label}: a worker process died; blocks not finished: {lost}") from exc
+    the layer's timings.  The first failing block stops the layer; a
+    worker's death is a ``PipelineError`` naming the layer and the blocks
+    whose results were not collected."""
+    results = []
+    try:
+        results.extend((map if pool is None else pool.map)(_run_block_task, tasks))
+    except BrokenProcessPool as exc:
+        lost = ", ".join(f"({t.key[0]},{t.key[1]})" for t in tasks[len(results):])
+        raise PipelineError(
+            f"stage {label}: a worker process died; blocks not collected: {lost}") from exc
     return {"blocks": {f"{t.key[0]},{t.key[1]}": r for t, r in zip(tasks, results)},
             "max_seconds": max(r["seconds"] for r in results)}
 
@@ -367,9 +364,9 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
 
     ``layers`` lists (label, entries); an entry is (block, x-prior block,
     w-prior block), a prior block being the block whose posterior file of
-    that side is handed in, or None for the shared prior.  A layer starts
-    once the files of the layers before it are written.  With
-    ``workers > 1`` one process pool runs every block of the run.
+    that side is handed in, or None for the shared prior.  Layers run in
+    order, each once the files of the ones before it exist, in this process
+    or, if ``min(workers, widest layer)`` is 2 or more, in a pool that size.
     """
     plan = build_plan(train, config)
     _make_run_dir(run_dir, config.save_chains)
@@ -379,9 +376,9 @@ def _run(method, train, config, run_dir, layers, rule) -> FactorizationResult:
 
     stage_timings = {}
     run_start = time.perf_counter()
-    width = max(len(entries) for _, entries in layers)
-    with (ProcessPoolExecutor(max_workers=min(config.workers, width))
-          if config.workers > 1 else contextlib.nullcontext()) as pool:
+    processes = min(config.workers, max(len(entries) for _, entries in layers))
+    with (ProcessPoolExecutor(max_workers=processes) if processes > 1
+          else contextlib.nullcontext()) as pool:
         for label, entries in layers:
             if entries:
                 tasks = [_BlockTask(key, blocks[key], run_dir, config, x_from, w_from,

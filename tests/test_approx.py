@@ -302,6 +302,8 @@ class TestFitRows:
         (dict(lam_policy=True), "lam_policy"),
         (dict(top_n=2.5), "top_n"),
         (dict(top_n=True), "top_n"),
+        (dict(samples=np.ones((10, 3))), r"expected samples of shape \(S, R, K\)"),
+        (dict(samples=np.ones((10, 0, 2))), r"expected samples of shape \(S, R, K\)"),
     ])
     def test_arguments_checked_before_row_work(self, monkeypatch, kind, args, message):
         def no_row_work(*_):
@@ -578,6 +580,9 @@ class TestPosteriorFiles:
         ("gmm", "stored means", slice(-1), None, "corrupt posterior file"),
         # a zero-weight slot may come first in its row
         ("gmm", "weights", (1,), np.array([0.0, 1.0]), None),
+        # means of K=1 under a header and precisions of K=2
+        ("gaussian", "stored means", (slice(None), slice(1)), None,
+         "means, precisions and weights do not hold the same K=2 components"),
     ])
     def test_invalid_posteriors_rejected_at_load(self, tmp_path, kind, field, index, value,
                                                  message):

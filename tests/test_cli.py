@@ -182,6 +182,16 @@ class TestRun:
         assert code == 2
         assert "train.txt:2:" in capsys.readouterr().err
 
+    def test_shape_of_2_63_cells_or_more_is_validation_error(self, tmp_path, capsys):
+        train, out = tmp_path / "train.txt", tmp_path / "run"
+        train.write_text("0 0 1.0\n16777216 0 2.0\n0 1099511627775 3.0\n")
+        code = run_cli(["run", "--train", str(train), "--factors", "1", "--tau", "1.0",
+                        "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(train) in err and "has 2**63 or more cells" in err
+        assert not out.exists()
+
 
     def test_non_utf8_train_file_is_validation_error(self, tmp_path, capsys):
         train = tmp_path / "train.txt"

@@ -133,6 +133,23 @@ class TestSparseMatrix:
         with pytest.raises(ValidationError, match=f"^{field} must hold integers"):
             data.SparseMatrix(3, 3, rows, cols, [1.0, 2.0])
 
+    @pytest.mark.parametrize("rows, cols, vals, message", [
+        ([0, 1], [0], [1.0, 2.0], "rows, cols and vals must have equal length"),
+        ([[0, 1]], [[0, 1]], [[1.0, 2.0]], "entry arrays must be 1-D")],
+        ids=["unequal-lengths", "2-D"])
+    def test_entry_arrays_are_parallel_1d(self, rows, cols, vals, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            data.SparseMatrix(3, 3, rows, cols, vals)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(2**40, 2**40), (2**32, 2**31)])
+    def test_shape_of_2_63_cells_or_more_rejected(self, n_rows, n_cols):
+        # The duplicate check's int64 keys row * n_cols + col would wrap:
+        # at 2**40 columns, cell (2**24, 0) has the key of cell (0, 0).
+        with pytest.raises(ValidationError,
+                           match=rf"^shape {n_rows} x {n_cols} has 2\*\*63 or more cells"):
+            data.SparseMatrix(n_rows, n_cols, [0, 2**24], [0, 0], [1.0, 2.0])
+        assert data.SparseMatrix(1, 2**63 - 1, [0, 0], [0, 2**63 - 2], [1.0, 2.0]).m == 2
+
     def test_integer_index_arrays_kept(self):
         rows = np.array([0, 2])
         m = data.SparseMatrix(3, 3, rows, np.array([1, 0], dtype=np.int32), [1.0, 2.0])
@@ -197,9 +214,21 @@ class TestLoadTriplets:
             data.load_triplets(path)
         assert str(path) in str(err.value)
 
+    def test_shape_of_2_63_cells_or_more_rejected(self, tmp_path):
+        # No cell repeats, yet wrapped int64 cell keys would report one.
+        path = tmp_path / "huge.txt"
+        path.write_text("0 0 1.0\n16777216 0 2.0\n0 1099511627775 3.0\n")
+        with pytest.raises(ValidationError,
+                           match=r"shape 16777217 x 1099511627776 has 2\*\*63 or more cells"):
+            data.load_triplets(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactError):
             data.load_triplets(tmp_path / "nope.txt")
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="^unknown triplet format: 'csv'"):
+            data.load_triplets(tmp_path / "m.csv", fmt="csv")
 
     def test_movielens_compaction(self, tmp_path):
         path = tmp_path / "ratings.dat"
@@ -499,6 +528,12 @@ class TestSplitRandom:
         with pytest.raises(ValidationError, match="^test_fraction must be a finite real"):
             data.split_random(m, "0.5", seed=0)
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        m, _ = data.simulate(4, 4, 1, 1.0, seed=0)
+        with pytest.raises(ValidationError, match=r"^test_fraction must lie in \(0, 1\)"):
+            data.split_random(m, fraction, seed=0)
+
 
 class TestSplitStructured:
     def test_weights_endpoints(self):
@@ -543,6 +578,21 @@ class TestSplitStructured:
             want = oracles.structured_rescale_factor(probs, target)
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), trial
 
+    @pytest.mark.parametrize("probs, target, message", [
+        ([0.5, 0.25], 0.0, r"^target_fraction must lie in \(0, 1\)"),
+        ([0.5, 0.25], 1.0, r"^target_fraction must lie in \(0, 1\)"),
+        ([0.0, 0.0], 0.5, "^no positive assignment probabilities"),
+        ([], 0.5, "^no positive assignment probabilities"),
+        ([1e-20, 0.0], 0.6, "^target fraction unattainable")],  # at most half the cells
+        ids=["target-0", "target-1", "all-zero", "empty", "unattainable"])
+    def test_rescale_factor_rejects(self, probs, target, message):
+        with pytest.raises(ValidationError, match=message):
+            data.structured_rescale_factor(np.array(probs), target)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="^cannot split an empty matrix"):
+            data.split_structured(make_matrix(2, 2, [], [], []), seed=0)
+
     def test_unknown_mode(self):
         m = make_matrix(1, 2, [0, 0], [0, 1], [1.0, 2.0])
         with pytest.raises(ValidationError):
@@ -580,6 +630,11 @@ class TestOrderMatrix:
         m, _ = data.simulate(4, 5, 1, 1.0, seed=0)
         rp, cp = data.order_matrix(m, "none")
         assert rp.tolist() == list(range(4)) and cp.tolist() == list(range(5))
+
+    def test_unknown_scheme_rejected(self):
+        m, _ = data.simulate(4, 5, 1, 1.0, seed=0)
+        with pytest.raises(ValidationError, match="^unknown ordering scheme: 'bogus'"):
+            data.order_matrix(m, "bogus")
 
     def test_decreasing_property_randomized(self):
         rng = np.random.default_rng(0)
@@ -625,8 +680,10 @@ class TestPartition:
 
     def test_too_many_blocks(self):
         m, _ = data.simulate(3, 3, 1, 1.0, seed=0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^need 1 <= r <= 3, got 4"):
             data.partition(m, data.order_matrix(m, "none"), 4, 1)
+        with pytest.raises(ValidationError, match="^need 1 <= c <= 3, got 4"):
+            data.partition(m, data.order_matrix(m, "none"), 1, 4)
 
     @pytest.mark.parametrize("blocks, field", [((2.5, 1), "n_row_blocks"),
                                                ((True, 1), "n_row_blocks"),

@@ -156,6 +156,10 @@ class TestAlignment:
                 corr = np.corrcoef(a[:, col], aligned[:, col])[0, 1]
                 assert corr == pytest.approx(1.0, abs=1e-10)
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError, match="^matrices must have the same shape"):
+            evaluate.align_latent_dimensions(np.zeros((5, 2)), np.zeros((5, 3)))
+
     def test_zero_variance_column(self):
         a = np.column_stack([np.ones(10), np.arange(10.0)])
         b = a.copy()

@@ -2,6 +2,7 @@ import glob
 import hashlib
 import json
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import oracles
 from dbmf import aggregate, artifacts, data, evaluate, pipeline
 from dbmf.approx import PosteriorSet, load_posterior_file, save_posterior_file
-from dbmf.errors import ArtifactError, PipelineError, ValidationError
+from dbmf.errors import ArtifactError, NumericalError, PipelineError, ValidationError
 from dbmf.sampler import GibbsConfig, SampleChain, predict
 
 
@@ -325,8 +326,13 @@ class TestStagedPipeline:
         assert serial == artifact_digests(tmp_path / "c")
 
     @pytest.mark.parametrize("run, grid, workers, pools", [
-        (pipeline.run_pp, 3, 2, 1), (pipeline.run_ep, 2, 2, 1),
-        (pipeline.run_pp, 3, 1, 0), (pipeline.run_ep, 2, 1, 0),
+        pytest.param(pipeline.run_pp, (3, 3), 2, 1, id="run_pp-3-2-1"),
+        pytest.param(pipeline.run_ep, (2, 2), 2, 1, id="run_ep-2-2-1"),
+        pytest.param(pipeline.run_pp, (3, 3), 1, 0, id="run_pp-3-1-0"),
+        pytest.param(pipeline.run_ep, (2, 2), 1, 0, id="run_ep-2-1-0"),
+        # every layer holds one block: nothing can run next to it
+        pytest.param(pipeline.run_full, (1, 1), 2, 0, id="run_full-1x1-2-0"),
+        pytest.param(pipeline.run_pp, (1, 2), 2, 0, id="run_pp-1x2-2-0"),
     ])
     def test_one_process_pool_per_run(self, small_data, tmp_path, monkeypatch,
                                       run, grid, workers, pools):
@@ -334,14 +340,14 @@ class TestStagedPipeline:
 
         class CountingPool(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                made.append(1)
+                made.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CountingPool)
         train, _ = small_data
-        cfg = quick_config(workers=workers, partition_rows=grid, partition_cols=grid)
+        cfg = quick_config(workers=workers, partition_rows=grid[0], partition_cols=grid[1])
         run(train, cfg, run_dir=tmp_path / "run")
-        assert len(made) == pools
+        assert made == [2] * pools
 
     def test_worker_death_names_stage_and_exits_4(self, small_data, tmp_path, monkeypatch):
         parent = os.getpid()
@@ -360,6 +366,25 @@ class TestStagedPipeline:
             pipeline.run_pp(train, cfg, run_dir=tmp_path / "dies")
         assert info.value.exit_code == 4
         assert not os.listdir(tmp_path / "dies" / "stage2")
+
+    def test_first_failing_block_stops_its_layer(self, small_data, tmp_path, monkeypatch):
+        real_gibbs_run = pipeline.gibbs_run
+        cfg = quick_config(workers=2, partition_rows=3, partition_cols=3)
+        failing_seed = pipeline.derive_seed(cfg.seed, 1, 0, 0)  # block (0,0)
+
+        def fails_first(block, priors, nw, config):
+            if config.seed == failing_seed:
+                raise NumericalError("injected failure")
+            time.sleep(0.5)
+            return real_gibbs_run(block, priors, nw, config)
+
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(pipeline, "gibbs_run", fails_first)
+        with pytest.raises(NumericalError, match="injected failure") as info:
+            pipeline.run_ep(small_data[0], cfg, run_dir=tmp_path / "fails")
+        assert info.value.exit_code == 3
+        # blocks still queued when (0,0) failed never start
+        assert not glob.glob(str(tmp_path / "fails" / "stage3" / "*_2_2.npz"))
 
     def test_row_only_partition_skips_stage_three(self, small_data, tmp_path):
         train, _ = small_data

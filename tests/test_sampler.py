@@ -157,6 +157,8 @@ class TestNormalWishart:
             sampler.NormalWishartPrior(np.zeros(2), 1.0, np.eye(2), 1.0)  # nu0 < K
         with pytest.raises(ValidationError):
             sampler.NormalWishartPrior(np.zeros(2), 1.0, -np.eye(2), 2.0)
+        with pytest.raises(ValidationError, match="^w0 shape does not match mu0"):
+            sampler.NormalWishartPrior(np.zeros(2), 1.0, np.eye(3), 3.0)
 
     @pytest.mark.parametrize("field, value", [
         ("mu0", np.array([np.nan, 0.0])), ("beta0", np.nan), ("beta0", np.inf),
@@ -310,6 +312,11 @@ class TestGibbsRun:
         with pytest.raises(ValidationError):
             sampler.gibbs_run(mat, (None, None),
                               nw_prior(1), self.config())
+
+    def test_prior_dimension_must_match_factors(self):
+        mat = tiny_matrix(np.random.default_rng(14))
+        with pytest.raises(ValidationError, match="^normal-Wishart prior dimension != n_factors"):
+            sampler.gibbs_run(mat, (None, None), nw_prior(2), self.config())
 
     def test_coverage_validation(self):
         rng = np.random.default_rng(14)
@@ -627,6 +634,9 @@ class TestPredict:
         with pytest.raises(ValidationError):
             sampler.predict(np.zeros((2, 1)), np.zeros((2, 1)),
                             np.array([2]), np.array([0]))
+        with pytest.raises(ValidationError, match="^column index out of range"):
+            sampler.predict(np.zeros((2, 1)), np.zeros((2, 1)),
+                            np.array([0]), np.array([-1]))
 
     @pytest.mark.parametrize("rows, cols, field", [
         (np.array([0.7]), np.array([1]), "rows"), (np.array([0]), np.array([1.2]), "cols"),
