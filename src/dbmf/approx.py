@@ -38,8 +38,8 @@ logger = logging.getLogger(__name__)
 # absolute floor so degenerate (zero-spread) clouds stay invertible.
 COV_RIDGE = 1e-8
 
-# Samples per row behind the default ("median-pairwise") lambda, and the
-# iteration cap of lambda-means.
+# Evenly spaced samples per row behind the default ("median-pairwise")
+# lambda, and the iteration cap of lambda-means.
 LAMBDA_SUBSAMPLE = 100
 LAMBDA_MEANS_ITERS = 100
 
@@ -331,10 +331,6 @@ def median_pairwise_lambda(x: np.ndarray) -> np.ndarray:
     return np.where(med > 0, med, 1.0)
 
 
-def _subsample(n: int, size: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).choice(n, size=size, replace=False)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian fits
 # ---------------------------------------------------------------------------
@@ -485,22 +481,16 @@ def _fixed_lambda(lam_policy) -> float | None:
     return check_real("lam_policy", lam_policy, positive=True)
 
 
-def derive_seed(master_seed: int, *key: int) -> int:
-    """Deterministic stream seed from the master seed and a structured key."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
-             top_n: int = 3, seed: int = 0) -> PosteriorSet:
+             top_n: int = 3) -> PosteriorSet:
     """Fit every row of a chain sample block ``(S, R, K)`` independently.
 
     ``kind`` is "mm", "dm" or "gmm".  ``lam_policy`` is either the string
     "median-pairwise" (per-row adaptive lambda) or a fixed positive finite
     number.  Every argument is checked before any row is fitted.  The dm
     and gmm fits run over all rows at once, with results bitwise equal to
-    fitting each row alone; a row's lambda subsample (when
-    S > ``LAMBDA_SUBSAMPLE``) is seeded from ``SeedSequence(seed, (row,))``.
+    fitting each row alone.  The default lambda of a row reads its m = min(S,
+    ``LAMBDA_SUBSAMPLE``) evenly spaced draws ``s * S // m``; fits take no seed.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 3 or 0 in samples.shape[1:]:
@@ -518,12 +508,9 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
         return PosteriorSet(*_gaussian_fits(x))
     if lam is not None:
         lams = np.full(n_rows, lam)
-    elif n_samples > LAMBDA_SUBSAMPLE:
-        picks = [_subsample(n_samples, LAMBDA_SUBSAMPLE, derive_seed(seed, i))
-                 for i in range(n_rows)]
-        lams = median_pairwise_lambda(x[np.arange(n_rows)[:, None], np.array(picks)])
     else:
-        lams = median_pairwise_lambda(x)
+        m = min(n_samples, LAMBDA_SUBSAMPLE)
+        lams = median_pairwise_lambda(x[:, np.arange(m) * n_samples // m])
     return _fit_clusters(x, lams, kind, top_n)
 
 

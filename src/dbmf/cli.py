@@ -228,9 +228,9 @@ def cmd_evaluate(args) -> int:
                                   "training entries")
         edges = evaluate.check_bin_edges(_comma_list(float, args.bins, "--bins") + [math.inf],
                                          "--bins")
-    pipeline.read_run_config(args.run)  # a finished run directory, checked first
     if not args.test:
         raise ValidationError("--test is required to compute RMSE")
+    pipeline.read_run_config(args.run)  # a finished run directory, before any file is read
     test = data.load_triplets(args.test)
     train = data.load_triplets(args.train) if args.train else None
 

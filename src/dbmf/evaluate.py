@@ -174,9 +174,9 @@ def subset_mean_correlations(run_dir) -> list[PairCorrelation]:
 
 
 def wts(full_time: float, distributed_time: float) -> float:
-    """Wall-clock time speed-up: full-data time over distributed time."""
+    """Ledger speed-up: the full run's ledger total over the distributed run's."""
     if full_time <= 0 or distributed_time <= 0:
-        raise ValidationError("wall-clock times must be positive")
+        raise ValidationError("ledger times must be positive")
     return full_time / distributed_time
 
 
@@ -200,10 +200,12 @@ def repair_rates(run_dir, precisions: dict[str, np.ndarray]) -> list[RepairRate]
     relative: dict[tuple[str, str], list[float]] = {}
     try:
         for event in pipeline.read_corrections(run_dir)["events"]:
-            side, row = event["side"], event["row"]
+            side, row, where = event["side"], event["row"], event["where"]
             if type(row) is not int or not 0 <= row < precisions[side].shape[0]:
                 raise IndexError(f"{side} row {row!r} is not an index of the side")
-            relative.setdefault((side, event["where"]), []).append(
+            if type(where) is not str:
+                raise TypeError(f"step {where!r} is not a string")
+            relative.setdefault((side, where), []).append(
                 float(event["shift"]) / np.diagonal(precisions[side][row]).mean())
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise ArtifactError(f"malformed corrections.json in {run_dir}: {exc!r}") from exc
@@ -263,7 +265,7 @@ class MetricReport:
 
 
 def csv_row(partition: str, method: str, seed: int, rmse_value: float,
-            wall_clock: float) -> str:
+            ledger_total: float) -> str:
     """One plotting-friendly CSV line (header: partition,method,seed,rmse,seconds,wts);
-    the ``wts`` field is left empty."""
-    return f"{partition},{method},{seed},{rmse_value:.6f},{wall_clock:.3f},"
+    ``seconds`` is the run's ledger total, and the ``wts`` field is left empty."""
+    return f"{partition},{method},{seed},{rmse_value:.6f},{ledger_total:.3f},"

@@ -31,8 +31,8 @@ import numpy as np
 from scipy import sparse
 
 from .aggregate import ep_aggregate, staged_aggregate
-from .approx import (PosteriorSet, _fixed_lambda, derive_seed, fit_rows,
-                     load_posterior_file, save_posterior_file)
+from .approx import (PosteriorSet, _fixed_lambda, fit_rows, load_posterior_file,
+                     save_posterior_file)
 from .artifacts import write_json
 from .data import PartitionPlan, SparseMatrix, check_int, check_real, order_matrix, partition
 from .errors import ArtifactError, PipelineError, ValidationError
@@ -150,6 +150,12 @@ def cost_model_eval(cm: CostModel) -> CostEval:
 # ---------------------------------------------------------------------------
 # Seeds, layout, plan
 # ---------------------------------------------------------------------------
+
+def derive_seed(master_seed: int, *key: int) -> int:
+    """Deterministic stream seed from the master seed and a structured key."""
+    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
 
 def stage_of(i: int, j: int) -> int:
     if i == 0 and j == 0:
@@ -280,8 +286,7 @@ def _run_block_task(task: _BlockTask) -> dict:
                 *(np.broadcast_to(a, (hi - lo, *a.shape)) for a in nw.nominal_row))
         else:
             pset = fit_rows((chain.x_samples, chain.w_samples)[side], config.approximation,
-                            lam_policy=config.lambda_policy, top_n=config.top_n,
-                            seed=derive_seed(config.seed, stage, i, j, side + 1))
+                            lam_policy=config.lambda_policy, top_n=config.top_n)
         save_posterior_file(posterior_path(task.run_dir, name, i, j), pset, side=name,
                             row_start=lo, row_stop=hi, stage=stage, block=[i, j])
     return {"seconds": time.perf_counter() - t0, "started": started, "finished": time.time()}

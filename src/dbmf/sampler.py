@@ -362,6 +362,10 @@ def gibbs_run(subset: SparseMatrix, priors: tuple[PosteriorSet | None, Posterior
     k = config.n_factors
     if nw_prior.k != k:
         raise ValidationError("normal-Wishart prior dimension != n_factors")
+    for prior, name in zip(priors, "XW"):
+        if prior is not None and prior.k != k:
+            raise ValidationError(f"propagated {name} prior has dimension {prior.k}, "
+                                  f"n_factors is {k}")
     rng = np.random.default_rng(config.seed)
 
     # Per side, X then W: its (indicator, value) pair, prior state and rows.

@@ -451,12 +451,14 @@ def lambda_means(samples: np.ndarray, lam: float, max_iters: int = 100):
     return assignments, np.array(centers), iterations, converged
 
 
-def median_pairwise_lambda(samples: np.ndarray, seed: int = 0, subsample: int = 100) -> float:
-    """Median ``pdist`` distance of a seeded subsample; 1.0 when not positive."""
+def median_pairwise_lambda(samples: np.ndarray, subsample: int = 100) -> float:
+    """Median ``pdist`` distance of ``subsample`` evenly spaced samples, the
+    s-th being sample ``floor(s * n / subsample)``, or of all n when n is no
+    larger; 1.0 when not positive."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     n = samples.shape[0]
     if n > subsample:
-        samples = samples[np.random.default_rng(seed).choice(n, size=subsample, replace=False)]
+        samples = samples[[s * n // subsample for s in range(subsample)]]
     if samples.shape[0] < 2:
         return 1.0
     med = float(np.median(pdist(samples)))
@@ -548,18 +550,16 @@ def write_posterior_file(path, posteriors: PosteriorSet, **header) -> None:
 
 
 def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
-             top_n: int = 3, seed: int = 0) -> PosteriorSet:
-    """``approx.fit_rows`` with the dm and gmm fits made row by row; each
-    row's lambda subsample is seeded from ``SeedSequence(seed, (row,))``."""
+             top_n: int = 3) -> PosteriorSet:
+    """``approx.fit_rows`` with the dm and gmm fits made row by row, each
+    row's default lambda from its evenly spaced samples."""
     samples = np.asarray(samples, dtype=np.float64)
     if kind == "mm":
-        return approx_fit_rows(samples, kind, lam_policy, top_n, seed)
+        return approx_fit_rows(samples, kind, lam_policy, top_n)
 
     def row_lambda(i):
         if lam_policy == "median-pairwise":
-            row_seed = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-            sub_seed = int(row_seed.generate_state(1, dtype=np.uint64)[0])
-            return median_pairwise_lambda(samples[:, i, :], seed=sub_seed)
+            return median_pairwise_lambda(samples[:, i, :])
         return float(lam_policy)
 
     rows = range(samples.shape[1])

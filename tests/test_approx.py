@@ -5,6 +5,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 import oracles
 from dbmf import approx
@@ -280,9 +281,9 @@ class TestFitRows:
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((40, 3, 2))
         for kind in ("mm", "dm", "gmm"):
-            pset = approx.fit_rows(samples, kind, lam_policy=2.0, seed=1)
+            pset = approx.fit_rows(samples, kind, lam_policy=2.0)
             assert pset.n_rows == 3
-            pset2 = approx.fit_rows(samples, kind, seed=1)  # median-pairwise
+            pset2 = approx.fit_rows(samples, kind)  # median-pairwise
             assert pset2.n_rows == 3
 
     def test_unknown_kind(self):
@@ -364,24 +365,41 @@ class TestBatchedAgainstOracle:
         if n_samples == 200:
             samples = samples[:, [2, 4, 5]]  # the oracle needs seconds per cycling row
         for policy in ("median-pairwise", float(rng.uniform(0.5, 3.0)), 1e-3):
-            self._assert_same(approx.fit_rows(samples, "dm", policy, seed=3),
-                              oracles.fit_rows(samples, "dm", policy, seed=3))
+            self._assert_same(approx.fit_rows(samples, "dm", policy),
+                              oracles.fit_rows(samples, "dm", policy))
             for top_n in (1, 3):
-                self._assert_same(approx.fit_rows(samples, "gmm", policy, top_n, seed=3),
-                                  oracles.fit_rows(samples, "gmm", policy, top_n, seed=3))
+                self._assert_same(approx.fit_rows(samples, "gmm", policy, top_n),
+                                  oracles.fit_rows(samples, "gmm", policy, top_n))
 
     def test_median_pairwise_lambda_bitwise(self):
         rng = np.random.default_rng(9)
         for k in (1, 2, 5, 10):
-            for n in (12, 40, 150):  # 150 > the 100-sample subsample
-                for seed in range(5):
+            for n in (12, 40, 150):  # 150 > the 100 evenly spaced draws
+                for _ in range(5):
                     cloud = rng.uniform(0.1, 10) * rng.standard_normal((n, k))
-                    if n > approx.LAMBDA_SUBSAMPLE:  # fit_rows's seeded subsample
-                        sub = cloud[approx._subsample(n, approx.LAMBDA_SUBSAMPLE, seed)]
+                    if n > approx.LAMBDA_SUBSAMPLE:  # draws floor(1.5 s), s < 100
+                        sub = cloud[[int(1.5 * s) for s in range(approx.LAMBDA_SUBSAMPLE)]]
                     else:
                         sub = cloud
                     assert (approx.median_pairwise_lambda(sub[None])[0]
-                            == oracles.median_pairwise_lambda(cloud, seed))
+                            == oracles.median_pairwise_lambda(cloud))
+
+    @pytest.mark.parametrize("n_samples, draws", [
+        (12, slice(None)), (100, slice(None)), (150, [int(1.5 * s) for s in range(100)]),
+        (200, slice(None, None, 2)), (300, slice(None, None, 3)),
+    ])
+    def test_default_lambda_reads_evenly_spaced_draws(self, monkeypatch, n_samples, draws):
+        """``fit_rows``'s default lambda of a row is the median pairwise
+        distance over all its draws when S <= 100, else over 100 evenly
+        spaced ones; it is the same on every call."""
+        rng = np.random.default_rng(n_samples)
+        samples = rng.standard_normal((n_samples, 4, 3)) * rng.uniform(0.5, 5.0, (1, 4, 1))
+        seen = []
+        monkeypatch.setattr(approx, "_fit_clusters", lambda x, lam, *_: seen.append(lam))
+        approx.fit_rows(samples, "gmm")
+        approx.fit_rows(samples, "dm")
+        want = [np.median(pdist(samples[draws, row])) for row in range(4)]
+        assert seen[0].tolist() == seen[1].tolist() == want
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     def test_lambda_means_bitwise(self, k):
@@ -389,7 +407,7 @@ class TestBatchedAgainstOracle:
         samples = _clouds(rng, 40, k)
         for row in range(samples.shape[1]):
             cloud = samples[:, row][None]
-            lam = oracles.median_pairwise_lambda(samples[:, row], seed=row)
+            lam = oracles.median_pairwise_lambda(samples[:, row])
             assert approx.median_pairwise_lambda(cloud)[0] == lam
             for max_iters in (0, 1, 7, 8, 100):
                 got = approx.lambda_means(cloud, np.array([lam]), max_iters)

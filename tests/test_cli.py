@@ -339,6 +339,17 @@ class TestEvaluateAndCost:
         assert code == 4
         assert "corrections.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [["final", 5], [5], ["subset 0", None]])
+    def test_step_not_a_string_is_io_error(self, sim_dir, finished_run, capsys, steps):
+        events = [{"side": "x", "row": row, "where": where, "shift": 1.0}
+                  for row, where in enumerate(steps)]
+        (finished_run / "aggregate" / "corrections.json").write_text(json.dumps(
+            {"count": len(events), "events": events}))
+        code = run_cli(["evaluate", "--run", str(finished_run),
+                        "--test", str(sim_dir / "test.txt")])
+        assert code == 4
+        assert "corrections.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [
         {"method": None}, {"partition_rows": None}, {"partition_cols": None},
         {"partition_rows": "2"}, {"partition_cols": 0}, [],
@@ -426,6 +437,11 @@ class TestEvaluateAndCost:
         code = run_cli(["evaluate", "--run", str(finished_run)])
         assert code == 2
         capsys.readouterr()
+
+    def test_evaluate_requires_test_before_reading_the_run(self, tmp_path, capsys):
+        code = run_cli(["evaluate", "--run", str(tmp_path / "ghost")])
+        assert code == 2
+        assert "--test" in capsys.readouterr().err
 
     def test_cost_model_table(self, capsys):
         code = run_cli(["cost-model", "--n-rows", "6040", "--n-cols", "3706",

@@ -318,6 +318,19 @@ class TestGibbsRun:
         with pytest.raises(ValidationError, match="^normal-Wishart prior dimension != n_factors"):
             sampler.gibbs_run(mat, (None, None), nw_prior(2), self.config())
 
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("kind", ["gaussian", "gmm"])
+    def test_propagated_prior_dimension_must_match_factors(self, side, kind):
+        mat = tiny_matrix(np.random.default_rng(14))
+        n = (mat.n_rows, mat.n_cols)[side]
+        pset = (approx.PosteriorSet(np.zeros((n, 3)), np.tile(np.eye(3), (n, 1, 1)))
+                if kind == "gaussian" else
+                gmm_set([(np.array([1.0]), np.zeros((1, 3)), np.eye(3)[None])] * n))
+        priors = (pset, None) if side == 0 else (None, pset)
+        with pytest.raises(ValidationError, match=f"^propagated {'XW'[side]} prior has "
+                                                  "dimension 3, n_factors is 2$"):
+            sampler.gibbs_run(mat, priors, nw_prior(2), self.config(n_factors=2))
+
     def test_coverage_validation(self):
         rng = np.random.default_rng(14)
         mat = tiny_matrix(rng)

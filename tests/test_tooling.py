@@ -128,6 +128,21 @@ def test_readme_names_resolve():
     exec(block.group(1), {})
 
 
+def test_fit_layer_builds_no_random_generator():
+    """``approx.py`` constructs no random generator (``default_rng``,
+    ``Generator``, ``RandomState``) and calls no ``np.random`` function
+    other than ``SeedSequence``: a posterior fit is a pure function of its
+    samples, and a block's only random stream is its chain."""
+    tree = ast.parse((SRC / "approx.py").read_text(encoding="utf-8"))
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    random_calls = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "random"}
+    found = names & {"default_rng", "Generator", "RandomState"}
+    found |= random_calls - {"SeedSequence"}
+    assert not found, f"approx.py builds or uses a random generator: {sorted(found)}"
+
+
 # Where single precision is allowed: the indicator product of the sampler's
 # sufficient statistics, whose sums are cast back to float64 at once.
 SINGLE_PRECISION_FUNCTIONS = {("sampler", "_side_matrices"), ("sampler", "_side_stats")}
