@@ -136,14 +136,10 @@ METHODS = {"full": (pipeline.run_full, "mm"), "pp-mm": (pipeline.run_pp, "mm"),
 RUN_FIELDS = {"factors": ("n_factors", int), "tau": ("tau", float),
               "iters": ("n_iters", int), "burn-in": ("burn_in", int), "thin": ("thin", int),
               "seed": ("seed", int), "order": ("ordering", str), "top-n": ("top_n", int),
-              "workers": ("workers", int), "save-chains": ("save_chains", bool),
-              "nw-mu0": ("nw_mu0", float), "nw-beta0": ("nw_beta0", float),
-              "nw-w0-scale": ("nw_w0_scale", float), "nw-nu0": ("nw_nu0", float)}
+              "workers": ("workers", int), "save-chains": ("save_chains", bool)}
 RUN_CONFIG_KEYS = [*RUN_FIELDS, "method", "partition", "lambda"]
 RUN_HELP = {"partition": "grid like 5x5",
-            "lambda": "fixed clustering radius (default: median-pairwise)",
-            "nw-mu0": "shared-prior mean (broadcast over factors)",
-            "nw-w0-scale": "isotropic Wishart scale"}
+            "lambda": "fixed clustering radius (default: median-pairwise)"}
 
 
 def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:

@@ -45,7 +45,9 @@ logger = logging.getLogger(__name__)
 class RunConfig(GibbsConfig):
     """Everything one pipeline run needs besides the data: the chain
     settings every block samples with (its seed being the run's master
-    seed), then the partition, posterior-fit and executor settings."""
+    seed), then the partition, posterior-fit and executor settings.  Every
+    block samples under BPMF's standard shared hyperprior (``nw_prior``);
+    ``gibbs_run`` takes any other."""
 
     approximation: str = "mm"            # mm | dm | gmm
     ordering: str = "decreasing"         # decreasing | random | none
@@ -55,11 +57,6 @@ class RunConfig(GibbsConfig):
     lambda_policy: str | float = "median-pairwise"
     workers: int = 1
     save_chains: bool = False
-    # shared-prior hyperparameters (w0 is isotropic, nu0 defaults to K)
-    nw_mu0: float = 0.0
-    nw_beta0: float = 2.0
-    nw_w0_scale: float = 1.0
-    nw_nu0: float | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -78,19 +75,10 @@ class RunConfig(GibbsConfig):
         self.save_chains = bool(self.save_chains)
         lam = _fixed_lambda(self.lambda_policy)
         self.lambda_policy = "median-pairwise" if lam is None else lam
-        self.nw_mu0 = check_real("nw_mu0", self.nw_mu0)
-        self.nw_beta0 = check_real("nw_beta0", self.nw_beta0, positive=True)
-        self.nw_w0_scale = check_real("nw_w0_scale", self.nw_w0_scale, positive=True)
-        if self.nw_nu0 is not None:
-            self.nw_nu0 = check_real("nw_nu0", self.nw_nu0)
-            if self.nw_nu0 < self.n_factors:
-                raise ValidationError("nw_nu0 must be >= n_factors")
 
     def nw_prior(self) -> NormalWishartPrior:
         k = self.n_factors
-        nu0 = float(k) if self.nw_nu0 is None else float(self.nw_nu0)
-        return NormalWishartPrior(np.full(k, self.nw_mu0), self.nw_beta0,
-                                  self.nw_w0_scale * np.eye(k), nu0)
+        return NormalWishartPrior(np.zeros(k), 2.0, np.eye(k), float(k))
 
 
 @dataclass

@@ -470,7 +470,6 @@ class TestEvaluateAndCost:
     (["run"], {"factors": 2, "tau": 1.0, "workers": 2.7}, "workers"),
     (["run"], {"factors": 2, "tau": float("nan")}, "tau"),
     (["run", "--factors", "2", "--tau", "nan"], None, "tau"),
-    (["run"], {"factors": 2, "tau": 1.0, "nw-beta0": float("inf")}, "nw_beta0"),
     (["run"], {"factors": 2, "tau": 1.0, "lambda": True}, "lam_policy"),
     (["run"], 5, "must hold a JSON object, got 5"),
     (["run"], "abc", "must hold a JSON object, got 'abc'"),
@@ -535,8 +534,7 @@ def test_log_level_named_in_any_case(monkeypatch, capsys, name, level):
 
 # One value per ``RUN_FIELDS`` key, none of them the ``RunConfig`` default.
 RUN_VALUES = {"factors": 2, "tau": 1.5, "iters": 40, "burn-in": 10, "thin": 3, "seed": 7,
-              "order": "random", "top-n": 4, "workers": 3, "save-chains": True,
-              "nw-mu0": 0.5, "nw-beta0": 3.0, "nw-w0-scale": 2.0, "nw-nu0": 5.0}
+              "order": "random", "top-n": 4, "workers": 3, "save-chains": True}
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -563,8 +561,24 @@ def test_every_run_key_lands_in_its_config_field(tmp_path, source):
 # One value per ``RUN_FIELDS`` key that ``RunConfig`` refuses.
 BAD_RUN_VALUES = {"factors": 2.0, "tau": 10 ** 400, "iters": 40.0, "burn-in": -1,
                   "thin": True, "seed": 1.5, "order": "sideways", "top-n": "3",
-                  "workers": 3.0, "save-chains": "false", "nw-mu0": "0", "nw-beta0": 0,
-                  "nw-w0-scale": float("inf"), "nw-nu0": 1}
+                  "workers": 3.0, "save-chains": "false"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_shared_prior_is_not_a_run_key(tmp_path, capsys, source):
+    # Every run samples under BPMF's fixed hyperprior, so an nw-* flag or
+    # config key is refused before the (missing) train file is read.
+    argv = ["run", "--train", str(tmp_path / "none.txt"), "--factors", "2", "--tau", "1.0"]
+    if source == "flag":
+        # argparse refuses the flag itself, with its usage exit status 2
+        with pytest.raises(SystemExit) as exited:
+            run_cli(argv + ["--nw-beta0", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --nw-beta0 2" in capsys.readouterr().err
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"nw-beta0": 2.0}))
+        assert run_cli(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
+        assert "unknown config keys: ['nw-beta0']" in capsys.readouterr().err
 
 
 def test_run_keys_are_checked_by_run_config_alone(tmp_path, capsys):

@@ -14,7 +14,7 @@ import oracles
 from dbmf import aggregate, artifacts, data, evaluate, pipeline
 from dbmf.approx import PosteriorSet, load_posterior_file, save_posterior_file
 from dbmf.errors import ArtifactError, NumericalError, PipelineError, ValidationError
-from dbmf.sampler import GibbsConfig, SampleChain, predict
+from dbmf.sampler import GibbsConfig, NormalWishartPrior, SampleChain, predict
 
 
 def quick_config(**kw):
@@ -64,20 +64,19 @@ class TestRunConfig:
         ints = dict(n_factors=2, n_iters=40, burn_in=20, thin=2, seed=7, partition_rows=1,
                     partition_cols=1, top_n=3, workers=1)
         cfg = quick_config(**{name: np.int64(v) for name, v in ints.items()},
-                           tau=np.float32(1.0), nw_nu0=np.int64(3), save_chains=np.False_,
+                           tau=np.float32(1.0), save_chains=np.False_,
                            lambda_policy=np.float32(0.5))
         pipeline.run_full(small_data[0], cfg, run_dir=tmp_path / "full")
         recorded = json.loads((tmp_path / "full" / "run_config.json").read_text())
         for name, value in ints.items():
             assert type(recorded[name]) is int and recorded[name] == value
-        assert recorded["tau"] == 1.0 and recorded["nw_nu0"] == 3.0
+        assert type(recorded["tau"]) is float and recorded["tau"] == 1.0
         assert recorded["lambda_policy"] == 0.5
         assert recorded["save_chains"] is False
 
     @pytest.mark.parametrize("name, value", [
         ("n_factors", 2.0), ("partition_rows", 2.5), ("thin", 2.0), ("top_n", True),
-        ("workers", np.True_), ("tau", True), ("tau", "1.0"), ("nw_mu0", "0"),
-        ("nw_nu0", np.True_), ("nw_mu0", None), ("nw_beta0", None), ("save_chains", 1),
+        ("workers", np.True_), ("tau", True), ("tau", "1.0"), ("save_chains", 1),
         ("save_chains", "no")])
     def test_wrong_setting_types_rejected_before_a_run(self, small_data, tmp_path, name, value):
         settings = {"partition_rows": 1, "partition_cols": 1, name: value}
@@ -96,11 +95,20 @@ class TestRunConfig:
         with pytest.raises(ValidationError, match="lam_policy"):
             quick_config(lambda_policy=value)
 
-    @pytest.mark.parametrize("name", ["tau", "nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"])
+    @pytest.mark.parametrize("name", ["tau"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
             quick_config(**{name: value})
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_shared_hyperprior_is_bpmf_standard(self, k):
+        got = pipeline.RunConfig(n_factors=k, tau=1.0).nw_prior()
+        want = NormalWishartPrior(np.zeros(k), 2.0, np.eye(k), float(k))
+        assert np.array_equal(got.mu0, want.mu0) and got.mu0.dtype == want.mu0.dtype
+        assert np.array_equal(got.w0, want.w0) and got.w0.dtype == want.w0.dtype
+        assert type(got.beta0) is float and got.beta0 == want.beta0
+        assert type(got.nu0) is float and got.nu0 == want.nu0
 
     def test_chain_too_short_for_the_fits_rejected(self):
         # (206 - 200) / 1 = 6 retained samples, one short of K+2 = 7
@@ -467,17 +475,6 @@ class TestDegenerateEquivalence:
         replay = pipeline.run_pp(train, replay_cfg, run_dir=tmp_path / "replay")
         assert np.array_equal(first.x_mean, replay.x_mean)
         assert np.array_equal(first.w_precisions, replay.w_precisions)
-
-    def test_custom_shared_prior_changes_results(self, small_data, tmp_path):
-        train, _ = small_data
-        base = pipeline.run_pp(train, quick_config(), run_dir=tmp_path / "b")
-        tight = pipeline.run_pp(train, quick_config(nw_beta0=50.0, nw_w0_scale=25.0),
-                                run_dir=tmp_path / "t")
-        assert not np.array_equal(base.x_mean, tight.x_mean)
-        with pytest.raises(ValidationError):
-            quick_config(nw_nu0=1.0)  # below n_factors
-        with pytest.raises(ValidationError):
-            quick_config(nw_beta0=0.0)
 
 
 class TestIndependentSubsetsPipeline:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbmf import approx, data, sampler
+from dbmf import approx, data, pipeline, sampler
 from dbmf.errors import NumericalError, ValidationError
 from oracles import (bincount_suff_stats, chain_posterior_mean, gmm_component_assign,
                      gmm_set, grid_row_posterior, load_chain, sample_row_conditional,
@@ -273,6 +273,20 @@ class TestGibbsRun:
         assert np.array_equal(a.x_samples, b.x_samples)
         assert np.array_equal(a.w_samples, b.w_samples)
         assert np.array_equal(a.lambda_x, b.lambda_x)
+
+    def test_handed_in_hyperprior_changes_the_chain(self):
+        # A run's blocks all sample under RunConfig.nw_prior; another
+        # hyperprior is a gibbs_run argument, and it moves the chain.
+        mat, _ = data.simulate(6, 5, 2, 1.0, seed=12)
+        config = self.config(n_factors=2)
+        base = sampler.gibbs_run(mat, (None, None),
+                                 pipeline.RunConfig(n_factors=2, tau=2.0).nw_prior(), config)
+        tight = sampler.gibbs_run(mat, (None, None),
+                                  sampler.NormalWishartPrior(np.zeros(2), 50.0, 25.0 * np.eye(2),
+                                                             2.0), config)
+        assert not np.array_equal(base.x_samples, tight.x_samples)
+        assert not np.array_equal(base.w_samples, tight.w_samples)
+        assert not np.array_equal(base.lambda_x, tight.lambda_x)
 
     def test_sampled_precisions_spd(self):
         rng = np.random.default_rng(11)

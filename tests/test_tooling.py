@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from dbmf import data, pipeline
+from dbmf import cli, data, pipeline
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dbmf"
 README = SRC.parents[1] / "README.md"
@@ -126,6 +126,15 @@ def test_readme_names_resolve():
     block = re.search(r"## Library entry points\s+```python\n(.*?)```", text, re.S)
     assert block, "README.md has no Library entry points import block"
     exec(block.group(1), {})
+
+
+def test_readme_lists_exactly_the_run_keys():
+    """README's ``run`` paragraph lists every key that ``dbmf run`` takes as
+    a flag and a ``--config`` key, and no other."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"a `--config` key of the same name: (.*?)\. ", text)
+    assert listed, "README.md has no list of run keys"
+    assert set(re.findall(r"`([\w-]+)`", listed.group(1))) == set(cli.RUN_CONFIG_KEYS)
 
 
 def test_fit_layer_builds_no_random_generator():
