@@ -368,6 +368,20 @@ class TestEvaluateAndCost:
         assert code == 4
         assert f"{path} does not name the method" in capsys.readouterr().err
 
+    def test_evaluate_reads_a_run_config_with_shared_prior_keys(self, sim_dir, finished_run,
+                                                                 capsys):
+        # A run recorded while the nw_* settings existed still evaluates,
+        # with the same report: evaluate reads only the method and partition.
+        argv = ["evaluate", "--run", str(finished_run), "--test", str(sim_dir / "test.txt"),
+                "--train", str(sim_dir / "train.txt")]
+        assert run_cli(argv) == 0
+        report = capsys.readouterr().out
+        path = finished_run / "run_config.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "nw_mu0": 0.0,
+                                    "nw_beta0": 2.0, "nw_w0_scale": 1.0, "nw_nu0": None}))
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == report
+
     @pytest.mark.parametrize("timings", [{}, {"total": "x"}, {"total": True}, {"total": 0.0}])
     def test_malformed_baseline_timings_is_io_error(self, sim_dir, finished_run, tmp_path,
                                                     capsys, timings):
@@ -565,20 +579,21 @@ BAD_RUN_VALUES = {"factors": 2.0, "tau": 10 ** 400, "iters": 40.0, "burn-in": -1
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_shared_prior_is_not_a_run_key(tmp_path, capsys, source):
+@pytest.mark.parametrize("key", ["nw-mu0", "nw-beta0", "nw-w0-scale", "nw-nu0"])
+def test_shared_prior_is_not_a_run_key(tmp_path, capsys, key, source):
     # Every run samples under BPMF's fixed hyperprior, so an nw-* flag or
     # config key is refused before the (missing) train file is read.
     argv = ["run", "--train", str(tmp_path / "none.txt"), "--factors", "2", "--tau", "1.0"]
     if source == "flag":
         # argparse refuses the flag itself, with its usage exit status 2
         with pytest.raises(SystemExit) as exited:
-            run_cli(argv + ["--nw-beta0", "2"])
+            run_cli(argv + [f"--{key}", "2"])
         assert exited.value.code == 2
-        assert "unrecognized arguments: --nw-beta0 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: --{key} 2" in capsys.readouterr().err
     else:
-        (tmp_path / "cfg.json").write_text(json.dumps({"nw-beta0": 2.0}))
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 2.0}))
         assert run_cli(argv + ["--config", str(tmp_path / "cfg.json")]) == 2
-        assert "unknown config keys: ['nw-beta0']" in capsys.readouterr().err
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
 
 def test_run_keys_are_checked_by_run_config_alone(tmp_path, capsys):

@@ -76,8 +76,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("n_factors", 2.0), ("partition_rows", 2.5), ("thin", 2.0), ("top_n", True),
-        ("workers", np.True_), ("tau", True), ("tau", "1.0"), ("save_chains", 1),
-        ("save_chains", "no")])
+        ("workers", np.True_), ("tau", True), ("tau", "1.0"), ("tau", np.True_), ("tau", None),
+        ("save_chains", 1), ("save_chains", "no")])
     def test_wrong_setting_types_rejected_before_a_run(self, small_data, tmp_path, name, value):
         settings = {"partition_rows": 1, "partition_cols": 1, name: value}
         with pytest.raises(ValidationError, match=name):
@@ -100,6 +100,13 @@ class TestRunConfig:
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
             quick_config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"])
+    def test_shared_prior_is_not_a_setting(self, name):
+        # The shared hyperprior is fixed (nw_prior), so no field sets it.
+        assert name not in {field.name for field in fields(pipeline.RunConfig)}
+        with pytest.raises(TypeError, match=name):
+            quick_config(**{name: 2.0})
 
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_shared_hyperprior_is_bpmf_standard(self, k):
