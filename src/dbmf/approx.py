@@ -29,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .artifacts import write_atomic
-from .data import check_int, check_real
 from .errors import ArtifactError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -38,10 +37,11 @@ logger = logging.getLogger(__name__)
 # absolute floor so degenerate (zero-spread) clouds stay invertible.
 COV_RIDGE = 1e-8
 
-# Evenly spaced samples per row behind the default ("median-pairwise")
-# lambda, and the iteration cap of lambda-means.
+# Evenly spaced samples per row behind each row's lambda, the iteration cap
+# of lambda-means, and the most clusters a mixture ("gmm") fit keeps.
 LAMBDA_SUBSAMPLE = 100
 LAMBDA_MEANS_ITERS = 100
+GMM_TOP_N = 3
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -363,9 +363,10 @@ def _fit_gaussians(x: np.ndarray, labels: np.ndarray, n_labels: int):
     return means, precisions
 
 
-def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "PosteriorSet":
+def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str) -> "PosteriorSet":
     """Dominant-mode ("dm") or mixture ("gmm") fits of every row of
-    ``x (R, S, K)`` from its lambda-means clusters."""
+    ``x (R, S, K)`` from its lambda-means clusters at radius ``lam (R,)``;
+    a mixture keeps at most ``GMM_TOP_N`` clusters."""
     n_rows, _, k = x.shape
     clustering = lambda_means(x, lam, LAMBDA_MEANS_ITERS)
     assign, sizes = clustering.assignments, clustering.sizes()
@@ -373,7 +374,7 @@ def _fit_clusters(x: np.ndarray, lam: np.ndarray, kind: str, top_n: int) -> "Pos
     # Largest first, ties by lower cluster index; clusters under K+2 samples
     # are dropped, and a row left with none is fitted whole.  The kept
     # clusters of a row are a prefix of its order: they fill its first slots.
-    order = np.argsort(-sizes, axis=1, kind="stable")[:, :1 if kind == "dm" else top_n]
+    order = np.argsort(-sizes, axis=1, kind="stable")[:, :1 if kind == "dm" else GMM_TOP_N]
     top = sizes[rows[:, None], order]
     kept = top >= k + 2
     whole = ~kept[:, 0]
@@ -473,45 +474,29 @@ def _contract_violation(pset: PosteriorSet, k: int) -> str | None:
     return f"row {bad[0] // width}: precision not positive definite" if bad.size else None
 
 
-def _fixed_lambda(lam_policy) -> float | None:
-    """The fixed lambda of a policy, a positive finite real number, or None
-    for "median-pairwise"."""
-    if isinstance(lam_policy, str) and lam_policy == "median-pairwise":
-        return None
-    return check_real("lam_policy", lam_policy, positive=True)
-
-
-def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
-             top_n: int = 3) -> PosteriorSet:
+def fit_rows(samples: np.ndarray, kind: str) -> PosteriorSet:
     """Fit every row of a chain sample block ``(S, R, K)`` independently.
 
-    ``kind`` is "mm", "dm" or "gmm".  ``lam_policy`` is either the string
-    "median-pairwise" (per-row adaptive lambda) or a fixed positive finite
-    number.  Every argument is checked before any row is fitted.  The dm
-    and gmm fits run over all rows at once, with results bitwise equal to
-    fitting each row alone.  The default lambda of a row reads its m = min(S,
-    ``LAMBDA_SUBSAMPLE``) evenly spaced draws ``s * S // m``; fits take no seed.
+    ``kind`` is "mm", "dm" or "gmm".  Every argument is checked before any
+    row is fitted.  The dm and gmm fits run over all rows at once, with
+    results bitwise equal to fitting each row alone.  A row's lambda is the
+    median pairwise distance of its m = min(S, ``LAMBDA_SUBSAMPLE``) evenly
+    spaced draws ``s * S // m``; fits take no seed.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 3 or 0 in samples.shape[1:]:
         raise ValidationError("expected samples of shape (S, R, K) with R, K >= 1")
     if kind not in ("mm", "dm", "gmm"):
         raise ValidationError(f"unknown approximation kind: {kind!r}")
-    n_samples, n_rows, k = samples.shape
+    n_samples, _, k = samples.shape
     if n_samples < k + 2:
         raise ValidationError(f"need at least K+2={k + 2} samples, got {n_samples}")
-    top_n = check_int("top_n", top_n, positive=True)
-    lam = _fixed_lambda(lam_policy)
 
     x = np.ascontiguousarray(samples.transpose(1, 0, 2))
     if kind == "mm":
         return PosteriorSet(*_gaussian_fits(x))
-    if lam is not None:
-        lams = np.full(n_rows, lam)
-    else:
-        m = min(n_samples, LAMBDA_SUBSAMPLE)
-        lams = median_pairwise_lambda(x[:, np.arange(m) * n_samples // m])
-    return _fit_clusters(x, lams, kind, top_n)
+    m = min(n_samples, LAMBDA_SUBSAMPLE)
+    return _fit_clusters(x, median_pairwise_lambda(x[:, np.arange(m) * n_samples // m]), kind)
 
 
 # --- file format -----------------------------------------------------------

@@ -131,15 +131,13 @@ METHODS = {"full": (pipeline.run_full, "mm"), "pp-mm": (pipeline.run_pp, "mm"),
            "ep-parametric": (pipeline.run_ep, "mm")}
 
 # Each ``run`` key that maps onto one ``RunConfig`` field: (field, flag type).
-# A value goes to ``RunConfig`` as given, which checks it.  ``method``,
-# ``partition`` and ``lambda`` are read on their own.
+# A value goes to ``RunConfig`` as given, which checks it.  ``method`` and
+# ``partition`` are read on their own.
 RUN_FIELDS = {"factors": ("n_factors", int), "tau": ("tau", float),
               "iters": ("n_iters", int), "burn-in": ("burn_in", int), "thin": ("thin", int),
-              "seed": ("seed", int), "order": ("ordering", str), "top-n": ("top_n", int),
+              "seed": ("seed", int), "order": ("ordering", str),
               "workers": ("workers", int), "save-chains": ("save_chains", bool)}
-RUN_CONFIG_KEYS = [*RUN_FIELDS, "method", "partition", "lambda"]
-RUN_HELP = {"partition": "grid like 5x5",
-            "lambda": "fixed clustering radius (default: median-pairwise)"}
+RUN_CONFIG_KEYS = [*RUN_FIELDS, "method", "partition"]
 
 
 def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
@@ -150,14 +148,6 @@ def _run_config_from(merged: dict, method: str) -> pipeline.RunConfig:
         raise ValidationError("method 'full' requires --partition 1x1")
     fields = {name: merged[key] for key, (name, _) in RUN_FIELDS.items()
               if merged.get(key) is not None}
-    lam = merged.get("lambda")
-    if isinstance(lam, str) and lam != "median-pairwise":
-        try:
-            lam = float(lam)
-        except ValueError as exc:
-            raise ValidationError(f"--lambda is 'median-pairwise' or a number, got {lam!r}") from exc
-    if lam is not None:
-        fields["lambda_policy"] = lam
     return pipeline.RunConfig(approximation=METHODS[method][1], partition_rows=r,
                               partition_cols=c, **fields)
 
@@ -261,7 +251,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_cost_model(args) -> int:
     worker_counts = _comma_list(int, args.workers, "--workers")
-    params = pipeline.row_param_count(args.approx, args.factors, args.components)
+    params = pipeline.row_param_count(args.approx, args.factors)
     print(f"{'workers':>8} {'t0':>14} {'t_aggregate':>14} {'total':>14} "
           f"{'communication':>14}")
     for u in worker_counts:
@@ -298,10 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--train", required=True)
     run.add_argument("--test", default=None)
     run.add_argument("--method", choices=METHODS, default=None)
-    for key in ("partition", "lambda"):
-        run.add_argument(f"--{key}", dest=key, default=None, help=RUN_HELP.get(key))
+    run.add_argument("--partition", default=None, help="grid like 5x5")
     for key, (_, kind) in RUN_FIELDS.items():
-        run.add_argument(f"--{key}", dest=key, default=None, help=RUN_HELP.get(key),
+        run.add_argument(f"--{key}", dest=key, default=None,
                          **({"action": "store_true"} if kind is bool else {"type": kind}))
     run.add_argument("--replicates", type=int, default=1)
     run.add_argument("--config", default=None, help="JSON config file")
@@ -327,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--iters", type=int, default=GibbsConfig.n_iters)
     cost.add_argument("--workers", default="1,4,16,64")
     cost.add_argument("--approx", choices=("mm", "dm", "gmm"), default="mm")
-    cost.add_argument("--components", type=int, default=1)
     cost.set_defaults(func=cmd_cost_model)
     return parser
 

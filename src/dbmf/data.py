@@ -532,10 +532,13 @@ def split_structured(matrix: SparseMatrix, seed: int, mode: str = "raw",
     weights the expected test fraction equals the product of the two weight
     means (about 0.205 for long sequences).  ``mode="rescaled"`` multiplies
     the products by a bisection-derived factor so the expected fraction hits
-    ``target_fraction`` (probabilities clipped at 1).
+    ``target_fraction`` (probabilities clipped at 1).  ``target_fraction``
+    must lie in (0, 1) in either mode.
     """
     if matrix.m == 0:
         raise ValidationError("cannot split an empty matrix")
+    if not 0.0 < check_real("target_fraction", target_fraction) < 1.0:
+        raise ValidationError("target_fraction must lie in (0, 1)")
     w_row = structured_weights(matrix.n_rows)
     w_col = structured_weights(matrix.n_cols)
     probs = w_row[matrix.rows] * w_col[matrix.cols]

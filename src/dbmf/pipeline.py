@@ -31,8 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from .aggregate import ep_aggregate, staged_aggregate
-from .approx import (PosteriorSet, _fixed_lambda, fit_rows, load_posterior_file,
-                     save_posterior_file)
+from .approx import GMM_TOP_N, PosteriorSet, fit_rows, load_posterior_file, save_posterior_file
 from .artifacts import write_json
 from .data import PartitionPlan, SparseMatrix, check_int, check_real, order_matrix, partition
 from .errors import ArtifactError, PipelineError, ValidationError
@@ -45,16 +44,15 @@ logger = logging.getLogger(__name__)
 class RunConfig(GibbsConfig):
     """Everything one pipeline run needs besides the data: the chain
     settings every block samples with (its seed being the run's master
-    seed), then the partition, posterior-fit and executor settings.  Every
-    block samples under BPMF's standard shared hyperprior (``nw_prior``);
-    ``gibbs_run`` takes any other."""
+    seed), then the partition, posterior-fit kind and executor settings.
+    Every block samples under BPMF's standard shared hyperprior
+    (``nw_prior``); ``gibbs_run`` takes any other.  The kind's fit rule is
+    ``fit_rows``'s own and has no setting."""
 
     approximation: str = "mm"            # mm | dm | gmm
     ordering: str = "decreasing"         # decreasing | random | none
     partition_rows: int = 1
     partition_cols: int = 1
-    top_n: int = 3
-    lambda_policy: str | float = "median-pairwise"
     workers: int = 1
     save_chains: bool = False
 
@@ -68,13 +66,11 @@ class RunConfig(GibbsConfig):
             raise ValidationError(f"unknown approximation kind: {self.approximation!r}")
         if self.ordering not in ("decreasing", "random", "none"):
             raise ValidationError(f"unknown ordering scheme: {self.ordering!r}")
-        for name in ("partition_rows", "partition_cols", "top_n", "workers"):
+        for name in ("partition_rows", "partition_cols", "workers"):
             setattr(self, name, check_int(name, getattr(self, name), positive=True))
         if not isinstance(self.save_chains, (bool, np.bool_)):
             raise ValidationError(f"save_chains must be a bool, got {self.save_chains!r}")
         self.save_chains = bool(self.save_chains)
-        lam = _fixed_lambda(self.lambda_policy)
-        self.lambda_policy = "median-pairwise" if lam is None else lam
 
     def nw_prior(self) -> NormalWishartPrior:
         k = self.n_factors
@@ -110,12 +106,11 @@ class CostEval:
     communication: float
 
 
-def row_param_count(kind: str, n_factors: int, n_components: int) -> float:
-    """Parameters communicated per row: K + K^2 per Gaussian, times the
-    component count for mixtures."""
-    n_components = check_int("n_components", n_components, positive=True)
+def row_param_count(kind: str, n_factors: int) -> float:
+    """Parameters communicated per row: K + K^2 per Gaussian, times
+    ``GMM_TOP_N``, the most components a mixture row hands on, for "gmm"."""
     base = n_factors + n_factors ** 2
-    return float(n_components * base) if kind == "gmm" else float(base)
+    return float(GMM_TOP_N * base) if kind == "gmm" else float(base)
 
 
 def cost_model_eval(cm: CostModel) -> CostEval:
@@ -273,8 +268,7 @@ def _run_block_task(task: _BlockTask) -> dict:
             pset = prior if prior is not None else PosteriorSet(
                 *(np.broadcast_to(a, (hi - lo, *a.shape)) for a in nw.nominal_row))
         else:
-            pset = fit_rows((chain.x_samples, chain.w_samples)[side], config.approximation,
-                            lam_policy=config.lambda_policy, top_n=config.top_n)
+            pset = fit_rows((chain.x_samples, chain.w_samples)[side], config.approximation)
         save_posterior_file(posterior_path(task.run_dir, name, i, j), pset, side=name,
                             row_start=lo, row_stop=hi, stage=stage, block=[i, j])
     return {"seconds": time.perf_counter() - t0, "started": started, "finished": time.time()}

@@ -555,7 +555,7 @@ def fit_rows(samples: np.ndarray, kind: str, lam_policy="median-pairwise",
     row's default lambda from its evenly spaced samples."""
     samples = np.asarray(samples, dtype=np.float64)
     if kind == "mm":
-        return approx_fit_rows(samples, kind, lam_policy, top_n)
+        return approx_fit_rows(samples, kind)
 
     def row_lambda(i):
         if lam_policy == "median-pairwise":

@@ -23,6 +23,15 @@ def one_row(cloud):
     return np.asarray(cloud, dtype=np.float64)[:, None, :]
 
 
+def fit_at(x, lam, kind):
+    """The dm or gmm fits of clouds ``x (R, S, K)`` (or one cloud ``(S, K)``)
+    at the fixed radius ``lam``; ``fit_rows`` takes each row's radius from
+    its draws."""
+    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x[None] if x.ndim == 2 else x)
+    return approx._fit_clusters(x, np.full(x.shape[0], lam), kind)
+
+
 class TestLambdaMeans:
     def test_identical_samples_one_cluster(self):
         samples = np.ones((10, 3))
@@ -141,7 +150,7 @@ class TestDominantMode:
     def test_unimodal_equals_moment_matching(self):
         rng = np.random.default_rng(2)
         samples = rng.standard_normal((60, 2))
-        dom = approx.fit_rows(one_row(samples), "dm", lam_policy=50.0)
+        dom = fit_at(samples, 50.0, "dm")
         mm = approx.fit_rows(one_row(samples), "mm")
         np.testing.assert_allclose(dom.means, mm.means)
         np.testing.assert_allclose(dom.precisions, mm.precisions)
@@ -151,22 +160,22 @@ class TestDominantMode:
         big = 0.2 * rng.standard_normal((70, 1)) + 5.0
         small = 0.2 * rng.standard_normal((30, 1)) - 5.0
         samples = np.concatenate([small, big])  # minority listed first
-        fit = approx.fit_rows(one_row(samples), "dm", lam_policy=1.5)
+        fit = fit_at(samples, 1.5, "dm")
         assert abs(fit.means[0, 0] - 5.0) < 0.2
 
     def test_exact_tie_takes_lowest_cluster_index(self):
         rng = np.random.default_rng(4)
         lo = 0.05 * rng.standard_normal((20, 1)) - 8.0
         hi = 0.05 * rng.standard_normal((20, 1)) + 8.0
-        fit_lo_first = approx.fit_rows(one_row(np.concatenate([lo, hi])), "dm", lam_policy=1.0)
-        fit_hi_first = approx.fit_rows(one_row(np.concatenate([hi, lo])), "dm", lam_policy=1.0)
+        fit_lo_first = fit_at(np.concatenate([lo, hi]), 1.0, "dm")
+        fit_hi_first = fit_at(np.concatenate([hi, lo]), 1.0, "dm")
         assert fit_lo_first.means[0, 0] < 0 < fit_hi_first.means[0, 0]
 
     def test_small_cluster_falls_back(self):
         rng = np.random.default_rng(5)
         # lambda tiny: every cluster is a near-singleton, all below K+2
         samples = rng.standard_normal((12, 2)) * 5
-        fit = approx.fit_rows(one_row(samples), "dm", lam_policy=1e-6)
+        fit = fit_at(samples, 1e-6, "dm")
         mm = approx.fit_rows(one_row(samples), "mm")
         np.testing.assert_allclose(fit.means, mm.means)
 
@@ -180,7 +189,7 @@ class TestFitGmm:
     def test_single_cluster(self):
         rng = np.random.default_rng(0)
         samples = rng.standard_normal((40, 1))
-        gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=100.0, top_n=3)
+        gmm = fit_at(samples, 100.0, "gmm")
         assert gmm.weights.shape == (1, 1)
         assert gmm.weights[0, 0] == 1.0
         mm = approx.fit_rows(one_row(samples), "mm")
@@ -189,7 +198,7 @@ class TestFitGmm:
     def test_three_equal_clusters(self):
         rng = np.random.default_rng(1)
         samples = self._clouds(rng, [[-10.0], [0.0], [10.0]], [20, 20, 20])
-        gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=2.0, top_n=3)
+        gmm = fit_at(samples, 2.0, "gmm")
         assert gmm.weights.shape == (1, 3)
         np.testing.assert_allclose(np.sort(gmm.weights[0]), [1 / 3] * 3)
 
@@ -197,7 +206,7 @@ class TestFitGmm:
         rng = np.random.default_rng(2)
         samples = self._clouds(rng, [[-30.0], [-10.0], [10.0], [30.0]],
                                [40, 30, 20, 10])
-        gmm = approx.fit_rows(one_row(samples), "gmm", lam_policy=3.0, top_n=3)
+        gmm = fit_at(samples, 3.0, "gmm")
         assert gmm.weights.shape == (1, 3)
         np.testing.assert_allclose(np.sort(gmm.weights[0])[::-1],
                                    np.array([40, 30, 20]) / 90.0)
@@ -207,8 +216,7 @@ class TestFitGmm:
         for _ in range(20):
             k = int(rng.integers(1, 4))
             samples = rng.standard_normal((60, k)) * rng.uniform(0.5, 3)
-            gmm = approx.fit_rows(one_row(samples), "gmm",
-                                  lam_policy=float(rng.uniform(0.5, 5)), top_n=3)
+            gmm = fit_at(samples, float(rng.uniform(0.5, 5)), "gmm")
             assert np.all(gmm.weights > 0)
             assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
             np.linalg.cholesky(gmm.precisions)  # SPD or raises
@@ -281,10 +289,16 @@ class TestFitRows:
         rng = np.random.default_rng(7)
         samples = rng.standard_normal((40, 3, 2))
         for kind in ("mm", "dm", "gmm"):
-            pset = approx.fit_rows(samples, kind, lam_policy=2.0)
-            assert pset.n_rows == 3
-            pset2 = approx.fit_rows(samples, kind)  # median-pairwise
-            assert pset2.n_rows == 3
+            assert approx.fit_rows(samples, kind).n_rows == 3  # median-pairwise
+            if kind != "mm":
+                assert fit_at(samples.transpose(1, 0, 2), 2.0, kind).n_rows == 3
+
+    def test_fit_rule_takes_no_settings(self):
+        samples = np.random.default_rng(7).standard_normal((40, 3, 2))
+        with pytest.raises(TypeError):
+            approx.fit_rows(samples, "gmm", lam_policy=2.0)
+        with pytest.raises(TypeError):
+            approx.fit_rows(samples, "gmm", 2.0, 3)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
@@ -293,16 +307,6 @@ class TestFitRows:
     @pytest.mark.parametrize("kind", ["mm", "dm", "gmm"])
     @pytest.mark.parametrize("args, message", [
         (dict(samples=np.zeros((6, 2, 5))), "7 samples, got 6"),
-        (dict(lam_policy="foo"), "lam_policy"),
-        (dict(lam_policy="2.0"), "lam_policy"),
-        (dict(lam_policy=0.0), "lam_policy"),
-        (dict(lam_policy=-1.0), "lam_policy"),
-        (dict(lam_policy=float("nan")), "lam_policy"),
-        (dict(lam_policy=None), "lam_policy"),
-        (dict(top_n=0), "top_n"),
-        (dict(lam_policy=True), "lam_policy"),
-        (dict(top_n=2.5), "top_n"),
-        (dict(top_n=True), "top_n"),
         (dict(samples=np.ones((10, 3))), r"expected samples of shape \(S, R, K\)"),
         (dict(samples=np.ones((10, 0, 2))), r"expected samples of shape \(S, R, K\)"),
     ])
@@ -319,14 +323,15 @@ class TestFitRows:
         rng = np.random.default_rng(8)
         samples = 5 * rng.standard_normal((12, 6, 2))
         samples[:, 4:] = 1.0  # one cluster of all 12 samples: no fallback
+        x = samples.transpose(1, 0, 2)
         with caplog.at_level(logging.WARNING, logger="dbmf.approx"):
-            approx.fit_rows(samples, "dm", lam_policy=1e-6)
+            fit_at(x, 1e-6, "dm")
         assert len(caplog.records) == 1
         assert caplog.records[0].getMessage().startswith("4 of 6 rows")
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="dbmf.approx"):
-            approx.fit_rows(samples, "gmm", lam_policy=1e-6)
-            approx.fit_rows(samples[:, 4:], "dm", lam_policy=1e-6)
+            fit_at(x, 1e-6, "gmm")
+            fit_at(x[4:], 1e-6, "dm")
         assert not caplog.records
 
 
@@ -345,8 +350,9 @@ def _clouds(rng, n_samples, k):
 
 
 class TestBatchedAgainstOracle:
-    """fit_rows, lambda_means and median_pairwise_lambda equal the per-row
-    loops of ``oracles`` bit for bit."""
+    """fit_rows, the fixed-radius fits, lambda_means and
+    median_pairwise_lambda equal the per-row loops of ``oracles`` bit for
+    bit."""
 
     @staticmethod
     def _assert_same(got, want):
@@ -364,12 +370,11 @@ class TestBatchedAgainstOracle:
         samples = _clouds(rng, n_samples, k)
         if n_samples == 200:
             samples = samples[:, [2, 4, 5]]  # the oracle needs seconds per cycling row
-        for policy in ("median-pairwise", float(rng.uniform(0.5, 3.0)), 1e-3):
-            self._assert_same(approx.fit_rows(samples, "dm", policy),
-                              oracles.fit_rows(samples, "dm", policy))
-            for top_n in (1, 3):
-                self._assert_same(approx.fit_rows(samples, "gmm", policy, top_n),
-                                  oracles.fit_rows(samples, "gmm", policy, top_n))
+        x, lams = samples.transpose(1, 0, 2), (float(rng.uniform(0.5, 3.0)), 1e-3)
+        for kind in ("dm", "gmm"):
+            self._assert_same(approx.fit_rows(samples, kind), oracles.fit_rows(samples, kind))
+            for lam in lams:
+                self._assert_same(fit_at(x, lam, kind), oracles.fit_rows(samples, kind, lam))
 
     def test_median_pairwise_lambda_bitwise(self):
         rng = np.random.default_rng(9)
@@ -395,7 +400,7 @@ class TestBatchedAgainstOracle:
         rng = np.random.default_rng(n_samples)
         samples = rng.standard_normal((n_samples, 4, 3)) * rng.uniform(0.5, 5.0, (1, 4, 1))
         seen = []
-        monkeypatch.setattr(approx, "_fit_clusters", lambda x, lam, *_: seen.append(lam))
+        monkeypatch.setattr(approx, "_fit_clusters", lambda x, lam, kind: seen.append(lam))
         approx.fit_rows(samples, "gmm")
         approx.fit_rows(samples, "dm")
         want = [np.median(pdist(samples[draws, row])) for row in range(4)]

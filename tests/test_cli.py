@@ -59,6 +59,18 @@ class TestSimulate:
         frac = meta["test_entries"] / (meta["test_entries"] + meta["train_entries"])
         assert abs(frac - 0.8) < 0.1
 
+    @pytest.mark.parametrize("missing", ["random", "structured"])
+    @pytest.mark.parametrize("fraction", ["7", "0", "1", "-0.5", "nan"])
+    def test_test_fraction_checked_in_every_mode(self, tmp_path, capsys, missing, fraction):
+        # A raw structured split withholds about 20% whatever the fraction,
+        # but a fraction outside (0, 1) is still refused, not recorded.
+        out = tmp_path / "sim"
+        code = run_cli(["simulate", "--n-rows", "20", "--n-cols", "15", "--factors", "2",
+                        "--missing", missing, "--test-fraction", fraction, "--out", str(out)])
+        assert code == 2
+        assert "fraction must" in capsys.readouterr().err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("tau", ["nan", "inf", "0"])
     def test_tau_must_be_positive_and_finite(self, tmp_path, capsys, tau):
@@ -161,7 +173,6 @@ class TestRun:
     @pytest.mark.parametrize("flags, message", [
         (["--factors", "5", "--iters", "206", "--burn-in", "200", "--thin", "1"],
          "keeps 6 samples"),
-        (["--factors", "2", "--lambda", "foo"], "--lambda"),
     ])
     def test_unusable_fit_settings_are_validation_errors(self, sim_dir, capsys, flags, message):
         code = run_cli(["run", "--train", str(sim_dir / "train.txt"), "--tau", "1.0",
@@ -377,10 +388,13 @@ class TestEvaluateAndCost:
         assert run_cli(argv) == 0
         report = capsys.readouterr().out
         path = finished_run / "run_config.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "nw_mu0": 0.0,
-                                    "nw_beta0": 2.0, "nw_w0_scale": 1.0, "nw_nu0": None}))
-        assert run_cli(argv) == 0
-        assert capsys.readouterr().out == report
+        recorded = json.loads(path.read_text())
+        # ... and so does one recorded while the dm/gmm fit settings existed.
+        for removed in ({"nw_mu0": 0.0, "nw_beta0": 2.0, "nw_w0_scale": 1.0, "nw_nu0": None},
+                        {"top_n": 3, "lambda_policy": "median-pairwise"}):
+            path.write_text(json.dumps({**recorded, **removed}))
+            assert run_cli(argv) == 0
+            assert capsys.readouterr().out == report
 
     @pytest.mark.parametrize("timings", [{}, {"total": "x"}, {"total": True}, {"total": 0.0}])
     def test_malformed_baseline_timings_is_io_error(self, sim_dir, finished_run, tmp_path,
@@ -466,6 +480,15 @@ class TestEvaluateAndCost:
         assert len(lines) == 4
         assert lines[1].split()[0] == "1"
 
+    def test_cost_model_gmm_communicates_three_gaussians_per_row(self, capsys):
+        communication = {}
+        for kind in ("mm", "dm", "gmm"):
+            assert run_cli(["cost-model", "--n-rows", "100", "--n-cols", "50", "--n-obs",
+                            "1000", "--factors", "3", "--workers", "4", "--approx", kind]) == 0
+            communication[kind] = float(capsys.readouterr().out.splitlines()[1].split()[-1])
+        assert communication["mm"] == communication["dm"] == 3600
+        assert communication["gmm"] == approx.GMM_TOP_N * communication["mm"] == 10800
+
     def test_missing_run_dir_is_io_error(self, tmp_path, sim_dir, capsys):
         code = run_cli(["evaluate", "--run", str(tmp_path / "ghost"),
                         "--test", str(sim_dir / "test.txt")])
@@ -484,7 +507,6 @@ class TestEvaluateAndCost:
     (["run"], {"factors": 2, "tau": 1.0, "workers": 2.7}, "workers"),
     (["run"], {"factors": 2, "tau": float("nan")}, "tau"),
     (["run", "--factors", "2", "--tau", "nan"], None, "tau"),
-    (["run"], {"factors": 2, "tau": 1.0, "lambda": True}, "lam_policy"),
     (["run"], 5, "must hold a JSON object, got 5"),
     (["run"], "abc", "must hold a JSON object, got 'abc'"),
     (["run"], [1], "must hold a JSON object, got [1]"),
@@ -500,7 +522,6 @@ class TestEvaluateAndCost:
     (["run"], {"factors": 2, "tau": 10 ** 400}, "tau"),
     (["run"], {"factors": 2.0, "tau": 1.0}, "n_factors"),
     (["run"], {"factors": 2, "tau": 1.0, "workers": 3.0}, "workers"),
-    (["run"], {"factors": 2, "tau": 1.0, "lambda": float("inf")}, "lam_policy"),
 ])
 def test_bad_flag_or_config_value_is_validation_error(tmp_path, capsys, argv, config, name):
     # Checked before any input is read: the train file and run directory
@@ -548,7 +569,7 @@ def test_log_level_named_in_any_case(monkeypatch, capsys, name, level):
 
 # One value per ``RUN_FIELDS`` key, none of them the ``RunConfig`` default.
 RUN_VALUES = {"factors": 2, "tau": 1.5, "iters": 40, "burn-in": 10, "thin": 3, "seed": 7,
-              "order": "random", "top-n": 4, "workers": 3, "save-chains": True}
+              "order": "random", "workers": 3, "save-chains": True}
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -574,15 +595,17 @@ def test_every_run_key_lands_in_its_config_field(tmp_path, source):
 
 # One value per ``RUN_FIELDS`` key that ``RunConfig`` refuses.
 BAD_RUN_VALUES = {"factors": 2.0, "tau": 10 ** 400, "iters": 40.0, "burn-in": -1,
-                  "thin": True, "seed": 1.5, "order": "sideways", "top-n": "3",
+                  "thin": True, "seed": 1.5, "order": "sideways",
                   "workers": 3.0, "save-chains": "false"}
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("key", ["nw-mu0", "nw-beta0", "nw-w0-scale", "nw-nu0"])
+@pytest.mark.parametrize("key", ["nw-mu0", "nw-beta0", "nw-w0-scale", "nw-nu0",
+                                 "lambda", "top-n"])
 def test_shared_prior_is_not_a_run_key(tmp_path, capsys, key, source):
-    # Every run samples under BPMF's fixed hyperprior, so an nw-* flag or
-    # config key is refused before the (missing) train file is read.
+    # Every run samples under BPMF's fixed hyperprior and fits dm/gmm rows
+    # by one fixed rule, so an nw-*, lambda or top-n flag or config key is
+    # refused before the (missing) train file is read.
     argv = ["run", "--train", str(tmp_path / "none.txt"), "--factors", "2", "--tau", "1.0"]
     if source == "flag":
         # argparse refuses the flag itself, with its usage exit status 2
@@ -597,9 +620,9 @@ def test_shared_prior_is_not_a_run_key(tmp_path, capsys, key, source):
 
 
 def test_run_keys_are_checked_by_run_config_alone(tmp_path, capsys):
-    # Every field is set by a run key: these four by the keys read on
-    # their own (method, partition, lambda), the rest through RUN_FIELDS.
-    own = {"approximation", "partition_rows", "partition_cols", "lambda_policy"}
+    # Every field is set by a run key: these three by the keys read on
+    # their own (method, partition), the rest through RUN_FIELDS.
+    own = {"approximation", "partition_rows", "partition_cols"}
     assert ({f.name for f in fields(pipeline.RunConfig)}
             == own | {name for name, _ in cli.RUN_FIELDS.values()})
     assert BAD_RUN_VALUES.keys() == cli.RUN_FIELDS.keys()

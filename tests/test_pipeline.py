@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from dbmf import aggregate, artifacts, data, evaluate, pipeline
-from dbmf.approx import PosteriorSet, load_posterior_file, save_posterior_file
+from dbmf.approx import GMM_TOP_N, PosteriorSet, load_posterior_file, save_posterior_file
 from dbmf.errors import ArtifactError, NumericalError, PipelineError, ValidationError
 from dbmf.sampler import GibbsConfig, NormalWishartPrior, SampleChain, predict
 
@@ -50,8 +50,6 @@ class TestRunConfig:
             quick_config(partition_rows=0)
         with pytest.raises(ValidationError):
             quick_config(workers=0)
-        with pytest.raises(ValidationError):
-            quick_config(lambda_policy=-1.0)
         for seed in (-1, 1.5, True):
             with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
                 quick_config(seed=seed)
@@ -62,20 +60,18 @@ class TestRunConfig:
 
     def test_numpy_settings_run_and_are_recorded_as_python_types(self, small_data, tmp_path):
         ints = dict(n_factors=2, n_iters=40, burn_in=20, thin=2, seed=7, partition_rows=1,
-                    partition_cols=1, top_n=3, workers=1)
+                    partition_cols=1, workers=1)
         cfg = quick_config(**{name: np.int64(v) for name, v in ints.items()},
-                           tau=np.float32(1.0), save_chains=np.False_,
-                           lambda_policy=np.float32(0.5))
+                           tau=np.float32(1.0), save_chains=np.False_)
         pipeline.run_full(small_data[0], cfg, run_dir=tmp_path / "full")
         recorded = json.loads((tmp_path / "full" / "run_config.json").read_text())
         for name, value in ints.items():
             assert type(recorded[name]) is int and recorded[name] == value
         assert type(recorded["tau"]) is float and recorded["tau"] == 1.0
-        assert recorded["lambda_policy"] == 0.5
         assert recorded["save_chains"] is False
 
     @pytest.mark.parametrize("name, value", [
-        ("n_factors", 2.0), ("partition_rows", 2.5), ("thin", 2.0), ("top_n", True),
+        ("n_factors", 2.0), ("partition_rows", 2.5), ("thin", 2.0),
         ("workers", np.True_), ("tau", True), ("tau", "1.0"), ("tau", np.True_), ("tau", None),
         ("save_chains", 1), ("save_chains", "no")])
     def test_wrong_setting_types_rejected_before_a_run(self, small_data, tmp_path, name, value):
@@ -84,26 +80,18 @@ class TestRunConfig:
             pipeline.run_full(small_data[0], quick_config(**settings), run_dir=tmp_path / "full")
         assert not (tmp_path / "full").exists()
 
-    @pytest.mark.parametrize("value, stored", [
-        ("median-pairwise", "median-pairwise"), (2, 2.0), (np.float32(0.5), 0.5)])
-    def test_lambda_policy_stored_normalized(self, value, stored):
-        policy = quick_config(lambda_policy=value).lambda_policy
-        assert type(policy) is type(stored) and policy == stored
-
-    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, True, "2.0", None])
-    def test_bad_lambda_policy_rejected(self, value):
-        with pytest.raises(ValidationError, match="lam_policy"):
-            quick_config(lambda_policy=value)
-
     @pytest.mark.parametrize("name", ["tau"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
             quick_config(**{name: value})
 
-    @pytest.mark.parametrize("name", ["nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0"])
+    @pytest.mark.parametrize("name", ["nw_mu0", "nw_beta0", "nw_w0_scale", "nw_nu0",
+                                      "top_n", "lambda_policy"])
     def test_shared_prior_is_not_a_setting(self, name):
-        # The shared hyperprior is fixed (nw_prior), so no field sets it.
+        # The shared hyperprior (nw_prior) and the dm/gmm fit rule (each
+        # row's median pairwise lambda, at most GMM_TOP_N clusters) are
+        # fixed, so no field sets them.
         assert name not in {field.name for field in fields(pipeline.RunConfig)}
         with pytest.raises(TypeError, match=name):
             quick_config(**{name: 2.0})
@@ -229,8 +217,8 @@ class TestCostModel:
         assert all(a >= b for a, b in zip(totals, totals[1:]))
 
     def test_communication_formula(self):
-        params = pipeline.row_param_count("gmm", 4, 3)
-        assert params == 3 * (4 + 16)
+        params = pipeline.row_param_count("gmm", 4)
+        assert params == GMM_TOP_N * (4 + 16) == 3 * (4 + 16)
         ev = pipeline.cost_model_eval(pipeline.CostModel(10, 20, 50, 4, 5, 9, params))
         assert ev.communication == pytest.approx(3 * 30 * params)
 
@@ -239,13 +227,6 @@ class TestCostModel:
             pipeline.CostModel(0, 1, 1, 1, 1, 1, 2.0)
         with pytest.raises(ValidationError):
             pipeline.CostModel(1, 1, 1, 1, 1, 1, 0.0)
-        with pytest.raises(ValidationError):
-            pipeline.row_param_count("mm", 2, 0)
-
-    @pytest.mark.parametrize("n_components", [1.5, True, 0])
-    def test_component_count_is_a_positive_integer(self, n_components):
-        with pytest.raises(ValidationError, match="n_components must be a positive integer"):
-            pipeline.row_param_count("gmm", 4, n_components)
 
     @pytest.mark.parametrize("index, value", [
         (0, 2.5), (1, 3.0), (2, np.inf), (3, True), (4, np.float64(10)), (5, True),
@@ -429,7 +410,7 @@ class TestStagedPipeline:
         train, _ = small_data
         for kind in ("dm", "gmm"):
             cfg = quick_config(approximation=kind, n_iters=30, burn_in=20,
-                               thin=1, top_n=2)
+                               thin=1)
             res = pipeline.run_pp(train, cfg, run_dir=tmp_path / f"kind-{kind}")
             assert np.all(np.isfinite(res.x_mean))
 
