@@ -221,6 +221,47 @@ class TestFitGmm:
             assert gmm.weights.sum() == pytest.approx(1.0, abs=1e-12)
             np.linalg.cholesky(gmm.precisions)  # SPD or raises
 
+    @pytest.mark.parametrize("kind", ["dm", "gmm"])
+    @pytest.mark.parametrize("n_clusters", [1, 2, 3, 4, 5])
+    def test_keeps_the_largest_clusters_up_to_the_cap(self, n_clusters, kind):
+        # Clusters 20 apart, listed out of size order: dm keeps the largest,
+        # gmm the GMM_TOP_N = 3 largest, largest first, weighted by their sizes.
+        sizes = np.array([10, 30, 20, 50, 40])[:n_clusters]
+        centers = 20.0 * np.arange(n_clusters)[:, None]
+        samples = self._clouds(np.random.default_rng(n_clusters), centers, sizes)
+        fit = fit_at(samples, 3.0, kind)
+        order = np.argsort(-sizes, kind="stable")[:1 if kind == "dm" else 3]
+        if kind == "dm":
+            assert fit.kind == "gaussian"
+            assert abs(fit.means[0, 0] - centers[order[0], 0]) < 0.1
+            return
+        assert approx.GMM_TOP_N == 3
+        assert fit.weights.shape == (1, min(n_clusters, 3))
+        np.testing.assert_allclose(fit.weights[0], sizes[order] / sizes[order].sum())
+        np.testing.assert_allclose(fit.means[0, :, 0], centers[order, 0], atol=0.1)
+
+
+class TestFixedRadius:
+    """The dm and gmm fits at a given radius per row check that radius
+    before any clustering."""
+
+    @pytest.mark.parametrize("kind", ["dm", "gmm"])
+    @pytest.mark.parametrize("lam, message", [
+        ((0.0, 0.0), "lambda must be positive"),
+        ((1.0, -1.0), "lambda must be positive"),
+        ((np.nan, 1.0), "lambda must be positive"),
+        ((-np.inf, 2.0), "lambda must be positive"),
+        ((1.0,), r"one value per row, shape \(2,\)"),
+        ((1.0, 1.0, 1.0), r"one value per row, shape \(2,\)"),
+    ])
+    def test_radius_checked_before_clustering(self, monkeypatch, kind, lam, message):
+        def no_clustering(*_):
+            raise AssertionError("rows clustered before the radius was checked")
+        monkeypatch.setattr(approx, "_spawn_scan", no_clustering)
+        x = np.random.default_rng(0).standard_normal((2, 10, 1))
+        with pytest.raises(ValidationError, match=message):
+            approx._fit_clusters(x, np.array(lam), kind)
+
 
 class TestPoolGmm:
     def test_single_component_identity(self):
@@ -293,12 +334,19 @@ class TestFitRows:
             if kind != "mm":
                 assert fit_at(samples.transpose(1, 0, 2), 2.0, kind).n_rows == 3
 
-    def test_fit_rule_takes_no_settings(self):
+    @pytest.mark.parametrize("kind", ["mm", "dm", "gmm"])
+    @pytest.mark.parametrize("args, settings", [
+        ((), dict(lam_policy=2.0)), ((), dict(top_n=3)), ((2.0, 3), {})])
+    def test_fit_rule_takes_no_settings(self, monkeypatch, kind, args, settings):
+        # lambda and the gmm cap are fixed, so a radius or a cluster count,
+        # by name or by position, is refused before any row is fitted.
+        def no_row_work(*_):
+            raise AssertionError("rows fitted despite a removed setting")
+        monkeypatch.setattr(approx, "_fit_clusters", no_row_work)
+        monkeypatch.setattr(approx, "_gaussian_fits", no_row_work)
         samples = np.random.default_rng(7).standard_normal((40, 3, 2))
         with pytest.raises(TypeError):
-            approx.fit_rows(samples, "gmm", lam_policy=2.0)
-        with pytest.raises(TypeError):
-            approx.fit_rows(samples, "gmm", 2.0, 3)
+            approx.fit_rows(samples, kind, *args, **settings)
 
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
